@@ -8,12 +8,12 @@ threads.
 
 from concurrent.futures import ThreadPoolExecutor
 
-DEFAULT_BLOCK = 4096
+BLOCK = 4096
 
 
-def map_blocks(fn, n, workers=1, block=DEFAULT_BLOCK):
+def map_blocks(fn, n, workers=1):
     """Call ``fn(start, stop)`` over [0, n) in blocks; return results in order."""
-    spans = [(s, min(s + block, n)) for s in range(0, max(n, 1), block)]
+    spans = [(s, min(s + BLOCK, n)) for s in range(0, max(n, 1), BLOCK)]
     if workers <= 1 or len(spans) <= 1:
         return [fn(s, e) for s, e in spans]
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -15,7 +15,7 @@ import numpy as np
 from ._blocks import map_blocks
 from .errors import ConfigError
 from .fields import ScalarField, TransformField, VLineGeometry, unit_vector
-from .operators import bilinear
+from .operators import bilinear, rhombus_stencil
 
 
 @dataclass(frozen=True)
@@ -36,23 +36,21 @@ def _step(grid, quad):
     return grid.h / 2.0 if quad is None else quad.step
 
 
-def beam_values(h: ScalarField, points, d, quad=None, moment=False,
-                rmax=None, workers=1):
+def beam_values(h: ScalarField, points, d, quad=None, moment=False, workers=1):
     """Beam integrals of a compactly supported scalar field at many vertices.
 
     Integrates t -> h(x + t d) (times t for the first moment) over the
-    forward intersection of the ray with the disc of radius ``rmax``
-    (default: the r1 support disc); rays missing the disc give 0.
+    forward intersection of the ray with the r1 support disc; rays missing
+    the disc give 0.
     """
     grid = h.grid
     d = unit_vector(d)
     step = _step(grid, quad)
-    rmax = grid.r1 if rmax is None else rmax
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     out = np.zeros(len(pts))
 
     b = pts @ d
-    disc = b * b - (pts[:, 0] ** 2 + pts[:, 1] ** 2 - rmax * rmax)
+    disc = b * b - (pts[:, 0] ** 2 + pts[:, 1] ** 2 - grid.r1 * grid.r1)
     idx = np.nonzero(disc > 0.0)[0]
     if idx.size == 0:
         return out
@@ -102,12 +100,27 @@ def beam_field(h: ScalarField, d, quad=None, moment=False, workers=1) -> np.ndar
     return vals.reshape(grid.nx, grid.ny)
 
 
+def ray_sum(terms, quad=None, moment=False, workers=1) -> np.ndarray:
+    """sum_i c_i X_{d_i} h_i at every grid vertex, for (h_i, d_i, c_i) terms.
+
+    Every V-line and star transform is such a weighted sum of beam fields
+    (first moments with ``moment``).  The sum starts from the first term,
+    not from zeros, and adds the terms in order, so with weights +-1 it is
+    bit-identical to the written-out expression such as X_u h - X_v h.
+    """
+    (h, d, c), *rest = terms
+    out = c * beam_field(h, d, quad, moment=moment, workers=workers)
+    for h, d, c in rest:
+        out += c * beam_field(h, d, quad, moment=moment, workers=workers)
+    return out
+
+
 def signed_vline(h: ScalarField, geom: VLineGeometry, quad=None,
                  workers=1) -> TransformField:
     """T_s h = X_u h - X_v h sampled at every grid vertex."""
     geom.check_grid(h.grid)
-    vals = (beam_field(h, geom.u, quad, workers=workers)
-            - beam_field(h, geom.v, quad, workers=workers))
+    vals = ray_sum(((h, geom.u, 1.0), (h, geom.v, -1.0)), quad,
+                   workers=workers)
     return TransformField(h.grid, vals, "Ts")
 
 
@@ -116,18 +129,24 @@ def strip_ring_radius(grid):
     return grid.r2 + 2.0 * grid.h
 
 
-def sample_with_strips(grid, values, dirs, px, py, slope=None):
-    """Sample transform data at arbitrary points.
+def strip_ring_point(grid, sigma, d):
+    """Where the strip along direction d reads its constant value.
+
+    Returns (qx, qy, back): q = sigma * perp(d) - back * d is the point of
+    the strip ring on the far (vertex) side of the strip, at transverse
+    coordinate sigma, with back = sqrt(ring^2 - sigma^2).
+    """
+    ring = strip_ring_radius(grid)
+    back = np.sqrt(np.maximum(ring * ring - sigma * sigma, 0.0))
+    return -sigma * d[1] - back * d[0], sigma * d[0] - back * d[1], back
+
+
+def sample_with_strips(grid, values, dirs, px, py):
+    """Sample strip-constant transform data at arbitrary points.
 
     Inside the r2 disc: bilinear interpolation of the grid samples.
     Outside: the point is mapped along its (unique) active strip direction
     onto a ring just outside the r2 disc; points in no strip give 0.
-
-    With ``slope=None`` the data is taken constant along the strips (the
-    zero-moment transforms).  First-moment transforms instead grow
-    linearly along the strip away from the disc, with growth rate equal to
-    the matching zero-moment transform; passing that field as ``slope``
-    extends the data as value + distance * slope.
     """
     px = np.asarray(px, dtype=float)
     py = np.asarray(py, dtype=float)
@@ -139,7 +158,6 @@ def sample_with_strips(grid, values, dirs, px, py, slope=None):
     outside = ~inside
     if not outside.any():
         return out
-    ring = strip_ring_radius(grid)
     ox, oy = px[outside], py[outside]
     acc = np.zeros(ox.shape)
     taken = np.zeros(ox.shape, dtype=bool)
@@ -149,32 +167,23 @@ def sample_with_strips(grid, values, dirs, px, py, slope=None):
         cond = (~taken) & (along < 0.0) & (np.abs(sigma) < grid.r1)
         if not cond.any():
             continue
-        s = sigma[cond]
-        back = np.sqrt(np.maximum(ring * ring - s * s, 0.0))
-        qx = -s * d[1] - back * d[0]
-        qy = s * d[0] - back * d[1]
-        vals = bilinear(grid, values, qx, qy)
-        if slope is not None:
-            dist = np.maximum(-back - along[cond], 0.0)  # p = q - dist * d
-            vals = vals + dist * bilinear(grid, slope, qx, qy)
-        acc[cond] = vals
+        qx, qy, _ = strip_ring_point(grid, sigma[cond], d)
+        acc[cond] = bilinear(grid, values, qx, qy)
         taken |= cond
     out[outside] = acc
     return out
 
 
-def transform_beam_values(tf: TransformField, dirs, points, d, quad=None,
-                          workers=1, component=0, slope=None):
+def transform_beam_values(tf: TransformField, dirs, points, d, workers=1):
     """Beam integrals of strip-extended transform data along direction d.
 
     The t-integral runs until the ray has left both the r2 disc and every
-    strip for good, beyond which the data is identically zero.  ``slope``
-    enables the linear strip extension for first-moment data.
+    strip for good, beyond which the data is identically zero.
     """
     grid = tf.grid
     d = unit_vector(d)
-    step = _step(grid, quad)
-    values = tf.component(component)
+    step = _step(grid, None)
+    values = tf.component(0)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     npts = len(pts)
 
@@ -203,39 +212,34 @@ def transform_beam_values(tf: TransformField, dirs, points, d, quad=None,
     def block(s, e):
         px = pts[s:e, 0, None] + t[None, :] * d[0]
         py = pts[s:e, 1, None] + t[None, :] * d[1]
-        vals = sample_with_strips(grid, values, dirs, px, py, slope=slope)
+        vals = sample_with_strips(grid, values, dirs, px, py)
         return vals.sum(axis=1) * dt
 
     parts = map_blocks(block, npts, workers=workers)
     return np.concatenate(parts)
 
 
-def invert_signed(ts: TransformField, geom: VLineGeometry, quad=None,
-                  workers=1, slope=None) -> ScalarField:
+def invert_signed(ts: TransformField, geom: VLineGeometry,
+                  workers=1) -> ScalarField:
     """Invert the signed V-line transform.
 
     h(x) = (1/|v - u|) D_u D_v  int_0^inf (T_s h)(x + t w) dt, with
     w = (v - u)/|v - u|.  The t-integral uses strip-constant extension of
-    the data beyond the r2 disc (or the linear extension with growth field
-    ``slope`` for first-moment data); D_u D_v is the centered rhombus
-    stencil with side 2h.  Output is supported in the closed r1 disc.
+    the data beyond the r2 disc; D_u D_v is the centered rhombus stencil
+    with side 2h.  Output is supported in the closed r1 disc.
     """
     grid = ts.grid
     w = geom.w  # raises on degenerate geometry
-    delta = 2.0 * grid.h
     xx, yy = grid.mesh()
     mask = (np.hypot(xx, yy) <= grid.r1).ravel()
     base = np.column_stack([xx.ravel()[mask], yy.ravel()[mask]])
     if base.size == 0:
         return ScalarField(grid, np.zeros((grid.nx, grid.ny)))
-    a = 0.5 * delta * (geom.u + geom.v)
-    bvec = 0.5 * delta * (geom.u - geom.v)
-    shifted = np.concatenate([base + a, base + bvec, base - bvec, base - a])
-    dirs = (geom.u, geom.v)
-    vals = transform_beam_values(ts, dirs, shifted, w, quad, workers=workers,
-                                 slope=slope)
-    n = len(base)
-    duv = (vals[:n] - vals[n:2 * n] - vals[2 * n:3 * n] + vals[3 * n:]) / delta**2
+    # all four stencil corners in one call: they share one t-lattice
+    duv = rhombus_stencil(
+        lambda pts: transform_beam_values(ts, geom.rays, pts, w,
+                                          workers=workers),
+        base, geom, grid.h)
     out = np.zeros(grid.nx * grid.ny)
     out[mask] = duv / geom.norm_vu
     return ScalarField(grid, out.reshape(grid.nx, grid.ny))

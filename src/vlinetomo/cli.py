@@ -21,11 +21,12 @@ from .beam import RayQuadrature, invert_signed, signed_vline
 from .errors import (ConfigError, FileFormatError, GeometryError, SolverError,
                      VlineError)
 from .fields import Grid2D, ScalarField, TransformField, VectorField
-from .io import (read_star_geometry, read_vline_geometry, read_vlt1,
-                 write_pgm, write_ppm_direction, write_vls1, write_vlt1)
+from .io import (_components, read_star_geometry, read_vline_geometry,
+                 read_vlt1, write_pgm, write_ppm_direction, write_vls1,
+                 write_vlt1)
 from .phantoms import make_phantom
 from .radon import fbp_inverse, radon_forward, sinogram_dds
-from .star import forward_star, invert_star, classify
+from .star import forward_star, invert_star
 from .vline import (forward_I, forward_J, forward_L, forward_T, recover_curl,
                     recover_div, recover_field_LI, recover_field_LT,
                     recover_field_TJ, recover_potential, recover_stream)
@@ -40,7 +41,11 @@ def _parse_pair(text):
 
 
 def _load_config_tokens(path):
-    """Turn key=value config lines into CLI tokens (flags override them)."""
+    """Turn key=value config lines into CLI tokens (flags override them).
+
+    Each line becomes one ``--key=value`` token, so values that start with
+    a minus sign are not read as flags.
+    """
     tokens = []
     try:
         with open(path) as fh:
@@ -60,7 +65,7 @@ def _load_config_tokens(path):
             if val.lower() == "true":
                 tokens.append(flag)
         else:
-            tokens.extend([flag, val])
+            tokens.append(f"{flag}={val}")
     return tokens
 
 
@@ -104,9 +109,15 @@ def _ensure_out_dir(args):
     return args.out_dir
 
 
-def _error_report(path, recon_comps, oracle_comps, mask):
+def _error_report(out_dir, field, oracle):
+    """Write report.txt with the relative L1/L2/Linf errors of ``field``
+    against ``oracle`` on the r1 disc, print its lines, return its path."""
+    comps, ocomps = _components(field), _components(oracle)
+    if len(comps) != len(ocomps):
+        raise ConfigError("field and oracle component counts differ")
+    mask = field.grid.disc_mask(field.grid.r1)
     lines = []
-    for k, (rec, ora) in enumerate(zip(recon_comps, oracle_comps)):
+    for k, (rec, ora) in enumerate(zip(comps, ocomps)):
         diff = (rec - ora)[mask]
         ref = ora[mask]
         nref2 = float(np.linalg.norm(ref))
@@ -118,9 +129,12 @@ def _error_report(path, recon_comps, oracle_comps, mask):
                      f"{np.linalg.norm(diff) / nref2 if nref2 else 0.0:.6e}")
         lines.append(f"component{k + 1}.rel_linf="
                      f"{np.max(np.abs(diff)) / nrefi if nrefi else 0.0:.6e}")
+    path = os.path.join(out_dir, "report.txt")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    return lines
+    for line in lines:
+        print(line)
+    return path
 
 
 def cmd_phantom(args):
@@ -153,15 +167,19 @@ def _load_vline_geometry(args):
     return read_vline_geometry(args.geometry)
 
 
+def _load_star_geometry(args):
+    if args.star_geometry is None:
+        raise ConfigError("the star transform needs --star-geometry")
+    return read_star_geometry(args.star_geometry)
+
+
 def cmd_forward(args):
     out_dir = _ensure_out_dir(args)
     field = read_vlt1(args.field)
     quad = _quad(args)
     name = args.transform
     if name == "star":
-        if args.star_geometry is None:
-            raise ConfigError("star transform needs --star-geometry")
-        sg = read_star_geometry(args.star_geometry)
+        sg = _load_star_geometry(args)
         if not isinstance(field, VectorField):
             raise ConfigError("star transform needs a 2-component field")
         tf = forward_star(field, sg, quad, workers=args.threads)
@@ -187,64 +205,38 @@ def cmd_forward(args):
 def cmd_invert(args):
     out_dir = _ensure_out_dir(args)
     pipeline = args.pipeline
-    outputs = []
-
-    def load(path, kind):
+    # pipeline -> (reconstruction, [(input argument, transform kind)],
+    #              whether it takes workers); looked up per call so that
+    #              rebinding a module-level name reaches the CLI too
+    fn, inputs, threaded = {
+        "lt": (recover_field_LT, [("lf", "L"), ("tf", "T")], False),
+        "li": (recover_field_LI, [("lf", "L"), ("i_f", "I")], True),
+        "tj": (recover_field_TJ, [("tf", "T"), ("jf", "J")], True),
+        "star": (invert_star, [("sf", "S")], False),
+        "curl": (recover_curl, [("lf", "L")], False),
+        "div": (recover_div, [("tf", "T")], False),
+        "stream": (recover_stream, [("lf", "L")], False),
+        "potential": (recover_potential, [("tf", "T")], False),
+        "signed": (invert_signed, [("ts", "Ts")], True),
+    }[pipeline]
+    data = []
+    for name, kind in inputs:
+        path = getattr(args, name)
         if path is None:
             raise ConfigError(f"pipeline {pipeline!r} is missing an input file")
-        return read_vlt1(path, kind=kind)
-
-    if pipeline == "lt":
-        result = recover_field_LT(load(args.lf, "L"), load(args.tf, "T"),
-                                  _load_vline_geometry(args))
-    elif pipeline == "li":
-        result = recover_field_LI(load(args.lf, "L"), load(args.i_f, "I"),
-                                  _load_vline_geometry(args),
-                                  workers=args.threads)
-    elif pipeline == "tj":
-        result = recover_field_TJ(load(args.tf, "T"), load(args.jf, "J"),
-                                  _load_vline_geometry(args),
-                                  workers=args.threads)
-    elif pipeline == "star":
-        if args.star_geometry is None:
-            raise ConfigError("star pipeline needs --star-geometry")
-        sg = read_star_geometry(args.star_geometry)
-        if classify(sg) == "symmetric":
-            raise GeometryError("symmetric star transform is not invertible")
-        result = invert_star(load(args.sf, "S"), sg, n_angles=args.angles,
-                             guard_deg=args.guard_deg)
-    elif pipeline == "curl":
-        result = recover_curl(load(args.lf, "L"), _load_vline_geometry(args))
-    elif pipeline == "div":
-        result = recover_div(load(args.tf, "T"), _load_vline_geometry(args))
-    elif pipeline == "stream":
-        result = recover_stream(load(args.lf, "L"), _load_vline_geometry(args))
-    elif pipeline == "potential":
-        result = recover_potential(load(args.tf, "T"),
-                                   _load_vline_geometry(args))
-    elif pipeline == "signed":
-        result = invert_signed(load(args.ts, "Ts"), _load_vline_geometry(args),
-                               workers=args.threads)
+        data.append(read_vlt1(path, kind=kind))
+    if pipeline == "star":
+        result = fn(*data, _load_star_geometry(args), n_angles=args.angles,
+                    guard_deg=args.guard_deg)
     else:
-        raise ConfigError(f"unknown pipeline {pipeline!r}")
+        kwargs = {"workers": args.threads} if threaded else {}
+        result = fn(*data, _load_vline_geometry(args), **kwargs)
 
     out = os.path.join(out_dir, args.out)
     write_vlt1(out, result)
-    outputs.append(out)
+    outputs = [out]
     if args.oracle is not None:
-        oracle = read_vlt1(args.oracle)
-        recon = ([result.values] if isinstance(result, ScalarField)
-                 else [result.f1, result.f2])
-        ora = ([oracle.values] if isinstance(oracle, ScalarField)
-               else [oracle.f1, oracle.f2])
-        if len(recon) != len(ora):
-            raise ConfigError("oracle component count does not match output")
-        mask = result.grid.disc_mask(result.grid.r1)
-        rpt = os.path.join(out_dir, "report.txt")
-        lines = _error_report(rpt, recon, ora, mask)
-        outputs.append(rpt)
-        for line in lines:
-            print(line)
+        outputs.append(_error_report(out_dir, result, read_vlt1(args.oracle)))
     _write_manifest(out_dir, "invert", args, outputs)
     return 0
 
@@ -289,19 +281,7 @@ def cmd_render(args):
 
 def cmd_report(args):
     out_dir = _ensure_out_dir(args)
-    recon = read_vlt1(args.field)
-    oracle = read_vlt1(args.oracle)
-    rcomps = ([recon.values] if isinstance(recon, ScalarField)
-              else [recon.f1, recon.f2])
-    ocomps = ([oracle.values] if isinstance(oracle, ScalarField)
-              else [oracle.f1, oracle.f2])
-    if len(rcomps) != len(ocomps):
-        raise ConfigError("field and oracle component counts differ")
-    mask = recon.grid.disc_mask(recon.grid.r1)
-    rpt = os.path.join(out_dir, "report.txt")
-    lines = _error_report(rpt, rcomps, ocomps, mask)
-    for line in lines:
-        print(line)
+    rpt = _error_report(out_dir, read_vlt1(args.field), read_vlt1(args.oracle))
     _write_manifest(out_dir, "report", args, [rpt])
     return 0
 
@@ -326,7 +306,9 @@ def build_parser():
     p.add_argument("--nx", type=int, default=256)
     p.add_argument("--r1", type=float, default=1.0)
     p.add_argument("--r2", type=float, default=None)
-    p.add_argument("--center", type=_parse_pair, default=None)
+    p.add_argument("--center", type=_parse_pair, default=None,
+                   help="bump centre x,y; write negative values as "
+                        "--center=-0.1,0.2")
     p.add_argument("--scale", type=float, default=None)
     p.add_argument("--amplitude", type=float, default=1.0)
     p.set_defaults(func=cmd_phantom)

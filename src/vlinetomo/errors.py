@@ -18,7 +18,12 @@ class GeometryError(VlineError):
 
 
 class SolverError(VlineError):
-    """Iterative solver failed to converge."""
+    """A numerical solver failed (maps to exit code 3).
+
+    No solver in the library raises it today: the Dirichlet solve is a
+    direct factorization and reports its residual instead of failing to
+    converge.  ``residual`` and ``iterations`` describe the failed solve.
+    """
 
     def __init__(self, message, residual=None, iterations=None):
         super().__init__(message)

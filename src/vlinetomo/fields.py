@@ -32,13 +32,13 @@ def det2(v, u):
     return v[0] * u[1] - u[0] * v[1]
 
 
-def unit_vector(d, tol=1e-12):
+def unit_vector(d):
     """Validate and return ``d`` as a unit 2-vector."""
     d = np.asarray(d, dtype=float)
     if d.shape != (2,):
         raise GeometryError(f"direction must be a 2-vector, got shape {d.shape}")
     n = float(np.hypot(d[0], d[1]))
-    if abs(n - 1.0) > tol:
+    if abs(n - 1.0) > 1e-12:
         raise GeometryError(f"direction must be unit length, |d| = {n!r}")
     return d
 
@@ -73,19 +73,18 @@ class Grid2D:
             raise ConfigError("grid square does not contain the disc of radius r2")
 
     @classmethod
-    def centered(cls, nx, r1, r2, ny=None):
-        """Origin-centered grid whose square exceeds the r2 disc by ~4 cells.
+    def centered(cls, nx, r1, r2):
+        """Origin-centered nx-by-nx grid whose square exceeds the r2 disc by
+        ~4 cells.
 
         The margin leaves room for the strip-constancy sampling ring used
         when transform data is extended beyond the r2 disc.
         """
-        ny = nx if ny is None else ny
-        n = min(nx, ny)
-        if n < 16:
+        if nx < 16:
             raise ConfigError("grids need at least 16 samples per axis")
-        h = 2.0 * r2 / (n - 9)
-        origin = (-(nx - 1) * h / 2.0, -(ny - 1) * h / 2.0)
-        return cls(nx=nx, ny=ny, h=h, origin=origin, r1=r1, r2=r2)
+        h = 2.0 * r2 / (nx - 9)
+        origin = (-(nx - 1) * h / 2.0, -(nx - 1) * h / 2.0)
+        return cls(nx=nx, ny=nx, h=h, origin=origin, r1=r1, r2=r2)
 
     def xs(self):
         return self.origin[0] + self.h * np.arange(self.nx)
@@ -113,14 +112,15 @@ class Grid2D:
         )
 
 
-def _check_values(grid, values):
-    values = np.asarray(values, dtype=float)
-    if values.shape != (grid.nx, grid.ny):
-        raise ConfigError(
-            f"field shape {values.shape} does not match grid ({grid.nx}, {grid.ny})"
-        )
+def _check_values(grid, values, ncomp=None):
+    """Validated read-only copy of samples shaped (nx, ny), or (ncomp, nx, ny)."""
+    values = np.array(values, dtype=float)
+    shape = (grid.nx, grid.ny) if ncomp is None else (ncomp, grid.nx, grid.ny)
+    if values.shape != shape:
+        raise ConfigError(f"field shape {values.shape} does not match {shape}")
     if not np.all(np.isfinite(values)):
         raise ConfigError("field contains non-finite samples")
+    values.flags.writeable = False
     return values
 
 
@@ -135,10 +135,9 @@ class ScalarField:
     def max_norm(self):
         return float(np.max(np.abs(self.values)))
 
-    def is_compact(self, radius=None):
-        """True if the field vanishes (relative to its max-norm) outside radius."""
-        radius = self.grid.r1 if radius is None else radius
-        outside = ~self.grid.disc_mask(radius)
+    def is_compact(self):
+        """True if the field vanishes (relative to its max-norm) outside r1."""
+        outside = ~self.grid.disc_mask(self.grid.r1)
         scale = self.max_norm()
         if scale == 0.0:
             return True
@@ -166,19 +165,14 @@ class VectorField:
     def max_norm(self):
         return float(np.max(np.hypot(self.f1, self.f2)))
 
-    def is_compact(self, radius=None):
+    def is_compact(self):
         return (
-            ScalarField(self.grid, self.f1).is_compact(radius)
-            and ScalarField(self.grid, self.f2).is_compact(radius)
+            ScalarField(self.grid, self.f1).is_compact()
+            and ScalarField(self.grid, self.f2).is_compact()
         )
 
 
 TRANSFORM_KINDS = ("L", "T", "I", "J", "Ts", "S")
-
-# kinds whose values are constant along the ray directions inside the
-# semi-infinite strips outside the r2 disc (the first-moment transforms
-# grow linearly there instead)
-STRIP_CONSTANT_KINDS = ("L", "T", "Ts", "S")
 
 
 @dataclass(frozen=True)
@@ -196,14 +190,12 @@ class TransformField:
     def __post_init__(self):
         if self.kind not in TRANSFORM_KINDS:
             raise ConfigError(f"unknown transform kind {self.kind!r}")
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim == 2:
-            values = _check_values(self.grid, values)
-        elif values.ndim == 3 and values.shape[0] == 2:
-            values = np.stack([_check_values(self.grid, v) for v in values])
-        else:
-            raise ConfigError(f"transform values have bad shape {values.shape}")
-        object.__setattr__(self, "values", values)
+        shape = np.shape(self.values)
+        if len(shape) not in (2, 3) or len(shape) == 3 and shape[0] != 2:
+            raise ConfigError(f"transform values have bad shape {shape}")
+        ncomp = shape[0] if len(shape) == 3 else None
+        object.__setattr__(self, "values",
+                           _check_values(self.grid, self.values, ncomp))
 
     @property
     def ncomp(self):
@@ -213,8 +205,33 @@ class TransformField:
         return self.values if self.values.ndim == 2 else self.values[k]
 
 
+class RayGeometry:
+    """Support analysis shared by every fan of unit ray directions shot
+    from each vertex (the V-line pair, the star); subclasses expose the
+    directions as the tuple ``rays``."""
+
+    def required_r2(self, r1):
+        """Smallest r2 so a vertex outside the r2 disc shoots at most one
+        ray through the r1 disc: r1 / min over ray pairs of sin(theta/2)."""
+        smin = 1.0
+        for i in range(len(self.rays)):
+            for j in range(i + 1, len(self.rays)):
+                c = float(np.clip(np.dot(self.rays[i], self.rays[j]),
+                                  -1.0, 1.0))
+                smin = min(smin, np.sqrt((1.0 - c) / 2.0))
+        return r1 / smin
+
+    def check_grid(self, grid):
+        if grid.r2 < self.required_r2(grid.r1) - 1e-9:
+            raise GeometryError(
+                f"grid r2 = {grid.r2:.6g} is below the "
+                f"{type(self).__name__} requirement "
+                f"{self.required_r2(grid.r1):.6g}"
+            )
+
+
 @dataclass(frozen=True)
-class VLineGeometry:
+class VLineGeometry(RayGeometry):
     """The fixed ray-direction pair (u, v) shared by all V-lines."""
 
     u: np.ndarray
@@ -244,21 +261,12 @@ class VLineGeometry:
         d = self.v - self.u
         return float(np.hypot(d[0], d[1]))
 
-    def required_r2(self, r1):
-        """Smallest r2 so a vertex outside the r2 disc shoots at most one
-        ray through the r1 disc: r1 / sin(theta/2), theta = angle(u, v)."""
-        c = float(np.clip(np.dot(self.u, self.v), -1.0, 1.0))
-        half = np.sqrt((1.0 - c) / 2.0)  # sin(theta/2)
-        return r1 / half
-
-    def check_grid(self, grid, tol=1e-9):
-        if grid.r2 < self.required_r2(grid.r1) - tol:
-            raise GeometryError(
-                f"grid r2 = {grid.r2:.6g} is below the V-line requirement "
-                f"{self.required_r2(grid.r1):.6g}"
-            )
+    @property
+    def rays(self):
+        return (self.u, self.v)
 
 
-def grid_for_vline(nx, r1, geom, ny=None):
-    """Centered grid sized so the (u, v) V-line support analysis holds."""
-    return Grid2D.centered(nx, r1, geom.required_r2(r1), ny=ny)
+def grid_for_vline(nx, r1, geom):
+    """Centered grid sized so the support analysis of ``geom`` holds; serves
+    any RayGeometry (``grid_for_star`` is the same function)."""
+    return Grid2D.centered(nx, r1, geom.required_r2(r1))

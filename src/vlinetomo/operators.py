@@ -38,6 +38,22 @@ def bilinear(grid: Grid2D, values: np.ndarray, px, py):
     return np.where(inside, out, 0.0)
 
 
+def rhombus_stencil(sample, points, geom, h):
+    """D_u D_v S at (n, 2) points by the centered rhombus stencil.
+
+    With delta = 2h, a = (delta/2)(u+v) and b = (delta/2)(u-v):
+        [S(x+a) - S(x+b) - S(x-b) + S(x-a)] / delta^2 -> D_u D_v S,
+    second-order accurate.  ``sample`` maps a (4n, 2) array of points to
+    the values of S there and is called once with all four corner sets.
+    """
+    delta = 2.0 * h
+    a = 0.5 * delta * (geom.u + geom.v)
+    b = 0.5 * delta * (geom.u - geom.v)
+    s = sample(np.concatenate([points + a, points + b, points - b, points - a]))
+    n = len(points)
+    return (s[:n] - s[n:2 * n] - s[2 * n:3 * n] + s[3 * n:]) / delta**2
+
+
 def partial_x(values, h):
     return np.gradient(values, h, axis=0)
 

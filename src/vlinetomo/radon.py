@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .beam import strip_ring_point, strip_ring_radius
 from .errors import ConfigError
 from .fields import Grid2D, ScalarField, TransformField
 from .operators import bilinear
@@ -79,12 +80,15 @@ def _lattice(grid, n_angles, n_offsets, full):
         raise ConfigError("need at least 1 angle and 2 offsets")
     dangle = (FULL_TURN if full else np.pi) / n_angles
     ds = 2.0 * grid.r2 / (n_offsets - 1)
-    return dangle, ds
+    offsets = (np.arange(n_offsets) - (n_offsets - 1) / 2.0) * ds
+    return dangle, ds, offsets
 
 
-def _chord_integrals(grid, values, psi, offsets, rmax, step):
-    """Line integrals over the chords |x| <= rmax for one angle."""
+def _chord_integrals(grid, values, psi, offsets, rmax):
+    """Line integrals over the chords |x| <= rmax for one angle, sampled at
+    arc-length step h/2."""
     s = offsets
+    step = grid.h / 2.0
     half = np.sqrt(np.maximum(rmax * rmax - s * s, 0.0))
     n = max(1, int(np.ceil(2.0 * rmax / step)))
     mid = (np.arange(n) + 0.5) / n  # fractions of the chord length
@@ -96,70 +100,56 @@ def _chord_integrals(grid, values, psi, offsets, rmax, step):
     return vals.sum(axis=1) * dt
 
 
-def radon_forward(h: ScalarField, n_angles, n_offsets, full=False,
-                  step=None) -> Sinogram:
+def radon_forward(h: ScalarField, n_angles, n_offsets, full=False) -> Sinogram:
     """Radon transform of a scalar field compactly supported in the r1 disc."""
     grid = h.grid
-    dangle, ds = _lattice(grid, n_angles, n_offsets, full)
-    step = grid.h / 2.0 if step is None else step
-    offsets = (np.arange(n_offsets) - (n_offsets - 1) / 2.0) * ds
+    dangle, ds, offsets = _lattice(grid, n_angles, n_offsets, full)
     out = np.zeros((1, n_angles, n_offsets))
     for k in range(n_angles):
         a = dangle * k
         psi = np.array([np.cos(a), np.sin(a)])
-        out[0, k] = _chord_integrals(grid, h.values, psi, offsets,
-                                     grid.r1, step)
+        out[0, k] = _chord_integrals(grid, h.values, psi, offsets, grid.r1)
     return Sinogram(out, 0.0, dangle, ds)
 
 
-def _strip_profiles(grid, values, dirs, ring, n_sigma):
-    """Sample the constant strip values on the ring of radius ``ring``.
-
-    For strip direction d, the profile at transverse coordinate sigma is
-    read at q = sigma * perp(d) - sqrt(ring^2 - sigma^2) * d, the point of
-    the ring on the far (vertex) side of the strip.
-    """
+def _strip_profiles(grid, values, dirs):
+    """Sample the constant strip values on the strip ring, at 4 nx points
+    across each strip's width 2 r1; per direction (back, profile)."""
+    n_sigma = 4 * grid.nx
     sig = (np.arange(n_sigma) + 0.5) / n_sigma  # (0, 1)
     sigma = -grid.r1 + 2.0 * grid.r1 * sig
     dsig = 2.0 * grid.r1 / n_sigma
     profiles = []
-    back = np.sqrt(np.maximum(ring * ring - sigma * sigma, 0.0))
     for d in dirs:
-        qx = -sigma * d[1] - back * d[0]
-        qy = sigma * d[0] - back * d[1]
-        profiles.append(bilinear(grid, values, qx, qy))
+        qx, qy, back = strip_ring_point(grid, sigma, d)
+        profiles.append((back, bilinear(grid, values, qx, qy)))
     return sigma, dsig, profiles
 
 
 def radon_transform_field(tf: TransformField, dirs, n_angles, n_offsets,
-                          full=True, step=None, n_sigma=None) -> Sinogram:
+                          full=True) -> Sinogram:
     """Radon transform of strip-extended transform data.
 
-    The chord part integrates the grid samples over |x| <= r2 + 2h; the
-    strip tails beyond that ring are constant along their ray direction,
-    so each tail reduces to a 1-D integral of the ring profile against a
-    (smoothed) indicator of the half-plane cut by the line.  Lines nearly
-    parallel to a strip direction (|psi . d| < 1e-9) get no tail; those
-    angles are singular for the downstream inversion and are discarded
-    there anyway.
+    The chord part integrates the grid samples over the strip-ring disc
+    |x| <= r2 + 2h; the strip tails beyond that ring are constant along
+    their ray direction, so each tail reduces to a 1-D integral of the ring
+    profile against a (smoothed) indicator of the half-plane cut by the
+    line.  Lines nearly parallel to a strip direction (|psi . d| < 1e-9)
+    get no tail; those angles are singular for the downstream inversion
+    and are discarded there anyway.
     """
     grid = tf.grid
-    dangle, ds = _lattice(grid, n_angles, n_offsets, full)
-    step = grid.h / 2.0 if step is None else step
-    n_sigma = 4 * grid.nx if n_sigma is None else n_sigma
-    ring = grid.r2 + 2.0 * grid.h
-    offsets = (np.arange(n_offsets) - (n_offsets - 1) / 2.0) * ds
+    dangle, ds, offsets = _lattice(grid, n_angles, n_offsets, full)
+    ring = strip_ring_radius(grid)
     out = np.zeros((tf.ncomp, n_angles, n_offsets))
     for c in range(tf.ncomp):
         values = tf.component(c)
-        sigma, dsig, profiles = _strip_profiles(grid, values, dirs, ring,
-                                                n_sigma)
-        back = np.sqrt(np.maximum(ring * ring - sigma * sigma, 0.0))
+        sigma, dsig, profiles = _strip_profiles(grid, values, dirs)
         for k in range(n_angles):
             a = dangle * k
             psi = np.array([np.cos(a), np.sin(a)])
-            row = _chord_integrals(grid, values, psi, offsets, ring, step)
-            for d, prof in zip(dirs, profiles):
+            row = _chord_integrals(grid, values, psi, offsets, ring)
+            for d, (back, prof) in zip(dirs, profiles):
                 alpha = psi[0] * d[0] + psi[1] * d[1]
                 if abs(alpha) < 1e-9:
                     continue

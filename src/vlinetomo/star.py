@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beam import beam_field
+from .beam import ray_sum
 from .errors import ConfigError, GeometryError
-from .fields import (Grid2D, TransformField, VectorField, direction, perp,
-                     unit_vector)
+from .fields import (RayGeometry, TransformField, VectorField, direction,
+                     grid_for_vline, perp, unit_vector)
 from .radon import Sinogram, fbp_inverse, radon_transform_field, sinogram_dds
 
 # |psi . gamma_i| below this is a type-1 singular direction
@@ -32,10 +32,12 @@ Z1_TOL = 1e-9
 Z2_TOL = 1e-9
 # angular tolerance for the symmetric-pairing test
 PAIR_TOL = 1e-10
+# angular lattice on which Z2 roots are bracketed before refinement
+Z2_SEARCH_ANGLES = 4096
 
 
 @dataclass(frozen=True)
-class StarGeometry:
+class StarGeometry(RayGeometry):
     """Ray directions gamma_1..gamma_m and nonzero weights c_1..c_m."""
 
     gammas: tuple
@@ -62,41 +64,25 @@ class StarGeometry:
     def m(self):
         return len(self.gammas)
 
-    def required_r2(self, r1):
-        """Smallest r2 so a vertex outside the r2 disc shoots at most one
-        ray through the r1 disc: r1 / min over ray pairs of sin(theta/2)."""
-        smin = 1.0
-        for i in range(self.m):
-            for j in range(i + 1, self.m):
-                c = float(np.clip(np.dot(self.gammas[i], self.gammas[j]),
-                                  -1.0, 1.0))
-                smin = min(smin, np.sqrt((1.0 - c) / 2.0))
-        return r1 / smin
-
-    def check_grid(self, grid, tol=1e-9):
-        if grid.r2 < self.required_r2(grid.r1) - tol:
-            raise GeometryError(
-                f"grid r2 = {grid.r2:.6g} is below the star requirement "
-                f"{self.required_r2(grid.r1):.6g}"
-            )
+    @property
+    def rays(self):
+        return self.gammas
 
 
-def grid_for_star(nx, r1, sg: StarGeometry, ny=None):
-    """Centered grid sized so the star support analysis holds."""
-    return Grid2D.centered(nx, r1, sg.required_r2(r1), ny=ny)
+# Centered grid sized so the star support analysis holds.
+grid_for_star = grid_for_vline
 
 
 def forward_star(f: VectorField, sg: StarGeometry, quad=None,
                  workers=1) -> TransformField:
     """S f sampled at every grid vertex, a 2-component transform field."""
     sg.check_grid(f.grid)
-    grid = f.grid
-    long_part = np.zeros((grid.nx, grid.ny))
-    trans_part = np.zeros((grid.nx, grid.ny))
-    for g, c in zip(sg.gammas, sg.weights):
-        long_part += c * beam_field(f.dot(g), g, quad, workers=workers)
-        trans_part += c * beam_field(f.dot(perp(g)), g, quad, workers=workers)
-    return TransformField(grid, np.stack([long_part, trans_part]), "S")
+    weighted = tuple(zip(sg.gammas, sg.weights))
+    long_part = ray_sum([(f.dot(g), g, c) for g, c in weighted], quad,
+                        workers=workers)
+    trans_part = ray_sum([(f.dot(perp(g)), g, c) for g, c in weighted], quad,
+                         workers=workers)
+    return TransformField(f.grid, np.stack([long_part, trans_part]), "S")
 
 
 def gamma_of_psi(sg: StarGeometry, psi):
@@ -199,7 +185,7 @@ class SingularDirections:
     degenerate: bool     # symmetric geometry: gamma vanishes identically
 
 
-def singular_directions(sg: StarGeometry, grid_angles=4096) -> SingularDirections:
+def singular_directions(sg: StarGeometry) -> SingularDirections:
     """Locate the type-1 and type-2 singular directions.
 
     Z1 comes from exact orthogonality to each ray.  Z2 roots are shared
@@ -226,14 +212,14 @@ def singular_directions(sg: StarGeometry, grid_angles=4096) -> SingularDirection
         a = np.atleast_1d(np.asarray(a, dtype=float))
         return np.abs(_eval_homogeneous(c1, a)) + np.abs(_eval_homogeneous(c2, a))
 
-    da = 2.0 * np.pi / grid_angles
-    angles = da * np.arange(grid_angles)
+    da = 2.0 * np.pi / Z2_SEARCH_ANGLES
+    angles = da * np.arange(Z2_SEARCH_ANGLES)
     vals = objective(angles)
     z2 = []
-    for k in range(grid_angles):
+    for k in range(Z2_SEARCH_ANGLES):
         v0 = vals[k - 1]
         vm = vals[k]
-        v1 = vals[(k + 1) % grid_angles]
+        v1 = vals[(k + 1) % Z2_SEARCH_ANGLES]
         # local minimum small enough to plausibly be a root of P
         if not (vm <= v0 and vm <= v1 and vm <= 1e-4 * scale):
             continue
@@ -313,23 +299,21 @@ def apply_q(dsino: Sinogram, sg: StarGeometry, guard_deg=2.0):
 
 
 def invert_star(sf: TransformField, sg: StarGeometry, n_angles=360,
-                n_offsets=None, guard_deg=2.0, window=None) -> VectorField:
+                guard_deg=2.0) -> VectorField:
     """Reconstruct f from star data: Q(psi) d/ds R(S f) = R f, then FBP.
 
-    The Radon transform of the star data uses the full angular circle and
-    includes the analytic strip-tail contributions; guard-banded singular
-    angles are interpolated over before backprojection.
+    The Radon transform of the star data uses the full angular circle, one
+    offset per grid column, and includes the analytic strip-tail
+    contributions; guard-banded singular angles are interpolated over
+    before the Ram-Lak backprojection.
     """
     if classify(sg) == "symmetric":
         raise GeometryError("symmetric star transform is not invertible")
     if sf.ncomp != 2:
         raise ConfigError("star data must have 2 components")
     grid = sf.grid
-    n_offsets = grid.nx if n_offsets is None else n_offsets
-    sino = radon_transform_field(sf, sg.gammas, n_angles, n_offsets, full=True)
+    sino = radon_transform_field(sf, sg.gammas, n_angles, grid.nx, full=True)
     rf = apply_q(sinogram_dds(sino), sg, guard_deg=guard_deg)
-    f1 = fbp_inverse(Sinogram(rf.values[0], rf.angle0, rf.dangle, rf.ds),
-                     grid, window=window)
-    f2 = fbp_inverse(Sinogram(rf.values[1], rf.angle0, rf.dangle, rf.ds),
-                     grid, window=window)
+    f1, f2 = (fbp_inverse(Sinogram(rf.values[k], rf.angle0, rf.dangle, rf.ds),
+                          grid) for k in (0, 1))
     return VectorField(grid, f1.values, f2.values)

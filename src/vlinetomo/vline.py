@@ -18,11 +18,12 @@ from __future__ import annotations
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .beam import beam_field, invert_signed
+from .beam import beam_field, invert_signed, ray_sum
 from .errors import ConfigError, GeometryError
 from .fields import (ScalarField, TransformField, VectorField, VLineGeometry,
                      perp)
-from .operators import bilinear, laplacians_from_div_curl, partial_x, partial_y
+from .operators import (bilinear, laplacians_from_div_curl, partial_x,
+                        partial_y, rhombus_stencil)
 from .poisson import PoissonProblem, solve_dirichlet_disc, solve_free_space
 
 
@@ -31,10 +32,8 @@ def _forward(f: VectorField, geom: VLineGeometry, kind, moment, perped,
     geom.check_grid(f.grid)
     du, dv = geom.u, geom.v
     pu, pv = (perp(du), perp(dv)) if perped else (du, dv)
-    vals = (
-        -beam_field(f.dot(pu), du, quad, moment=moment, workers=workers)
-        + beam_field(f.dot(pv), dv, quad, moment=moment, workers=workers)
-    )
+    vals = ray_sum(((f.dot(pu), du, -1.0), (f.dot(pv), dv, 1.0)), quad,
+                   moment=moment, workers=workers)
     return TransformField(f.grid, vals, kind)
 
 
@@ -62,28 +61,20 @@ def forward_J(f, geom, quad=None, workers=1):
                     quad=quad, workers=workers)
 
 
-def mixed_derivative(tf: TransformField, geom: VLineGeometry,
-                     component=0) -> np.ndarray:
-    """D_u D_v of transform data via the centered rhombus stencil.
+def mixed_derivative(tf: TransformField, geom: VLineGeometry) -> np.ndarray:
+    """D_u D_v of transform data via the centered rhombus stencil on the
+    bilinearly interpolated grid samples, at every grid vertex.
 
-    With a = (delta/2)(u+v) and b = (delta/2)(u-v), delta = 2h:
-        [S(x+a) - S(x+b) - S(x-b) + S(x-a)] / delta^2 -> D_u D_v S,
-    second-order accurate.  Points falling off the grid sample as zero,
-    which is harmless because callers mask the result to the r1 disc.
+    Points falling off the grid sample as zero, which is harmless because
+    callers mask the result to the r1 disc.
     """
     grid = tf.grid
-    values = tf.component(component)
-    delta = 2.0 * grid.h
-    a = 0.5 * delta * (geom.u + geom.v)
-    b = 0.5 * delta * (geom.u - geom.v)
     xx, yy = grid.mesh()
-    s = (
-        bilinear(grid, values, xx + a[0], yy + a[1])
-        - bilinear(grid, values, xx + b[0], yy + b[1])
-        - bilinear(grid, values, xx - b[0], yy - b[1])
-        + bilinear(grid, values, xx - a[0], yy - a[1])
-    )
-    return s / delta**2
+    pts = np.column_stack([xx.ravel(), yy.ravel()])
+    s = rhombus_stencil(
+        lambda p: bilinear(grid, tf.component(0), p[:, 0], p[:, 1]),
+        pts, geom, grid.h)
+    return s.reshape(grid.nx, grid.ny)
 
 
 def recover_curl(lf: TransformField, geom: VLineGeometry) -> ScalarField:
@@ -143,7 +134,7 @@ def recover_stream(lf: TransformField, geom: VLineGeometry) -> ScalarField:
 
 
 def _moment_pipeline(data: TransformField, source: ScalarField,
-                     geom: VLineGeometry, signs, quad, workers) -> VectorField:
+                     geom: VLineGeometry, signs, workers) -> VectorField:
     """Shared core of the LI / TJ reconstructions.
 
     Assembles the signed V-line transform of each field component from a
@@ -158,21 +149,20 @@ def _moment_pipeline(data: TransformField, source: ScalarField,
     """
     grid = data.grid
     h = grid.h
-    mu = beam_field(source, geom.u, quad, moment=True, workers=workers)
-    mv = beam_field(source, geom.v, quad, moment=True, workers=workers)
+    mu = beam_field(source, geom.u, moment=True, workers=workers)
+    mv = beam_field(source, geom.v, moment=True, workers=workers)
     fields = []
     for (sd, axis), su, sv in signs:
         deriv = partial_x(data.component(0), h) if axis == "x" \
             else partial_y(data.component(0), h)
         ts = gaussian_filter(sd * deriv + su * mu + sv * mv, 1.0)
-        rec = invert_signed(TransformField(grid, ts, "Ts"), geom, quad,
-                            workers)
+        rec = invert_signed(TransformField(grid, ts, "Ts"), geom, workers)
         fields.append(rec.values)
     return VectorField(grid, fields[0], fields[1])
 
 
 def recover_field_LI(lf: TransformField, i_f: TransformField,
-                     geom: VLineGeometry, quad=None, workers=1) -> VectorField:
+                     geom: VLineGeometry, workers=1) -> VectorField:
     """Reconstruct f from (L f, I f).
 
     Uses curl f recovered from L f and the identities
@@ -186,11 +176,11 @@ def recover_field_LI(lf: TransformField, i_f: TransformField,
     u, v = geom.u, geom.v
     signs = (((1.0, "x"), u[1], -v[1]),
              ((1.0, "y"), -u[0], v[0]))
-    return _moment_pipeline(i_f, c, geom, signs, quad, workers)
+    return _moment_pipeline(i_f, c, geom, signs, workers)
 
 
 def recover_field_TJ(tf: TransformField, jf: TransformField,
-                     geom: VLineGeometry, quad=None, workers=1) -> VectorField:
+                     geom: VLineGeometry, workers=1) -> VectorField:
     """Reconstruct f from (T f, J f).
 
     Uses div f recovered from T f and the identities
@@ -204,7 +194,7 @@ def recover_field_TJ(tf: TransformField, jf: TransformField,
     # ordering: first tuple builds T_s f1, second builds T_s f2
     signs = (((-1.0, "y"), -u[0], v[0]),
              ((1.0, "x"), -u[1], v[1]))
-    return _moment_pipeline(jf, d, geom, signs, quad, workers)
+    return _moment_pipeline(jf, d, geom, signs, workers)
 
 
 def rhombus_check(hfield: TransformField, x, delta, geom: VLineGeometry) -> float:

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from vlinetomo.cli import main
-from vlinetomo.io import read_vlt1, write_vline_geometry
-from vlinetomo.fields import VLineGeometry
+from vlinetomo.io import read_vlt1, write_star_geometry, write_vline_geometry
+from vlinetomo.fields import VLineGeometry, direction
+from vlinetomo.star import StarGeometry
 
 
 @pytest.fixture
@@ -109,6 +110,61 @@ def test_config_file_with_flag_override(tmp_path):
                "--out-dir", str(out2)])
     assert rc == 0
     assert read_vlt1(out2 / "field.vlt").grid.nx == 48
+
+
+def test_config_file_negative_pair(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kind=solenoidal\nnx=32\nr2=2.0\nscale=0.5\n"
+                   "center=-0.1,0.2\n")
+    from_config = tmp_path / "from-config"
+    rc = main(["phantom", "--config", str(cfg), "--out-dir", str(from_config)])
+    assert rc == 0
+    from_flags = tmp_path / "from-flags"
+    rc = main(["phantom", "--kind", "solenoidal", "--nx", "32", "--r2", "2.0",
+               "--scale", "0.5", "--center=-0.1,0.2",
+               "--out-dir", str(from_flags)])
+    assert rc == 0
+    assert ((from_config / "field.vlt").read_bytes()
+            == (from_flags / "field.vlt").read_bytes())
+
+
+def _star_file(tmp_path, sg):
+    path = tmp_path / "star.txt"
+    write_star_geometry(path, sg)
+    return str(path)
+
+
+def test_invert_symmetric_star_exit_code(tmp_path):
+    ph = _phantom(tmp_path, nx=48)
+    symmetric = StarGeometry((direction(0.0), direction(np.pi)), (2.0, -2.0))
+    rc = main(["invert", "--pipeline", "star",
+               "--sf", str(ph / "field.vlt"),
+               "--star-geometry", _star_file(tmp_path, symmetric),
+               "--out-dir", str(tmp_path / "x")])
+    assert rc == 3
+
+
+INVERT_INPUTS = {"lt": ("--lf", "--tf"), "li": ("--lf", "--if"),
+                 "tj": ("--tf", "--jf"), "star": ("--sf",),
+                 "curl": ("--lf",), "div": ("--tf",), "stream": ("--lf",),
+                 "potential": ("--tf",), "signed": ("--ts",)}
+
+
+@pytest.mark.parametrize("pipeline,missing", [
+    (p, flag) for p, flags in INVERT_INPUTS.items() for flag in flags])
+def test_invert_missing_input_exit_code(tmp_path, geom_file, capsys,
+                                        pipeline, missing):
+    ph = _phantom(tmp_path, nx=48)
+    star = StarGeometry(tuple(direction(a) for a in (0.0, 2.1, 4.2)),
+                        (1.0, 1.0, 1.0))
+    argv = ["invert", "--pipeline", pipeline, "--geometry", geom_file,
+            "--star-geometry", _star_file(tmp_path, star),
+            "--out-dir", str(tmp_path / "x")]
+    for flag in INVERT_INPUTS[pipeline]:
+        if flag != missing:
+            argv += [flag, str(ph / "field.vlt")]
+    assert main(argv) == 2
+    assert "missing an input file" in capsys.readouterr().err
 
 
 def test_radon_command_with_fbp(tmp_path):

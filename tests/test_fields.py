@@ -89,6 +89,21 @@ def test_vector_field_perp(small_grid):
     assert np.array_equal(fp.f1, -f2) and np.array_equal(fp.f2, f1)
 
 
+def test_fields_own_read_only_samples(small_grid):
+    src = np.zeros((small_grid.nx, small_grid.ny))
+    stacked = np.zeros((2, small_grid.nx, small_grid.ny))
+    vf = VectorField(small_grid, src, src)
+    arrays = [ScalarField(small_grid, src).values, vf.f1, vf.f2,
+              TransformField(small_grid, src, "L").values,
+              TransformField(small_grid, stacked, "S").values]
+    src[0, 0] = 1.0
+    stacked[:, 0, 0] = 1.0
+    for arr in arrays:
+        assert np.all(arr == 0.0)
+        with pytest.raises(ValueError):
+            arr[0, 0] = 2.0
+
+
 def test_vline_geometry_rejects_parallel():
     with pytest.raises(GeometryError):
         VLineGeometry(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
