@@ -1,9 +1,14 @@
 """Ray-integral primitives.
 
-Divergent beam transform and its first moment (composite-midpoint
-quadrature with bilinear field sampling, truncated where the ray leaves
-the support disc), the signed V-line transform of a scalar function and
-its closed-form inversion.
+Divergent beam transform and its first moment, the signed V-line
+transform of a scalar function and its closed-form inversion.
+
+Every beam integral uses one quadrature: the midpoint rule on the arc-length
+lattice t_k = (k + 1/2) step, k = 0, 1, ..., started at the vertex and shared
+by all vertices, with the field sampled bilinearly.  Because the lattice is
+shared, the beam over the whole grid is a correlation of the field with a
+fixed sparse kernel, which ``beam_field`` evaluates with one FFT;
+``beam_values`` sums the same samples directly at arbitrary points.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 from ._blocks import map_blocks
 from .errors import ConfigError
 from .fields import ScalarField, TransformField, VLineGeometry, unit_vector
-from .operators import bilinear, rhombus_stencil
+from .operators import bilinear, correlate, rhombus_stencil
 
 
 @dataclass(frozen=True)
@@ -36,48 +41,42 @@ def _step(grid, quad):
     return grid.h / 2.0 if quad is None else quad.step
 
 
-def beam_values(h: ScalarField, points, d, quad=None, moment=False, workers=1):
-    """Beam integrals of a compactly supported scalar field at many vertices.
+def _ray_lattice(grid, quad, reach):
+    """The arc-length lattice t_k = (k + 1/2) step shared by every vertex.
 
-    Integrates t -> h(x + t d) (times t for the first moment) over the
-    forward intersection of the ray with the r1 support disc; rays missing
-    the disc give 0.
+    Returns (step, t) with enough samples to pass ``reach``; step is h/2
+    unless ``quad`` sets it.
+    """
+    step = _step(grid, quad)
+    n = max(1, int(np.ceil(reach / step)))
+    return step, (np.arange(n) + 0.5) * step
+
+
+def beam_values(h: ScalarField, points, d, quad=None, moment=False):
+    """Beam integrals of a compactly supported scalar field at many points.
+
+    Midpoint rule on the shared lattice: sum_k step * h(x + t_k d) (times
+    t_k for the first moment), with h sampled bilinearly and zero off the
+    grid square.  The lattice runs from the point until every ray has left
+    the grid, so rays missing the support give 0.  This is the reference
+    that ``beam_field`` evaluates at all vertices at once.
     """
     grid = h.grid
     d = unit_vector(d)
-    step = _step(grid, quad)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    out = np.zeros(len(pts))
-
-    b = pts @ d
-    disc = b * b - (pts[:, 0] ** 2 + pts[:, 1] ** 2 - grid.r1 * grid.r1)
-    idx = np.nonzero(disc > 0.0)[0]
-    if idx.size == 0:
-        return out
-    sq = np.sqrt(disc[idx])
-    t0 = np.maximum(-b[idx] - sq, 0.0)
-    t1 = -b[idx] + sq
-    keep = t1 > t0
-    idx, t0, t1 = idx[keep], t0[keep], t1[keep]
-    if idx.size == 0:
-        return out
-    length = t1 - t0
-    n = max(1, int(np.ceil(float(length.max()) / step)))
-    mid = np.arange(n) + 0.5
-
-    def block(s, e):
-        dt = (length[s:e] / n)[:, None]
-        t = t0[s:e, None] + mid[None, :] * dt
-        px = pts[idx[s:e], 0, None] + t * d[0]
-        py = pts[idx[s:e], 1, None] + t * d[1]
-        vals = bilinear(grid, h.values, px, py)
-        if moment:
-            vals = vals * t
-        return (vals.sum(axis=1)) * dt[:, 0]
-
-    parts = map_blocks(block, idx.size, workers=workers)
-    out[idx] = np.concatenate(parts) if parts else 0.0
-    return out
+    x0, y0 = grid.origin
+    cx = np.array([x0, x0 + (grid.nx - 1) * grid.h])
+    cy = np.array([y0, y0 + (grid.ny - 1) * grid.h])
+    # farthest grid corner from any point: no sample beyond it is inside
+    reach = np.sqrt(np.max(np.abs(pts[:, 0, None] - cx) ** 2, axis=1)
+                    + np.max(np.abs(pts[:, 1, None] - cy) ** 2, axis=1))
+    step, t = _ray_lattice(grid, quad, float(reach.max(initial=0.0)))
+    px = pts[:, 0, None] + t * d[0]
+    py = pts[:, 1, None] + t * d[1]
+    vals = bilinear(grid, h.values, px, py)
+    if moment:
+        vals = vals * t
+    return vals.sum(axis=1) * step
 
 
 def divergent_beam(h: ScalarField, x, d, quad=None) -> float:
@@ -91,13 +90,47 @@ def moment_beam(h: ScalarField, x, d, quad=None) -> float:
                              moment=True)[0])
 
 
+def _beam_kernel(grid, d, quad, moment):
+    """Correlation kernel of X_d (X^1_d with ``moment``) on the shared lattice.
+
+    From vertex (i, j) the sample x_ij + t_k d sits at grid coordinates
+    (i + t_k d1/h, j + t_k d2/h), so its cell offset and bilinear weights
+    depend on k alone: 4 taps per sample, each weighted by step (step t_k
+    for the moment).  Returns (kernel, center) for ``correlate``.
+    """
+    step, t = _ray_lattice(grid, quad, grid.h * np.hypot(grid.nx - 1, grid.ny - 1))
+    gx = t * d[0] / grid.h
+    gy = t * d[1] / grid.h
+    a = np.floor(gx).astype(np.int64)
+    b = np.floor(gy).astype(np.int64)
+    fx, fy = gx - a, gy - b
+    wt = step * t if moment else np.full(t.shape, step)
+    da = np.concatenate([a, a + 1, a, a + 1])
+    db = np.concatenate([b, b, b + 1, b + 1])
+    w = np.concatenate([(1.0 - fx) * (1.0 - fy), fx * (1.0 - fy),
+                        (1.0 - fx) * fy, fx * fy]) * np.tile(wt, 4)
+    # taps at offsets of a grid width or more never reach a sample
+    keep = (np.abs(da) < grid.nx) & (np.abs(db) < grid.ny)
+    if not keep.any():
+        return np.zeros((1, 1)), (0, 0)
+    da, db, w = da[keep], db[keep], w[keep]
+    amin, bmin = int(da.min()), int(db.min())
+    kernel = np.zeros((int(da.max()) - amin + 1, int(db.max()) - bmin + 1))
+    np.add.at(kernel, (da - amin, db - bmin), w)
+    return kernel, (-amin, -bmin)
+
+
 def beam_field(h: ScalarField, d, quad=None, moment=False, workers=1) -> np.ndarray:
-    """Beam integrals at every grid vertex, as an (nx, ny) array."""
-    grid = h.grid
-    xx, yy = grid.mesh()
-    pts = np.column_stack([xx.ravel(), yy.ravel()])
-    vals = beam_values(h, pts, d, quad, moment=moment, workers=workers)
-    return vals.reshape(grid.nx, grid.ny)
+    """Beam integrals at every grid vertex, as an (nx, ny) array.
+
+    The same quadrature as ``beam_values`` (equal to rounding), evaluated
+    as one FFT correlation of h with the kernel of ``_beam_kernel`` in
+    O(N^2 log N).  Beyond the grid h counts as zero, so h must vanish on
+    the grid edge, as every field supported in the r1 disc does.
+    ``workers`` is accepted for a uniform call signature and has no effect.
+    """
+    kernel, center = _beam_kernel(h.grid, unit_vector(d), quad, moment)
+    return correlate(h.values, kernel, center)
 
 
 def ray_sum(terms, quad=None, moment=False, workers=1) -> np.ndarray:

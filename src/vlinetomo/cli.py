@@ -219,12 +219,12 @@ def cmd_invert(args):
         "potential": (recover_potential, [("tf", "T")], False),
         "signed": (invert_signed, [("ts", "Ts")], True),
     }[pipeline]
-    data = []
-    for name, kind in inputs:
-        path = getattr(args, name)
-        if path is None:
-            raise ConfigError(f"pipeline {pipeline!r} is missing an input file")
-        data.append(read_vlt1(path, kind=kind))
+    # every input must be named before any is read: a missing one is a
+    # usage error (exit 2) even when another file is malformed
+    paths = [getattr(args, name) for name, _ in inputs]
+    if None in paths:
+        raise ConfigError(f"pipeline {pipeline!r} is missing an input file")
+    data = [read_vlt1(path, kind=kind) for path, (_, kind) in zip(paths, inputs)]
     if pipeline == "star":
         result = fn(*data, _load_star_geometry(args), n_angles=args.angles,
                     guard_deg=args.guard_deg)

@@ -82,6 +82,10 @@ def read_vlt1(path, kind=None):
     raw = np.frombuffer(data, dtype="<f8", offset=header)
     comps = raw.reshape(ncomp, nx, ny).astype(float)
     if kind is not None:
+        want = 2 if kind == "S" else 1
+        if ncomp != want:
+            raise FileFormatError(f"{path}: {kind} data needs {want} "
+                                  f"component(s), file has {ncomp}")
         values = comps[0] if ncomp == 1 else comps
         return TransformField(grid, values, kind)
     if ncomp == 1:

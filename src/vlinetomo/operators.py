@@ -1,4 +1,5 @@
-"""Discrete vector-calculus operators and bilinear field sampling.
+"""Discrete vector-calculus operators, bilinear field sampling and
+FFT correlation with a shift-invariant kernel.
 
 Derivatives use 2nd-order central differences in the interior and
 2nd-order one-sided stencils at grid edges (the np.gradient stencils).
@@ -9,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfft2, next_fast_len, rfft2
 
 from .errors import ConfigError
 from .fields import Grid2D, ScalarField, VectorField, unit_vector
@@ -36,6 +38,25 @@ def bilinear(grid: Grid2D, values: np.ndarray, px, py):
         + fx * fy * v11
     )
     return np.where(inside, out, 0.0)
+
+
+def correlate(values, kernel, center):
+    """out[i, j] = sum_{a, b} kernel[a, b] * values[i + a - ca, j + b - cb]
+    at every sample of ``values``, which counts as zero beyond the array;
+    ``center`` = (ca, cb) is the kernel index of the zero offset.
+
+    Evaluated as one zero-padded real FFT product (linear, not circular),
+    O(N^2 log N) for any kernel no larger than the padded array.
+    """
+    nx, ny = values.shape
+    kx, ky = kernel.shape
+    shape = (next_fast_len(nx + kx - 1, real=True),
+             next_fast_len(ny + ky - 1, real=True))
+    # correlating with the kernel is convolving with its mirror image
+    spec = rfft2(values, shape) * rfft2(kernel[::-1, ::-1], shape)
+    full = irfft2(spec, shape)
+    i0, j0 = kx - 1 - center[0], ky - 1 - center[1]
+    return full[i0:i0 + nx, j0:j0 + ny]
 
 
 def rhombus_stencil(sample, points, geom, h):

@@ -9,11 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.signal import fftconvolve
 from scipy.sparse.linalg import spsolve
 
 from .errors import ConfigError
 from .fields import ScalarField
+from .operators import correlate
 
 
 @dataclass(frozen=True)
@@ -101,12 +101,13 @@ def solve_free_space(problem: PoissonProblem) -> PoissonResult:
 
     The quadrature is the midpoint rule per source cell with the exact
     log integral on the singular self-cell; the discrete sum is evaluated
-    as a (non-circular) linear convolution.
+    as a (non-circular) linear convolution, which for this kernel, even in
+    both offsets, is the correlation about its center.
     """
     if problem.mode != "free_space":
         raise ConfigError("solve_free_space needs mode='free_space'")
     rhs = problem.rhs
     grid = rhs.grid
     k = log_kernel(grid)
-    out = fftconvolve(rhs.values, k, mode="same")
+    out = correlate(rhs.values, k, (grid.nx - 1, grid.ny - 1))
     return PoissonResult(ScalarField(grid, out), 0, 0.0)

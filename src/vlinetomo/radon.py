@@ -20,6 +20,8 @@ from .fields import Grid2D, ScalarField, TransformField
 from .operators import bilinear
 
 FULL_TURN = 2.0 * np.pi
+# samples per block of chord integrals (rows x samples per row)
+CHORD_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -86,18 +88,27 @@ def _lattice(grid, n_angles, n_offsets, full):
 
 def _chord_integrals(grid, values, psi, offsets, rmax):
     """Line integrals over the chords |x| <= rmax for one angle, sampled at
-    arc-length step h/2."""
+    arc-length step h/2.
+
+    Rows of offsets are evaluated in blocks of at most CHORD_BLOCK samples,
+    which keeps every temporary small enough to be reused from the heap
+    rather than mapped afresh on each call; each row's sum is unchanged.
+    """
     s = offsets
     step = grid.h / 2.0
     half = np.sqrt(np.maximum(rmax * rmax - s * s, 0.0))
     n = max(1, int(np.ceil(2.0 * rmax / step)))
     mid = (np.arange(n) + 0.5) / n  # fractions of the chord length
     dt = 2.0 * half / n
-    t = -half[:, None] + (2.0 * half)[:, None] * mid[None, :]
-    px = s[:, None] * psi[0] - t * psi[1]
-    py = s[:, None] * psi[1] + t * psi[0]
-    vals = bilinear(grid, values, px, py)
-    return vals.sum(axis=1) * dt
+    rows = max(1, CHORD_BLOCK // n)
+    out = np.empty(len(s))
+    for a in range(0, len(s), rows):
+        b = min(a + rows, len(s))
+        t = -half[a:b, None] + (2.0 * half[a:b])[:, None] * mid[None, :]
+        px = s[a:b, None] * psi[0] - t * psi[1]
+        py = s[a:b, None] * psi[1] + t * psi[0]
+        out[a:b] = bilinear(grid, values, px, py).sum(axis=1) * dt[a:b]
+    return out
 
 
 def radon_forward(h: ScalarField, n_angles, n_offsets, full=False) -> Sinogram:
@@ -124,6 +135,24 @@ def _strip_profiles(grid, values, dirs):
         qx, qy, back = strip_ring_point(grid, sigma, d)
         profiles.append((back, bilinear(grid, values, qx, qy)))
     return sigma, dsig, profiles
+
+
+def _ramp_sums(phi, prof, offsets, ds):
+    """sum_i clip((phi_i - s)/ds + 1/2, 0, 1) * prof_i for every offset s.
+
+    The weight is 1 for phi_i >= s + ds/2, 0 for phi_i <= s - ds/2 and
+    linear in between, so after sorting by phi each sum is a suffix sum
+    plus the ramp part, both read from cumulative sums of prof and
+    phi * prof: O((n + m) log n) instead of an (m, n) weight matrix.
+    """
+    order = np.argsort(phi, kind="stable")
+    phi, prof = phi[order], prof[order]
+    c0 = np.concatenate([[0.0], np.cumsum(prof)])
+    c1 = np.concatenate([[0.0], np.cumsum(phi * prof)])
+    lo = np.searchsorted(phi, offsets - 0.5 * ds, side="right")
+    hi = np.searchsorted(phi, offsets + 0.5 * ds, side="left")
+    ramp = (c1[hi] - c1[lo]) / ds + (0.5 - offsets / ds) * (c0[hi] - c0[lo])
+    return (c0[-1] - c0[hi]) + ramp
 
 
 def radon_transform_field(tf: TransformField, dirs, n_angles, n_offsets,
@@ -156,13 +185,10 @@ def radon_transform_field(tf: TransformField, dirs, n_angles, n_offsets,
                 alphap = -psi[0] * d[1] + psi[1] * d[0]  # psi . perp(d)
                 # offset at which the line meets the ring at this sigma
                 phi = alphap * sigma - alpha * back
-                if alpha > 0:
-                    w = np.clip((phi[None, :] - offsets[:, None]) / ds + 0.5,
-                                0.0, 1.0)
-                else:
-                    w = np.clip((offsets[:, None] - phi[None, :]) / ds + 0.5,
-                                0.0, 1.0)
-                row = row + (w @ prof) * (dsig / abs(alpha))
+                # alpha < 0 mirrors the ramp: negate phi and the offsets
+                sign = 1.0 if alpha > 0 else -1.0
+                row = row + _ramp_sums(sign * phi, prof, sign * offsets, ds) \
+                    * (dsig / abs(alpha))
             out[c, k] = row
     return Sinogram(out, 0.0, dangle, ds)
 

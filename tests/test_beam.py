@@ -4,7 +4,8 @@ import pytest
 from vlinetomo import (ConfigError, RayQuadrature, ScalarField,
                        divergent_beam, directional_derivative, invert_signed,
                        moment_beam, signed_vline)
-from vlinetomo.beam import beam_field, sample_with_strips, strip_ring_radius
+from vlinetomo.beam import (beam_field, beam_values, sample_with_strips,
+                            strip_ring_radius)
 from vlinetomo.phantoms import bump_scalar
 
 from conftest import rel_l2
@@ -52,6 +53,25 @@ def test_quadrature_second_order(grid):
     errs = [abs(divergent_beam(h, (0.0, 0.0), D, RayQuadrature(s)) - ref)
             for s in (8 * grid.h, 4 * grid.h)]
     assert errs[0] / errs[1] >= 3.5
+
+
+@pytest.mark.parametrize("oblique", [False, True])
+@pytest.mark.parametrize("moment", [False, True])
+@pytest.mark.parametrize("step", [None, 0.37])
+def test_beam_field_matches_direct_sum(geom, oblique_geom, oblique, moment,
+                                       step):
+    # the FFT evaluation and the direct sum share one lattice per vertex
+    from vlinetomo import grid_for_vline
+    g = oblique_geom if oblique else geom
+    grid = grid_for_vline(48, 1.0, g)
+    h = bump_scalar(grid, center=(0.1, -0.15), scale=0.6)
+    quad = None if step is None else RayQuadrature(step * grid.h)
+    xx, yy = grid.mesh()
+    pts = np.column_stack([xx.ravel(), yy.ravel()])
+    for d in g.rays:
+        ref = beam_values(h, pts, d, quad, moment=moment)
+        vals = beam_field(h, d, quad, moment=moment).ravel()
+        assert np.abs(vals - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_intertwining_relation(grid):

@@ -167,6 +167,22 @@ def test_invert_missing_input_exit_code(tmp_path, geom_file, capsys,
     assert "missing an input file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pipeline,flag,name", [
+    ("curl", "--lf", "field.vlt"), ("signed", "--ts", "field.vlt"),
+    ("star", "--sf", "oracle_div.vlt")])
+def test_invert_wrong_component_count_exit_code(tmp_path, geom_file, pipeline,
+                                                flag, name):
+    # L/T/I/J/Ts data has one component and star data two
+    ph = _phantom(tmp_path, nx=48)
+    star = StarGeometry(tuple(direction(a) for a in (0.0, 2.1, 4.2)),
+                        (1.0, 1.0, 1.0))
+    rc = main(["invert", "--pipeline", pipeline, flag, str(ph / name),
+               "--geometry", geom_file,
+               "--star-geometry", _star_file(tmp_path, star),
+               "--out-dir", str(tmp_path / "x")])
+    assert rc == 4
+
+
 def test_radon_command_with_fbp(tmp_path):
     ph = _phantom(tmp_path, nx=96, kind="potential")
     out = tmp_path / "radon"

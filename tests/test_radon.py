@@ -4,6 +4,7 @@ import pytest
 from vlinetomo import (ConfigError, Grid2D, ScalarField, Sinogram,
                        fbp_inverse, radon_forward, sinogram_dds)
 from vlinetomo.phantoms import bump_scalar
+from vlinetomo.radon import _ramp_sums
 
 from conftest import rel_l2
 
@@ -70,6 +71,22 @@ def test_radon_zero_and_linearity(grid):
     sb = radon_forward(b, 8, 65).values
     sc = radon_forward(combo, 8, 65).values
     assert np.allclose(sc, 2.0 * sa - 0.5 * sb)
+
+
+def test_strip_tail_sums_match_dense_oracle():
+    rng = np.random.default_rng(7)
+    ds = 0.05
+    offsets = (np.arange(64) - 31.5) * ds
+    # random ring offsets, some exactly on a ramp end, and repeated values
+    phi = np.concatenate([rng.uniform(-2.0, 2.0, 500),
+                          offsets[::7] + 0.5 * ds, offsets[::9] - 0.5 * ds,
+                          np.full(5, 0.3)])
+    prof = rng.normal(size=phi.size)
+    for sign in (1.0, -1.0):
+        dense = np.clip((sign * phi[None, :] - sign * offsets[:, None]) / ds
+                        + 0.5, 0.0, 1.0) @ prof
+        fast = _ramp_sums(sign * phi, prof, sign * offsets, ds)
+        assert np.abs(fast - dense).max() <= 1e-12 * np.abs(prof).sum()
 
 
 def test_dds_of_constant_rows_is_zero():
