@@ -52,14 +52,25 @@ def _ray_lattice(grid, quad, reach):
     return step, (np.arange(n) + 0.5) * step
 
 
+def _supported(h: ScalarField):
+    """The samples of h with those outside the r1 disc set to zero.
+
+    The transforms act on fields supported in the r1 disc, so samples
+    beyond it never enter a beam.  Every grid edge vertex lies outside the
+    r2 disc, hence outside r1, so the result vanishes on the grid edge.
+    """
+    return np.where(h.grid.disc_mask(h.grid.r1), h.values, 0.0)
+
+
 def beam_values(h: ScalarField, points, d, quad=None, moment=False):
-    """Beam integrals of a compactly supported scalar field at many points.
+    """Beam integrals of a scalar field at many points.
 
     Midpoint rule on the shared lattice: sum_k step * h(x + t_k d) (times
-    t_k for the first moment), with h sampled bilinearly and zero off the
-    grid square.  The lattice runs from the point until every ray has left
-    the grid, so rays missing the support give 0.  This is the reference
-    that ``beam_field`` evaluates at all vertices at once.
+    t_k for the first moment), with h sampled bilinearly from its samples
+    in the r1 disc (``_supported``) and zero off the grid square.  The
+    lattice runs from the point until every ray has left the grid, so rays
+    missing the support give 0.  This is the reference that ``beam_field``
+    evaluates at all vertices at once.
     """
     grid = h.grid
     d = unit_vector(d)
@@ -73,7 +84,7 @@ def beam_values(h: ScalarField, points, d, quad=None, moment=False):
     step, t = _ray_lattice(grid, quad, float(reach.max(initial=0.0)))
     px = pts[:, 0, None] + t * d[0]
     py = pts[:, 1, None] + t * d[1]
-    vals = bilinear(grid, h.values, px, py)
+    vals = bilinear(grid, _supported(h), px, py)
     if moment:
         vals = vals * t
     return vals.sum(axis=1) * step
@@ -96,7 +107,9 @@ def _beam_kernel(grid, d, quad, moment):
     From vertex (i, j) the sample x_ij + t_k d sits at grid coordinates
     (i + t_k d1/h, j + t_k d2/h), so its cell offset and bilinear weights
     depend on k alone: 4 taps per sample, each weighted by step (step t_k
-    for the moment).  Returns (kernel, center) for ``correlate``.
+    for the moment).  Returns (kernel, center) for ``correlate``; the
+    kernel always spans offset 0, where ``center`` points, even when a
+    coarse step puts the first sample a cell or more from the vertex.
     """
     step, t = _ray_lattice(grid, quad, grid.h * np.hypot(grid.nx - 1, grid.ny - 1))
     gx = t * d[0] / grid.h
@@ -114,8 +127,9 @@ def _beam_kernel(grid, d, quad, moment):
     if not keep.any():
         return np.zeros((1, 1)), (0, 0)
     da, db, w = da[keep], db[keep], w[keep]
-    amin, bmin = int(da.min()), int(db.min())
-    kernel = np.zeros((int(da.max()) - amin + 1, int(db.max()) - bmin + 1))
+    amin, bmin = min(0, int(da.min())), min(0, int(db.min()))
+    amax, bmax = max(0, int(da.max())), max(0, int(db.max()))
+    kernel = np.zeros((amax - amin + 1, bmax - bmin + 1))
     np.add.at(kernel, (da - amin, db - bmin), w)
     return kernel, (-amin, -bmin)
 
@@ -124,16 +138,15 @@ def beam_field(h: ScalarField, d, quad=None, moment=False, workers=1) -> np.ndar
     """Beam integrals at every grid vertex, as an (nx, ny) array.
 
     The same quadrature as ``beam_values`` (equal to rounding), evaluated
-    as one FFT correlation of h with the kernel of ``_beam_kernel`` in
-    O(N^2 log N).  Beyond the grid h counts as zero, so h must vanish on
-    the grid edge, as every field supported in the r1 disc does.
-    ``workers`` is accepted for a uniform call signature and has no effect.
+    as one FFT correlation of h's samples in the r1 disc with the kernel of
+    ``_beam_kernel`` in O(N^2 log N).  ``workers`` is kept for callers of
+    the public function and has no effect.
     """
     kernel, center = _beam_kernel(h.grid, unit_vector(d), quad, moment)
-    return correlate(h.values, kernel, center)
+    return correlate(_supported(h), kernel, center)
 
 
-def ray_sum(terms, quad=None, moment=False, workers=1) -> np.ndarray:
+def ray_sum(terms, quad=None, moment=False) -> np.ndarray:
     """sum_i c_i X_{d_i} h_i at every grid vertex, for (h_i, d_i, c_i) terms.
 
     Every V-line and star transform is such a weighted sum of beam fields
@@ -142,9 +155,9 @@ def ray_sum(terms, quad=None, moment=False, workers=1) -> np.ndarray:
     bit-identical to the written-out expression such as X_u h - X_v h.
     """
     (h, d, c), *rest = terms
-    out = c * beam_field(h, d, quad, moment=moment, workers=workers)
+    out = c * beam_field(h, d, quad, moment=moment)
     for h, d, c in rest:
-        out += c * beam_field(h, d, quad, moment=moment, workers=workers)
+        out += c * beam_field(h, d, quad, moment=moment)
     return out
 
 
@@ -152,8 +165,7 @@ def signed_vline(h: ScalarField, geom: VLineGeometry, quad=None,
                  workers=1) -> TransformField:
     """T_s h = X_u h - X_v h sampled at every grid vertex."""
     geom.check_grid(h.grid)
-    vals = ray_sum(((h, geom.u, 1.0), (h, geom.v, -1.0)), quad,
-                   workers=workers)
+    vals = ray_sum(((h, geom.u, 1.0), (h, geom.v, -1.0)), quad)
     return TransformField(h.grid, vals, "Ts")
 
 

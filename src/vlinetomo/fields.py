@@ -97,8 +97,7 @@ class Grid2D:
 
     def rr(self):
         """Distance of every sample from the origin."""
-        xx, yy = self.mesh()
-        return np.hypot(xx, yy)
+        return np.hypot(self.xs()[:, None], self.ys()[None, :])
 
     def disc_mask(self, radius):
         return self.rr() <= radius

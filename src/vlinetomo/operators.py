@@ -43,13 +43,16 @@ def bilinear(grid: Grid2D, values: np.ndarray, px, py):
 def correlate(values, kernel, center):
     """out[i, j] = sum_{a, b} kernel[a, b] * values[i + a - ca, j + b - cb]
     at every sample of ``values``, which counts as zero beyond the array;
-    ``center`` = (ca, cb) is the kernel index of the zero offset.
+    ``center`` = (ca, cb) is the kernel index of the zero offset and must
+    lie inside the kernel.
 
     Evaluated as one zero-padded real FFT product (linear, not circular),
     O(N^2 log N) for any kernel no larger than the padded array.
     """
     nx, ny = values.shape
     kx, ky = kernel.shape
+    if not (0 <= center[0] < kx and 0 <= center[1] < ky):
+        raise ValueError(f"kernel center {center} outside kernel of shape {kernel.shape}")
     shape = (next_fast_len(nx + kx - 1, real=True),
              next_fast_len(ny + ky - 1, real=True))
     # correlating with the kernel is convolving with its mirror image

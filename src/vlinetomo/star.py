@@ -78,10 +78,8 @@ def forward_star(f: VectorField, sg: StarGeometry, quad=None,
     """S f sampled at every grid vertex, a 2-component transform field."""
     sg.check_grid(f.grid)
     weighted = tuple(zip(sg.gammas, sg.weights))
-    long_part = ray_sum([(f.dot(g), g, c) for g, c in weighted], quad,
-                        workers=workers)
-    trans_part = ray_sum([(f.dot(perp(g)), g, c) for g, c in weighted], quad,
-                         workers=workers)
+    long_part = ray_sum([(f.dot(g), g, c) for g, c in weighted], quad)
+    trans_part = ray_sum([(f.dot(perp(g)), g, c) for g, c in weighted], quad)
     return TransformField(f.grid, np.stack([long_part, trans_part]), "S")
 
 

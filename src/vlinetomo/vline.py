@@ -28,37 +28,33 @@ from .poisson import PoissonProblem, solve_dirichlet_disc, solve_free_space
 
 
 def _forward(f: VectorField, geom: VLineGeometry, kind, moment, perped,
-             quad=None, workers=1) -> TransformField:
+             quad=None) -> TransformField:
     geom.check_grid(f.grid)
     du, dv = geom.u, geom.v
     pu, pv = (perp(du), perp(dv)) if perped else (du, dv)
     vals = ray_sum(((f.dot(pu), du, -1.0), (f.dot(pv), dv, 1.0)), quad,
-                   moment=moment, workers=workers)
+                   moment=moment)
     return TransformField(f.grid, vals, kind)
 
 
 def forward_L(f, geom, quad=None, workers=1):
     """Longitudinal transform: -X_u(f.u) + X_v(f.v)."""
-    return _forward(f, geom, "L", moment=False, perped=False,
-                    quad=quad, workers=workers)
+    return _forward(f, geom, "L", moment=False, perped=False, quad=quad)
 
 
 def forward_T(f, geom, quad=None, workers=1):
     """Transverse transform: -X_u(f.u^perp) + X_v(f.v^perp)."""
-    return _forward(f, geom, "T", moment=False, perped=True,
-                    quad=quad, workers=workers)
+    return _forward(f, geom, "T", moment=False, perped=True, quad=quad)
 
 
 def forward_I(f, geom, quad=None, workers=1):
     """First-moment longitudinal transform."""
-    return _forward(f, geom, "I", moment=True, perped=False,
-                    quad=quad, workers=workers)
+    return _forward(f, geom, "I", moment=True, perped=False, quad=quad)
 
 
 def forward_J(f, geom, quad=None, workers=1):
     """First-moment transverse transform."""
-    return _forward(f, geom, "J", moment=True, perped=True,
-                    quad=quad, workers=workers)
+    return _forward(f, geom, "J", moment=True, perped=True, quad=quad)
 
 
 def mixed_derivative(tf: TransformField, geom: VLineGeometry) -> np.ndarray:
@@ -149,8 +145,8 @@ def _moment_pipeline(data: TransformField, source: ScalarField,
     """
     grid = data.grid
     h = grid.h
-    mu = beam_field(source, geom.u, moment=True, workers=workers)
-    mv = beam_field(source, geom.v, moment=True, workers=workers)
+    mu = beam_field(source, geom.u, moment=True)
+    mv = beam_field(source, geom.v, moment=True)
     fields = []
     for (sd, axis), su, sv in signs:
         deriv = partial_x(data.component(0), h) if axis == "x" \

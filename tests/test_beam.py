@@ -57,10 +57,12 @@ def test_quadrature_second_order(grid):
 
 @pytest.mark.parametrize("oblique", [False, True])
 @pytest.mark.parametrize("moment", [False, True])
-@pytest.mark.parametrize("step", [None, 0.37])
+@pytest.mark.parametrize("step", [None, 0.37, 3.0, 4.5])
 def test_beam_field_matches_direct_sum(geom, oblique_geom, oblique, moment,
                                        step):
-    # the FFT evaluation and the direct sum share one lattice per vertex
+    # the FFT evaluation and the direct sum share one lattice per vertex;
+    # coarse steps put the first sample cells away from the vertex, and -u
+    # adds a ray with two negative components in the oblique case
     from vlinetomo import grid_for_vline
     g = oblique_geom if oblique else geom
     grid = grid_for_vline(48, 1.0, g)
@@ -68,10 +70,29 @@ def test_beam_field_matches_direct_sum(geom, oblique_geom, oblique, moment,
     quad = None if step is None else RayQuadrature(step * grid.h)
     xx, yy = grid.mesh()
     pts = np.column_stack([xx.ravel(), yy.ravel()])
-    for d in g.rays:
+    for d in (*g.rays, -g.u):
         ref = beam_values(h, pts, d, quad, moment=moment)
         vals = beam_field(h, d, quad, moment=moment).ravel()
         assert np.abs(vals - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_beam_ignores_samples_outside_r1(oblique_geom):
+    # the transforms act on fields supported in the r1 disc: samples beyond
+    # it, up to the grid edge, change neither the FFT nor the direct sum
+    from vlinetomo import grid_for_vline
+    grid = grid_for_vline(48, 1.0, oblique_geom)
+    h = bump_scalar(grid, center=(0.1, -0.15), scale=0.6)
+    noisy = ScalarField(grid, np.where(grid.disc_mask(grid.r1), h.values, 1.0))
+    xx, yy = grid.mesh()
+    pts = np.column_stack([xx.ravel(), yy.ravel()])
+    for d in oblique_geom.rays:
+        for moment in (False, True):
+            clean = beam_field(h, d, moment=moment)
+            np.testing.assert_array_equal(beam_field(noisy, d, moment=moment),
+                                          clean)
+            np.testing.assert_array_equal(
+                beam_values(noisy, pts, d, moment=moment),
+                beam_values(h, pts, d, moment=moment))
 
 
 def test_intertwining_relation(grid):
