@@ -20,7 +20,7 @@ import numpy as np
 from ._blocks import map_blocks
 from .errors import ConfigError
 from .fields import ScalarField, TransformField, VLineGeometry, unit_vector
-from .operators import bilinear, correlate, rhombus_stencil
+from .operators import bilinear, correlate, mixed_partial
 
 
 @dataclass(frozen=True)
@@ -269,22 +269,19 @@ def invert_signed(ts: TransformField, geom: VLineGeometry,
     """Invert the signed V-line transform.
 
     h(x) = (1/|v - u|) D_u D_v  int_0^inf (T_s h)(x + t w) dt, with
-    w = (v - u)/|v - u|.  The t-integral uses strip-constant extension of
-    the data beyond the r2 disc; D_u D_v is the centered rhombus stencil
-    with side 2h.  Output is supported in the closed r1 disc.
+    w = (v - u)/|v - u|.  The t-integral, with strip-constant extension of
+    the data beyond the r2 disc, is evaluated once at every vertex within
+    r1 + 3h; D_u D_v is the grid chain rule ``mixed_partial``, whose
+    stencil reaches two cells, so every vertex of the r1 disc sees only
+    evaluated values.  Output is supported in the closed r1 disc.
     """
     grid = ts.grid
     w = geom.w  # raises on degenerate geometry
+    reach = grid.disc_mask(grid.r1 + 3.0 * grid.h)
     xx, yy = grid.mesh()
-    mask = (np.hypot(xx, yy) <= grid.r1).ravel()
-    base = np.column_stack([xx.ravel()[mask], yy.ravel()[mask]])
-    if base.size == 0:
-        return ScalarField(grid, np.zeros((grid.nx, grid.ny)))
-    # all four stencil corners in one call: they share one t-lattice
-    duv = rhombus_stencil(
-        lambda pts: transform_beam_values(ts, geom.rays, pts, w,
-                                          workers=workers),
-        base, geom, grid.h)
-    out = np.zeros(grid.nx * grid.ny)
-    out[mask] = duv / geom.norm_vu
-    return ScalarField(grid, out.reshape(grid.nx, grid.ny))
+    phi = np.zeros((grid.nx, grid.ny))
+    phi[reach] = transform_beam_values(
+        ts, geom.rays, np.column_stack([xx[reach], yy[reach]]), w,
+        workers=workers)
+    duv = mixed_partial(phi, geom.u, geom.v, grid.h) / geom.norm_vu
+    return ScalarField(grid, np.where(grid.disc_mask(grid.r1), duv, 0.0))

@@ -22,7 +22,7 @@ def bilinear(grid: Grid2D, values: np.ndarray, px, py):
     gy = (np.asarray(py, dtype=float) - grid.origin[1]) / grid.h
     i = np.floor(gx).astype(np.int64)
     j = np.floor(gy).astype(np.int64)
-    inside = (i >= 0) & (i <= grid.nx - 2) & (j >= 0) & (j <= grid.ny - 2)
+    inside = (gx >= 0) & (gx <= grid.nx - 1) & (gy >= 0) & (gy <= grid.ny - 1)
     ic = np.clip(i, 0, grid.nx - 2)
     jc = np.clip(j, 0, grid.ny - 2)
     fx = gx - ic
@@ -62,28 +62,23 @@ def correlate(values, kernel, center):
     return full[i0:i0 + nx, j0:j0 + ny]
 
 
-def rhombus_stencil(sample, points, geom, h):
-    """D_u D_v S at (n, 2) points by the centered rhombus stencil.
-
-    With delta = 2h, a = (delta/2)(u+v) and b = (delta/2)(u-v):
-        [S(x+a) - S(x+b) - S(x-b) + S(x-a)] / delta^2 -> D_u D_v S,
-    second-order accurate.  ``sample`` maps a (4n, 2) array of points to
-    the values of S there and is called once with all four corner sets.
-    """
-    delta = 2.0 * h
-    a = 0.5 * delta * (geom.u + geom.v)
-    b = 0.5 * delta * (geom.u - geom.v)
-    s = sample(np.concatenate([points + a, points + b, points - b, points - a]))
-    n = len(points)
-    return (s[:n] - s[n:2 * n] - s[2 * n:3 * n] + s[3 * n:]) / delta**2
-
-
 def partial_x(values, h):
     return np.gradient(values, h, axis=0)
 
 
 def partial_y(values, h):
     return np.gradient(values, h, axis=1)
+
+
+def mixed_partial(values, u, v, h):
+    """D_u D_v = sum_ij u_i v_j d_i d_j of grid samples, as an (nx, ny) array.
+
+    The chain rule on the grid: each d_i is ``partial_x`` / ``partial_y``,
+    so the composed stencil reaches two cells, is second-order accurate
+    for every pair of directions and exact on quadratics.
+    """
+    dv = v[0] * partial_x(values, h) + v[1] * partial_y(values, h)
+    return u[0] * partial_x(dv, h) + u[1] * partial_y(dv, h)
 
 
 def directional_derivative(hfield: ScalarField, d) -> ScalarField:

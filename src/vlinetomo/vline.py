@@ -6,11 +6,12 @@ Forward operators (vertex-sampled over the grid covering the r2 disc):
     T f = -X_u(f.perp u) + X_v(f.perp v)   (transverse)
     I f, J f: the same with t-weighted first-moment beam integrals.
 
-Reconstructions: curl f from L f and div f from T f via the mixed
-directional derivative D_u D_v, the full field through either Poisson
-recovery of both components (LT), or the first-moment pipelines (LI, TJ)
-that assemble the signed V-line transform of each component and invert it
-in closed form.
+Reconstructions: curl f = D_u D_v L f / det(v, u) and div f from T f in
+the same way, where D_u D_v is ``operators.mixed_partial``, the chain rule
+sum_ij u_i v_j d_i d_j on the grid samples; the full field through either
+Poisson recovery of both components (LT), or the first-moment pipelines
+(LI, TJ) that assemble the signed V-line transform of each component and
+invert it in closed form (``beam.invert_signed``, the same D_u D_v).
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .beam import beam_field, invert_signed, ray_sum
 from .errors import ConfigError, GeometryError
 from .fields import (ScalarField, TransformField, VectorField, VLineGeometry,
                      perp)
-from .operators import (bilinear, laplacians_from_div_curl, partial_x,
-                        partial_y, rhombus_stencil)
+from .operators import (bilinear, laplacians_from_div_curl, mixed_partial,
+                        partial_x, partial_y)
 from .poisson import PoissonProblem, solve_dirichlet_disc, solve_free_space
 
 
@@ -58,19 +59,8 @@ def forward_J(f, geom, quad=None, workers=1):
 
 
 def mixed_derivative(tf: TransformField, geom: VLineGeometry) -> np.ndarray:
-    """D_u D_v of transform data via the centered rhombus stencil on the
-    bilinearly interpolated grid samples, at every grid vertex.
-
-    Points falling off the grid sample as zero, which is harmless because
-    callers mask the result to the r1 disc.
-    """
-    grid = tf.grid
-    xx, yy = grid.mesh()
-    pts = np.column_stack([xx.ravel(), yy.ravel()])
-    s = rhombus_stencil(
-        lambda p: bilinear(grid, tf.component(0), p[:, 0], p[:, 1]),
-        pts, geom, grid.h)
-    return s.reshape(grid.nx, grid.ny)
+    """D_u D_v of transform data at every grid vertex (``mixed_partial``)."""
+    return mixed_partial(tf.component(0), geom.u, geom.v, tf.grid.h)
 
 
 def recover_curl(lf: TransformField, geom: VLineGeometry) -> ScalarField:

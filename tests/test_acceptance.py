@@ -325,3 +325,32 @@ def test_criterion_10_determinism():
              for w in (2, 8) for a, b in zip(base, run(w)))
     _check(10, "determinism across workers", ok,
            "forward/signed/star outputs bit-identical for 1, 2, 8 workers")
+
+
+def test_criterion_11_non_axis_convergence():
+    geoms = {"oblique": VLineGeometry(direction(0.35), direction(2.1)),
+             "rotated": VLineGeometry(direction(0.35),
+                                      direction(0.35 + np.pi / 2))}
+    ok = True
+    details = []
+    for gname, geom in geoms.items():
+        errors = {"curl": [], "div": [], "LT": []}
+        for nx in (128, 256, 512):
+            grid = grid_for_vline(nx, 1.0, geom)
+            ph = make_phantom("mixed", grid)
+            mask = grid.disc_mask(grid.r1)
+            lf = forward_L(ph.field, geom)
+            tf = forward_T(ph.field, geom)
+            rec = recover_field_LT(lf, tf, geom)
+            errors["curl"].append(rel_l2(recover_curl(lf, geom).values,
+                                         ph.curl.values, mask))
+            errors["div"].append(rel_l2(recover_div(tf, geom).values,
+                                        ph.div.values, mask))
+            errors["LT"].append(max(rel_l2(rec.f1, ph.field.f1, mask),
+                                    rel_l2(rec.f2, ph.field.f2, mask)))
+        for name, errs in errors.items():
+            shrink = errs[1] / errs[2]
+            ok = ok and errs[0] > errs[1] > errs[2] and shrink >= 1.8
+            details.append(f"{gname} {name} shrink {shrink:.2f}")
+    _check(11, "non-axis convergence", ok,
+           "; ".join(details) + " >= 1.8, monotone over nx 128/256/512")

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from vlinetomo import (ScalarField, VectorField, curl, directional_derivative,
-                       divergence, gradient, helmholtz_decompose,
-                       laplacians_from_div_curl, make_phantom)
+from vlinetomo import (Grid2D, ScalarField, VectorField, curl,
+                       directional_derivative, divergence, gradient,
+                       helmholtz_decompose, laplacians_from_div_curl,
+                       make_phantom)
 from vlinetomo.operators import bilinear
 
 from conftest import rel_l2
@@ -120,6 +121,16 @@ def test_bilinear_zero_outside_grid(small_grid):
     vals = np.ones((small_grid.nx, small_grid.ny))
     out = bilinear(small_grid, vals, np.array([100.0]), np.array([0.0]))
     assert out[0] == 0.0
+
+
+def test_bilinear_reads_last_row_and_column():
+    g = Grid2D.centered(32, 1.0, 2.0)
+    xs, ys = g.xs(), g.ys()
+    vals = np.ones((g.nx, g.ny))
+    px = np.array([xs[-1], 0.01, xs[-1], xs[-1] + g.h / 2, 0.01])
+    py = np.array([0.01, ys[-1], ys[-1], 0.01, ys[-1] + g.h / 2])
+    out = bilinear(g, vals, px, py)
+    assert np.array_equal(out, [1.0, 1.0, 1.0, 0.0, 0.0])
 
 
 def test_helmholtz_pure_potential(grid):

@@ -8,6 +8,7 @@ from vlinetomo import (GeometryError, RayQuadrature, TransformField,
                        recover_field_LI, recover_field_LT, recover_field_TJ,
                        recover_potential, recover_stream, rhombus_check)
 from vlinetomo.operators import bilinear
+from vlinetomo.vline import mixed_derivative
 
 from conftest import rel_l2
 
@@ -189,6 +190,16 @@ def test_moment_pipelines_zero(grid, geom):
     rtj = recover_field_TJ(forward_T(z, geom), forward_J(z, geom), geom)
     for rec in (rli, rtj):
         assert np.all(rec.f1 == 0.0) and np.all(rec.f2 == 0.0)
+
+
+def test_mixed_derivative_exact_on_quadratics(oblique_geom):
+    u, v = oblique_geom.u, oblique_geom.v
+    for nx in (64, 128):
+        g = grid_for_vline(nx, 1.0, oblique_geom)
+        xx, yy = g.mesh()
+        tf = TransformField(g, xx**2 + 0.5 * yy**2, "L")
+        err = mixed_derivative(tf, oblique_geom) - (2.0 * u[0] * v[0] + u[1] * v[1])
+        assert np.abs(err[g.disc_mask(g.r1)]).max() <= 1e-9
 
 
 def test_rhombus_matches_curl(geom):
