@@ -9,6 +9,16 @@ by all vertices, with the field sampled bilinearly.  Because the lattice is
 shared, the beam over the whole grid is a correlation of the field with a
 fixed sparse kernel, which ``beam_field`` evaluates with one FFT;
 ``beam_values`` sums the same samples directly at arbitrary points.
+
+The inversion integrates transform data extended by strip constancy beyond
+the r2 disc along w = (v - u)/|v - u|.  ``transform_beam_field`` builds that
+integral from three pieces on the same lattice (step h/2): one FFT
+correlation for the samples of the grid data, a subtraction of the samples
+that lie outside the r2 disc, out to where the correlated data ends, and
+the strip tails in closed form from the cumulative integral of each strip's
+ring profile (``strip_profiles``, also read by the Radon transform).  Its
+cost does not depend on the opening angle; ``transform_beam_values`` sums
+the same integral directly and serves as its reference.
 """
 
 from __future__ import annotations
@@ -19,7 +29,8 @@ import numpy as np
 
 from ._blocks import map_blocks
 from .errors import ConfigError
-from .fields import ScalarField, TransformField, VLineGeometry, unit_vector
+from .fields import (Grid2D, ScalarField, TransformField, VLineGeometry,
+                     unit_vector)
 from .operators import bilinear, correlate, mixed_partial
 
 
@@ -186,6 +197,23 @@ def strip_ring_point(grid, sigma, d):
     return -sigma * d[1] - back * d[0], sigma * d[0] - back * d[1], back
 
 
+def strip_profiles(grid, values, dirs, n_sigma):
+    """The strip-constant values read on the strip ring, at the midpoints
+    sigma of n_sigma equal cells across each strip's width 2 r1.
+
+    Returns (sigma, dsig, profiles) with one (back, profile) pair per
+    direction, ``back`` as in ``strip_ring_point``.
+    """
+    sig = (np.arange(n_sigma) + 0.5) / n_sigma  # (0, 1)
+    sigma = -grid.r1 + 2.0 * grid.r1 * sig
+    dsig = 2.0 * grid.r1 / n_sigma
+    profiles = []
+    for d in dirs:
+        qx, qy, back = strip_ring_point(grid, sigma, d)
+        profiles.append((back, bilinear(grid, values, qx, qy)))
+    return sigma, dsig, profiles
+
+
 def sample_with_strips(grid, values, dirs, px, py):
     """Sample strip-constant transform data at arbitrary points.
 
@@ -219,11 +247,31 @@ def sample_with_strips(grid, values, dirs, px, py):
     return out
 
 
+def _lattice_run(t0, t1, step):
+    """Indices [k0, k1) of the lattice samples (k + 1/2) step, k >= 0,
+    that lie in [t0, t1]."""
+    k0 = np.maximum(0, np.ceil(t0 / step - 0.5)).astype(np.int64)
+    k1 = np.maximum(k0, np.floor(t1 / step - 0.5).astype(np.int64) + 1)
+    return k0, k1
+
+
+def _chord(px, py, d, radius):
+    """Entry and exit t of the rays x + t d through the disc of ``radius``;
+    both 0 for a ray that misses it."""
+    b = px * d[0] + py * d[1]
+    disc = b * b - (px * px + py * py - radius * radius)
+    root = np.sqrt(np.maximum(disc, 0.0))
+    hit = disc > 0.0
+    return np.where(hit, -b - root, 0.0), np.where(hit, -b + root, 0.0)
+
+
 def transform_beam_values(tf: TransformField, dirs, points, d, workers=1):
     """Beam integrals of strip-extended transform data along direction d.
 
-    The t-integral runs until the ray has left both the r2 disc and every
-    strip for good, beyond which the data is identically zero.
+    Direct midpoint-rule reference for ``transform_beam_field``: the
+    t-integral runs until the ray has left both the r2 disc and every strip
+    for good, beyond which the data is identically zero, so its cost grows
+    like 1/|d . perp(s)| as d turns toward a strip direction s.
     """
     grid = tf.grid
     d = unit_vector(d)
@@ -232,11 +280,7 @@ def transform_beam_values(tf: TransformField, dirs, points, d, workers=1):
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     npts = len(pts)
 
-    b = pts @ d
-    rr2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
-    disc = b * b - (rr2 - grid.r2 * grid.r2)
-    t_max = np.where(disc > 0.0, -b + np.sqrt(np.maximum(disc, 0.0)), 0.0)
-    t_max = np.maximum(t_max, 0.0)
+    t_max = np.maximum(_chord(pts[:, 0], pts[:, 1], d, grid.r2)[1], 0.0)
     for sd in dirs:
         cross = -d[0] * sd[1] + d[1] * sd[0]    # d . perp(sd)
         if abs(cross) < 1e-12:
@@ -264,24 +308,108 @@ def transform_beam_values(tf: TransformField, dirs, points, d, workers=1):
     return np.concatenate(parts)
 
 
+def transform_beam_field(tf: TransformField, dirs, d, radius) -> np.ndarray:
+    """Beam integrals of strip-extended transform data along d at every
+    vertex within ``radius``, zero elsewhere, as an (nx, ny) array.
+
+    The quadrature is the one ``transform_beam_values`` sums directly:
+    the lattice t_k = (k + 1/2) h/2 reads the grid data over the run
+    [k_in, k_out) of samples inside the r2 disc and the strip data over the
+    rest of the ray, split at the cell boundaries k_in h/2 and k_out h/2.
+    It is assembled from three pieces whose cost does not depend on d:
+
+    1. one FFT correlation (``_beam_kernel``) gives the lattice sum of the
+       data's bilinear interpolant at every vertex, with the data kept
+       within r2 + 2h, which holds every corner a sample inside r2 reads;
+    2. the samples before k_in and from k_out on are subtracted again, out
+       to r2 + 4h where the kept data has no reach left; they are read from
+       the kept data padded with one cell of zeros, which is how the FFT
+       treats the grid edge;
+    3. beyond the r2 disc the data along strip s is its ring profile
+       g_s(sigma), sigma = x . perp(s), so over the t where the ray is in
+       the strip the tail is (G_s(sigma(t_b)) - G_s(sigma(t_a))) / c with
+       c = d . perp(s) and G_s the cumulative integral of g_s read on
+       cells of width dsig.  c is nonzero because d is not along a strip
+       (for the V-line, w is not along u or v), and the strips are
+       disjoint outside the r2 disc, so their tails add.
+    """
+    grid = tf.grid
+    d = unit_vector(d)
+    h = grid.h
+    step = _step(grid, None)
+    near = grid.disc_mask(radius)
+    xx, yy = grid.mesh()
+    px, py = xx[near], yy[near]
+    values = tf.component(0)
+
+    kept = np.where(grid.disc_mask(grid.r2 + 2.0 * h), values, 0.0)
+    kernel, center = _beam_kernel(grid, d, None, False)
+    phi = correlate(kept, kernel, center)[near]
+
+    k_in, k_out = _lattice_run(*_chord(px, py, d, grid.r2), step)
+    _, k_end = _lattice_run(*_chord(px, py, d, grid.r2 + 4.0 * h), step)
+    counts = k_in + (k_end - k_out)
+    owner = np.repeat(np.arange(len(px)), counts)
+    j = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    k = np.where(j < k_in[owner], j, j - k_in[owner] + k_out[owner])
+    t = (k + 0.5) * step
+    x0, y0 = grid.origin
+    padded = Grid2D(grid.nx + 2, grid.ny + 2, h, (x0 - h, y0 - h),
+                    grid.r1, grid.r2)
+    extra = bilinear(padded, np.pad(kept, 1), px[owner] + t * d[0],
+                     py[owner] + t * d[1])
+    phi -= np.bincount(owner, weights=extra, minlength=len(px)) * step
+
+    # G_s is exact for the cellwise-constant profile, which leaves an error
+    # of O(dsig^2) that repeats every cell; D_u D_v divides it by h^2, so
+    # dsig shrinks like h^2: nx * max(16, nx/8) cells across the strip
+    n_sigma = grid.nx * max(16, grid.nx // 8)
+    _, dsig, profiles = strip_profiles(grid, values, dirs, n_sigma)
+    edges = -grid.r1 + dsig * np.arange(n_sigma + 1)
+    for s, (_, prof) in zip(dirs, profiles):
+        cum = np.concatenate([[0.0], np.cumsum(prof) * dsig])
+        c = -d[0] * s[1] + d[1] * s[0]          # d . perp(s)
+        e = d[0] * s[0] + d[1] * s[1]           # d . s
+        sigma0 = -px * s[1] + py * s[0]         # x . perp(s)
+        along0 = px * s[0] + py * s[1]          # x . s
+        # in the strip: |sigma0 + t c| < r1 and along0 + t e < 0
+        lo = np.minimum((-grid.r1 - sigma0) / c, (grid.r1 - sigma0) / c)
+        hi = np.maximum((-grid.r1 - sigma0) / c, (grid.r1 - sigma0) / c)
+        if e > 0.0:
+            hi = np.minimum(hi, -along0 / e)
+        elif e < 0.0:
+            lo = np.maximum(lo, -along0 / e)
+        else:
+            hi = np.where(along0 < 0.0, hi, lo)
+        for t_a, t_b in ((0.0, k_in * step), (k_out * step, np.inf)):
+            a, b = np.maximum(lo, t_a), np.minimum(hi, t_b)
+            tail = (np.interp(sigma0 + c * b, edges, cum)
+                    - np.interp(sigma0 + c * a, edges, cum)) / c
+            phi += np.where(b > a, tail, 0.0)
+
+    out = np.zeros((grid.nx, grid.ny))
+    out[near] = phi
+    return out
+
+
 def invert_signed(ts: TransformField, geom: VLineGeometry,
                   workers=1) -> ScalarField:
     """Invert the signed V-line transform.
 
     h(x) = (1/|v - u|) D_u D_v  int_0^inf (T_s h)(x + t w) dt, with
-    w = (v - u)/|v - u|.  The t-integral, with strip-constant extension of
-    the data beyond the r2 disc, is evaluated once at every vertex within
-    r1 + 3h; D_u D_v is the grid chain rule ``mixed_partial``, whose
-    stencil reaches two cells, so every vertex of the r1 disc sees only
-    evaluated values.  Output is supported in the closed r1 disc.
+    w = (v - u)/|v - u| and the data extended by strip constancy beyond
+    the r2 disc.  The t-integral is ``transform_beam_field`` at every
+    vertex within r1 + 3h: one FFT correlation for the samples inside the
+    r2 disc, a subtraction of the lattice samples between the r2 disc and
+    r2 + 4h, and the strip tails in closed form, so the cost does not
+    depend on the opening angle.  D_u D_v is the grid chain rule
+    ``mixed_partial``, whose stencil reaches two cells, so every vertex of
+    the r1 disc sees only evaluated values.  Output is supported in the
+    closed r1 disc.  ``workers`` is kept for callers of the public function
+    and has no effect.
     """
     grid = ts.grid
     w = geom.w  # raises on degenerate geometry
-    reach = grid.disc_mask(grid.r1 + 3.0 * grid.h)
-    xx, yy = grid.mesh()
-    phi = np.zeros((grid.nx, grid.ny))
-    phi[reach] = transform_beam_values(
-        ts, geom.rays, np.column_stack([xx[reach], yy[reach]]), w,
-        workers=workers)
+    phi = transform_beam_field(ts, geom.rays, w, grid.r1 + 3.0 * grid.h)
     duv = mixed_partial(phi, geom.u, geom.v, grid.h) / geom.norm_vu
     return ScalarField(grid, np.where(grid.disc_mask(grid.r1), duv, 0.0))

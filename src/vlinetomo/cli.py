@@ -40,6 +40,28 @@ def _parse_pair(text):
     return (a, b)
 
 
+# flags whose value is an 'x,y' pair, which may start with a minus sign
+PAIR_FLAGS = ("--center",)
+
+
+def _join_pairs(argv):
+    """Join each pair-valued flag with a following token that parses as a
+    pair into one ``--flag=x,y`` token, as config lines are, so that a
+    negative first coordinate is not read as a flag."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in PAIR_FLAGS:
+            try:
+                _parse_pair(tok)
+            except argparse.ArgumentTypeError:
+                pass
+            else:
+                out[-1] = f"{out[-1]}={tok}"
+                continue
+        out.append(tok)
+    return out
+
+
 def _load_config_tokens(path):
     """Turn key=value config lines into CLI tokens (flags override them).
 
@@ -307,8 +329,7 @@ def build_parser():
     p.add_argument("--r1", type=float, default=1.0)
     p.add_argument("--r2", type=float, default=None)
     p.add_argument("--center", type=_parse_pair, default=None,
-                   help="bump centre x,y; write negative values as "
-                        "--center=-0.1,0.2")
+                   help="bump centre x,y")
     p.add_argument("--scale", type=float, default=None)
     p.add_argument("--amplitude", type=float, default=1.0)
     p.set_defaults(func=cmd_phantom)
@@ -376,7 +397,7 @@ def build_parser():
 
 
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = _join_pairs(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         if "--config" in argv:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beam import strip_ring_point, strip_ring_radius
+from .beam import strip_profiles, strip_ring_radius
 from .errors import ConfigError
 from .fields import Grid2D, ScalarField, TransformField
 from .operators import bilinear
@@ -123,20 +123,6 @@ def radon_forward(h: ScalarField, n_angles, n_offsets, full=False) -> Sinogram:
     return Sinogram(out, 0.0, dangle, ds)
 
 
-def _strip_profiles(grid, values, dirs):
-    """Sample the constant strip values on the strip ring, at 4 nx points
-    across each strip's width 2 r1; per direction (back, profile)."""
-    n_sigma = 4 * grid.nx
-    sig = (np.arange(n_sigma) + 0.5) / n_sigma  # (0, 1)
-    sigma = -grid.r1 + 2.0 * grid.r1 * sig
-    dsig = 2.0 * grid.r1 / n_sigma
-    profiles = []
-    for d in dirs:
-        qx, qy, back = strip_ring_point(grid, sigma, d)
-        profiles.append((back, bilinear(grid, values, qx, qy)))
-    return sigma, dsig, profiles
-
-
 def _ramp_sums(phi, prof, offsets, ds):
     """sum_i clip((phi_i - s)/ds + 1/2, 0, 1) * prof_i for every offset s.
 
@@ -173,7 +159,8 @@ def radon_transform_field(tf: TransformField, dirs, n_angles, n_offsets,
     out = np.zeros((tf.ncomp, n_angles, n_offsets))
     for c in range(tf.ncomp):
         values = tf.component(c)
-        sigma, dsig, profiles = _strip_profiles(grid, values, dirs)
+        sigma, dsig, profiles = strip_profiles(grid, values, dirs,
+                                               4 * grid.nx)
         for k in range(n_angles):
             a = dangle * k
             psi = np.array([np.cos(a), np.sin(a)])

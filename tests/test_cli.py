@@ -128,6 +128,18 @@ def test_config_file_negative_pair(tmp_path):
             == (from_flags / "field.vlt").read_bytes())
 
 
+def test_negative_center_pair_as_own_token(tmp_path):
+    # "--center -0.1,0.2" reads as "--center=-0.1,0.2", not as two flags
+    outs = []
+    for center in (["--center", "-0.1,0.2"], ["--center=-0.1,0.2"]):
+        out = tmp_path / f"run{len(outs)}"
+        rc = main(["phantom", "--kind", "mixed", "--nx", "32", *center,
+                   "--out-dir", str(out)])
+        assert rc == 0
+        outs.append((out / "field.vlt").read_bytes())
+    assert outs[0] == outs[1]
+
+
 def _star_file(tmp_path, sg):
     path = tmp_path / "star.txt"
     write_star_geometry(path, sg)
