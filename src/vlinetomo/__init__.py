@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 
 from .beam import (RayQuadrature, beam_field, divergent_beam, invert_signed,
                    moment_beam, signed_vline)
-from .errors import (ConfigError, FileFormatError, GeometryError, SolverError,
-                     VlineError)
+from .errors import ConfigError, FileFormatError, GeometryError, VlineError
 from .fields import (Grid2D, ScalarField, TransformField, VectorField,
                      VLineGeometry, det2, direction, grid_for_vline, perp,
                      unit_vector)
@@ -20,8 +19,7 @@ from .operators import (HelmholtzParts, curl, directional_derivative,
                         divergence, gradient, helmholtz_decompose,
                         laplacians_from_div_curl)
 from .phantoms import Phantom, bump_scalar, make_phantom, random_phantom
-from .poisson import (PoissonProblem, PoissonResult, solve_dirichlet_disc,
-                      solve_free_space)
+from .poisson import PoissonResult, solve_dirichlet_disc, solve_free_space
 from .radon import Sinogram, fbp_inverse, radon_forward, radon_transform_field, \
     sinogram_dds
 from .star import (SingularDirections, StarGeometry, classify, forward_star,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blocks import map_blocks
-from .errors import ConfigError
+from .errors import ConfigError, GeometryError
 from .fields import (Grid2D, ScalarField, TransformField, VLineGeometry,
                      unit_vector)
 from .operators import bilinear, correlate, mixed_partial
@@ -39,13 +39,10 @@ class RayQuadrature:
     """Arc-length sampling of ray integrals; step defaults to h/2."""
 
     step: float
-    interpolation: str = "bilinear"
 
     def __post_init__(self):
         if self.step <= 0:
             raise ConfigError("quadrature step must be positive")
-        if self.interpolation != "bilinear":
-            raise ConfigError("only bilinear interpolation is supported")
 
 
 def _step(grid, quad):
@@ -183,6 +180,15 @@ def signed_vline(h: ScalarField, geom: VLineGeometry, quad=None,
 def strip_ring_radius(grid):
     """Radius just outside the r2 disc where strip-constant values are read."""
     return grid.r2 + 2.0 * grid.h
+
+
+def check_strip_ring(grid):
+    """Raise GeometryError unless the grid square holds the strip ring plus
+    one cell, so every strip-constant value is read from grid samples
+    (``bilinear`` reads 0 beyond the square)."""
+    if not grid.holds_disc(strip_ring_radius(grid) + grid.h):
+        raise GeometryError("grid square does not hold the strip ring "
+                            "r2 + 2h plus one cell")
 
 
 def strip_ring_point(grid, sigma, d):
@@ -406,10 +412,12 @@ def invert_signed(ts: TransformField, geom: VLineGeometry,
     ``mixed_partial``, whose stencil reaches two cells, so every vertex of
     the r1 disc sees only evaluated values.  Output is supported in the
     closed r1 disc.  ``workers`` is kept for callers of the public function
-    and has no effect.
+    and has no effect.  Grids whose square does not hold the strip ring
+    plus one cell raise GeometryError (``check_strip_ring``).
     """
     grid = ts.grid
     w = geom.w  # raises on degenerate geometry
+    check_strip_ring(grid)
     phi = transform_beam_field(ts, geom.rays, w, grid.r1 + 3.0 * grid.h)
     duv = mixed_partial(phi, geom.u, geom.v, grid.h) / geom.norm_vu
     return ScalarField(grid, np.where(grid.disc_mask(grid.r1), duv, 0.0))

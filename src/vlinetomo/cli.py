@@ -18,8 +18,7 @@ import numpy as np
 
 from . import __version__
 from .beam import RayQuadrature, invert_signed, signed_vline
-from .errors import (ConfigError, FileFormatError, GeometryError, SolverError,
-                     VlineError)
+from .errors import ConfigError, FileFormatError, GeometryError, VlineError
 from .fields import Grid2D, ScalarField, TransformField, VectorField
 from .io import (_components, read_star_geometry, read_vline_geometry,
                  read_vlt1, write_pgm, write_ppm_direction, write_vls1,
@@ -204,18 +203,17 @@ def cmd_forward(args):
         sg = _load_star_geometry(args)
         if not isinstance(field, VectorField):
             raise ConfigError("star transform needs a 2-component field")
-        tf = forward_star(field, sg, quad, workers=args.threads)
+        tf = forward_star(field, sg, quad)
     elif name == "signed":
         if not isinstance(field, ScalarField):
             raise ConfigError("signed transform needs a scalar field")
-        tf = signed_vline(field, _load_vline_geometry(args), quad,
-                          workers=args.threads)
+        tf = signed_vline(field, _load_vline_geometry(args), quad)
     else:
         if not isinstance(field, VectorField):
             raise ConfigError(f"transform {name} needs a 2-component field")
         op = {"L": forward_L, "T": forward_T,
               "I": forward_I, "J": forward_J}[name]
-        tf = op(field, _load_vline_geometry(args), quad, workers=args.threads)
+        tf = op(field, _load_vline_geometry(args), quad)
     values = _add_noise(tf.values, args.noise_sigma, args.seed)
     tf = TransformField(tf.grid, values, tf.kind)
     out = os.path.join(out_dir, args.out)
@@ -227,19 +225,18 @@ def cmd_forward(args):
 def cmd_invert(args):
     out_dir = _ensure_out_dir(args)
     pipeline = args.pipeline
-    # pipeline -> (reconstruction, [(input argument, transform kind)],
-    #              whether it takes workers); looked up per call so that
-    #              rebinding a module-level name reaches the CLI too
-    fn, inputs, threaded = {
-        "lt": (recover_field_LT, [("lf", "L"), ("tf", "T")], False),
-        "li": (recover_field_LI, [("lf", "L"), ("i_f", "I")], True),
-        "tj": (recover_field_TJ, [("tf", "T"), ("jf", "J")], True),
-        "star": (invert_star, [("sf", "S")], False),
-        "curl": (recover_curl, [("lf", "L")], False),
-        "div": (recover_div, [("tf", "T")], False),
-        "stream": (recover_stream, [("lf", "L")], False),
-        "potential": (recover_potential, [("tf", "T")], False),
-        "signed": (invert_signed, [("ts", "Ts")], True),
+    # pipeline -> (reconstruction, [(input argument, transform kind)]), looked
+    # up per call so that rebinding a module-level name reaches the CLI too
+    fn, inputs = {
+        "lt": (recover_field_LT, [("lf", "L"), ("tf", "T")]),
+        "li": (recover_field_LI, [("lf", "L"), ("i_f", "I")]),
+        "tj": (recover_field_TJ, [("tf", "T"), ("jf", "J")]),
+        "star": (invert_star, [("sf", "S")]),
+        "curl": (recover_curl, [("lf", "L")]),
+        "div": (recover_div, [("tf", "T")]),
+        "stream": (recover_stream, [("lf", "L")]),
+        "potential": (recover_potential, [("tf", "T")]),
+        "signed": (invert_signed, [("ts", "Ts")]),
     }[pipeline]
     # every input must be named before any is read: a missing one is a
     # usage error (exit 2) even when another file is malformed
@@ -251,8 +248,7 @@ def cmd_invert(args):
         result = fn(*data, _load_star_geometry(args), n_angles=args.angles,
                     guard_deg=args.guard_deg)
     else:
-        kwargs = {"workers": args.threads} if threaded else {}
-        result = fn(*data, _load_vline_geometry(args), **kwargs)
+        result = fn(*data, _load_vline_geometry(args))
 
     out = os.path.join(out_dir, args.out)
     write_vlt1(out, result)
@@ -312,7 +308,7 @@ def _common(p):
     p.add_argument("--config", help="key=value config file (flags win)")
     p.add_argument("--out-dir", default=".", help="output directory")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads (must not change outputs)")
+                   help="recorded in the manifest; changes no output")
 
 
 def build_parser():
@@ -412,7 +408,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GeometryError, SolverError) as exc:
+    except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except FileFormatError as exc:

@@ -66,10 +66,7 @@ class Grid2D:
             raise ConfigError("grids need at least 16 samples per axis")
         if not 0 < self.r1 < self.r2:
             raise ConfigError("need 0 < r1 < r2")
-        x0, y0 = self.origin
-        x1 = x0 + (self.nx - 1) * self.h
-        y1 = y0 + (self.ny - 1) * self.h
-        if x0 > -self.r2 or y0 > -self.r2 or x1 < self.r2 or y1 < self.r2:
+        if not self.holds_disc(self.r2):
             raise ConfigError("grid square does not contain the disc of radius r2")
 
     @classmethod
@@ -85,6 +82,14 @@ class Grid2D:
         h = 2.0 * r2 / (nx - 9)
         origin = (-(nx - 1) * h / 2.0, -(nx - 1) * h / 2.0)
         return cls(nx=nx, ny=nx, h=h, origin=origin, r1=r1, r2=r2)
+
+    def holds_disc(self, radius):
+        """True if the grid square contains the closed disc of this radius
+        about the origin."""
+        x0, y0 = self.origin
+        x1 = x0 + (self.nx - 1) * self.h
+        y1 = y0 + (self.ny - 1) * self.h
+        return x0 <= -radius and y0 <= -radius and x1 >= radius and y1 >= radius
 
     def xs(self):
         return self.origin[0] + self.h * np.arange(self.nx)

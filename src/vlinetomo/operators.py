@@ -129,10 +129,9 @@ class HelmholtzParts:
 
 def helmholtz_decompose(f: VectorField) -> HelmholtzParts:
     """Solve Lap V = div f with V = 0 on the r1 disc boundary; f_s = f - grad V."""
-    from .poisson import PoissonProblem, solve_dirichlet_disc
+    from .poisson import solve_dirichlet_disc
 
-    d = divergence(f)
-    res = solve_dirichlet_disc(PoissonProblem(rhs=d, mode="dirichlet_disc", radius=f.grid.r1))
+    res = solve_dirichlet_disc(divergence(f))
     gv = gradient(res.field)
     fs = VectorField(f.grid, f.f1 - gv.f1, f.f2 - gv.f2)
     return HelmholtzParts(solenoidal=fs, potential_V=res.field)

@@ -17,19 +17,6 @@ from .operators import correlate
 
 
 @dataclass(frozen=True)
-class PoissonProblem:
-    rhs: ScalarField
-    mode: str  # "dirichlet_disc" | "free_space"
-    radius: float | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("dirichlet_disc", "free_space"):
-            raise ConfigError(f"unknown Poisson mode {self.mode!r}")
-        if self.mode == "free_space" and not self.rhs.is_compact():
-            raise ConfigError("free-space recovery needs an rhs compact in the r1 disc")
-
-
-@dataclass(frozen=True)
 class PoissonResult:
     """Solution with its solver report: iteration count (0 for the direct
     solvers) and relative residual ||b - A x|| / ||b||."""
@@ -44,19 +31,15 @@ def _second_difference(n):
     return sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
 
 
-def solve_dirichlet_disc(problem: PoissonProblem) -> PoissonResult:
-    """Lap V = rhs on the interior of the disc, V = 0 on and outside it.
+def solve_dirichlet_disc(rhs: ScalarField) -> PoissonResult:
+    """Lap V = rhs on the interior of the r1 disc, V = 0 on and outside it.
 
     The 5-point stencil on the disc-interior samples is assembled as a
     sparse matrix and solved directly (sparse LU), so ``iterations`` is 0
     and ``residual`` is the relative residual of the solve.
     """
-    if problem.mode != "dirichlet_disc":
-        raise ConfigError("solve_dirichlet_disc needs mode='dirichlet_disc'")
-    rhs = problem.rhs
     grid = rhs.grid
-    radius = grid.r1 if problem.radius is None else problem.radius
-    mask = grid.rr() < radius
+    mask = grid.rr() < grid.r1
     b = -rhs.values[mask]  # solve (-Lap) V = -rhs so the operator is SPD
     if b.size == 0:
         raise ConfigError("no grid samples inside the Dirichlet disc")
@@ -96,17 +79,17 @@ def log_kernel(grid):
     return k
 
 
-def solve_free_space(problem: PoissonProblem) -> PoissonResult:
+def solve_free_space(rhs: ScalarField) -> PoissonResult:
     """Convolve the rhs with the free-space Green function G = (1/2pi) log|x|.
 
     The quadrature is the midpoint rule per source cell with the exact
     log integral on the singular self-cell; the discrete sum is evaluated
     as a (non-circular) linear convolution, which for this kernel, even in
-    both offsets, is the correlation about its center.
+    both offsets, is the correlation about its center.  The rhs must be
+    compact in the r1 disc.
     """
-    if problem.mode != "free_space":
-        raise ConfigError("solve_free_space needs mode='free_space'")
-    rhs = problem.rhs
+    if not rhs.is_compact():
+        raise ConfigError("free-space recovery needs an rhs compact in the r1 disc")
     grid = rhs.grid
     k = log_kernel(grid)
     out = correlate(rhs.values, k, (grid.nx - 1, grid.ny - 1))

@@ -73,9 +73,6 @@ class Sinogram:
         """True when the angle lattice covers the full circle."""
         return self.n_angles * self.dangle > np.pi * 1.5
 
-    def component(self, k):
-        return self.values[k]
-
 
 def _lattice(grid, n_angles, n_offsets, full):
     if n_angles < 1 or n_offsets < 2:

@@ -19,8 +19,6 @@ D = np.array([1.0, 0.0])
 def test_quadrature_validation():
     with pytest.raises(ConfigError):
         RayQuadrature(step=0.0)
-    with pytest.raises(ConfigError):
-        RayQuadrature(step=0.1, interpolation="cubic")
 
 
 def test_divergent_beam_closed_form(small_grid):

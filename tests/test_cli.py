@@ -266,3 +266,18 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
     from vlinetomo import __version__
     assert __version__ in capsys.readouterr().out
+
+
+def test_invert_signed_tight_grid_exit_code(tmp_path, geom_file):
+    # a VLT1 header whose grid edge lies half a cell beyond r2: the grid
+    # is valid, but the strip ring r2 + 2h falls outside its square
+    import struct
+    nx, r1, r2 = 48, 1.0, 1.4142135623730951
+    h = r2 / 23.0
+    path = tmp_path / "tight.vlt"
+    path.write_bytes(b"VLT1" + struct.pack("<II", nx, nx)
+                     + struct.pack("<5d", h, -23.5 * h, -23.5 * h, r1, r2)
+                     + struct.pack("<I", 1) + bytes(8 * nx * nx))
+    rc = main(["invert", "--pipeline", "signed", "--ts", str(path),
+               "--geometry", geom_file, "--out-dir", str(tmp_path / "x")])
+    assert rc == 3

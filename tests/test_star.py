@@ -196,6 +196,16 @@ def test_invert_star_rejects_symmetric(symmetric_star):
         invert_star(TransformField(grid, vals, "S"), symmetric_star)
 
 
+def test_invert_star_rejects_grid_without_strip_ring(corner_star):
+    # the grid square reaches half a cell beyond r2, short of r2 + 3h
+    from vlinetomo import Grid2D, TransformField
+    h = 2.0 / 23.0
+    grid = Grid2D(48, 48, h, (-23.5 * h, -23.5 * h), 1.0, 2.0)
+    sf = TransformField(grid, np.zeros((2, grid.nx, grid.ny)), "S")
+    with pytest.raises(GeometryError):
+        invert_star(sf, corner_star)
+
+
 def test_apply_q_validation(corner_star):
     one_comp = Sinogram(np.zeros((1, 64, 32)), 0.0, 2 * np.pi / 64, 0.1)
     with pytest.raises(ConfigError):
