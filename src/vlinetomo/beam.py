@@ -15,10 +15,15 @@ the r2 disc along w = (v - u)/|v - u|.  ``transform_beam_field`` builds that
 integral from three pieces on the same lattice (step h/2): one FFT
 correlation for the samples of the grid data, a subtraction of the samples
 that lie outside the r2 disc, out to where the correlated data ends, and
-the strip tails in closed form from the cumulative integral of each strip's
-ring profile (``strip_profiles``, also read by the Radon transform).  Its
-cost does not depend on the opening angle; ``transform_beam_values`` sums
-the same integral directly and serves as its reference.
+the strip tails.  Its cost does not depend on the opening angle;
+``transform_beam_values`` sums the same integral directly and serves as its
+reference.
+
+``strip_tails`` is the one strip-tail integral: beyond the r2 disc each
+strip's data is its ring profile, and the integral over any span of a ray
+is read in closed form from the profile's cumulative integral.  The
+V-line inversion and the Radon transform of star data
+(``radon.radon_transform_field``) both take their tails from it.
 """
 
 from __future__ import annotations
@@ -194,30 +199,13 @@ def check_strip_ring(grid):
 def strip_ring_point(grid, sigma, d):
     """Where the strip along direction d reads its constant value.
 
-    Returns (qx, qy, back): q = sigma * perp(d) - back * d is the point of
-    the strip ring on the far (vertex) side of the strip, at transverse
+    Returns (qx, qy): q = sigma * perp(d) - back * d is the point of the
+    strip ring on the far (vertex) side of the strip, at transverse
     coordinate sigma, with back = sqrt(ring^2 - sigma^2).
     """
     ring = strip_ring_radius(grid)
     back = np.sqrt(np.maximum(ring * ring - sigma * sigma, 0.0))
-    return -sigma * d[1] - back * d[0], sigma * d[0] - back * d[1], back
-
-
-def strip_profiles(grid, values, dirs, n_sigma):
-    """The strip-constant values read on the strip ring, at the midpoints
-    sigma of n_sigma equal cells across each strip's width 2 r1.
-
-    Returns (sigma, dsig, profiles) with one (back, profile) pair per
-    direction, ``back`` as in ``strip_ring_point``.
-    """
-    sig = (np.arange(n_sigma) + 0.5) / n_sigma  # (0, 1)
-    sigma = -grid.r1 + 2.0 * grid.r1 * sig
-    dsig = 2.0 * grid.r1 / n_sigma
-    profiles = []
-    for d in dirs:
-        qx, qy, back = strip_ring_point(grid, sigma, d)
-        profiles.append((back, bilinear(grid, values, qx, qy)))
-    return sigma, dsig, profiles
+    return -sigma * d[1] - back * d[0], sigma * d[0] - back * d[1]
 
 
 def sample_with_strips(grid, values, dirs, px, py):
@@ -246,11 +234,59 @@ def sample_with_strips(grid, values, dirs, px, py):
         cond = (~taken) & (along < 0.0) & (np.abs(sigma) < grid.r1)
         if not cond.any():
             continue
-        qx, qy, _ = strip_ring_point(grid, sigma[cond], d)
+        qx, qy = strip_ring_point(grid, sigma[cond], d)
         acc[cond] = bilinear(grid, values, qx, qy)
         taken |= cond
     out[outside] = acc
     return out
+
+
+def strip_tails(grid, values, dirs, px, py, d, spans, out):
+    """Add the integrals of strip data along the rays x + t d over t-spans.
+
+    Beyond the r2 disc the data along strip s is its ring profile
+    g_s(sigma), sigma = x . perp(s), read (``strip_ring_point``) at the
+    midpoints of equal cells of width dsig across the strip's width 2 r1.
+    Over the t where a ray is in the strip the integral is
+    (G_s(sigma(b)) - G_s(sigma(a))) / c with c = d . perp(s) and G_s the
+    cumulative integral of g_s, exact for the cellwise-constant profile.
+    The strips are disjoint outside the r2 disc, so for spans (t_a, t_b)
+    outside it their integrals add.  A ray within 1e-9 of parallel to a
+    strip gets nothing from it.
+
+    px, py, d[..., 0], d[..., 1] and the span ends broadcast to the shape
+    of ``out``, which receives the integrals strip by strip, span by span.
+    """
+    # G_s leaves an error of O(dsig^2) that repeats every cell; D_u D_v
+    # divides it by h^2, so dsig shrinks like h^2: nx * max(16, nx/8)
+    # cells across the strip
+    n_sigma = grid.nx * max(16, grid.nx // 8)
+    sigma = -grid.r1 + 2.0 * grid.r1 * ((np.arange(n_sigma) + 0.5) / n_sigma)
+    dsig = 2.0 * grid.r1 / n_sigma
+    edges = -grid.r1 + dsig * np.arange(n_sigma + 1)
+    dx, dy = d[..., 0], d[..., 1]
+    for s in dirs:
+        prof = bilinear(grid, values, *strip_ring_point(grid, sigma, s))
+        cum = np.concatenate([[0.0], np.cumsum(prof) * dsig])
+        c = -dx * s[1] + dy * s[0]              # d . perp(s)
+        e = dx * s[0] + dy * s[1]               # d . s
+        crossing = np.abs(c) >= 1e-9
+        c = np.where(crossing, c, 1.0)
+        sigma0 = -px * s[1] + py * s[0]         # x . perp(s)
+        along0 = px * s[0] + py * s[1]          # x . s
+        # in the strip: |sigma0 + t c| < r1 and along0 + t e < 0
+        lo = np.minimum((-grid.r1 - sigma0) / c, (grid.r1 - sigma0) / c)
+        hi = np.maximum((-grid.r1 - sigma0) / c, (grid.r1 - sigma0) / c)
+        cut = np.divide(-along0, e, out=np.zeros(np.broadcast(along0, e).shape),
+                        where=e != 0.0)
+        hi = np.where(e > 0.0, np.minimum(hi, cut), hi)
+        lo = np.where(e < 0.0, np.maximum(lo, cut), lo)
+        hi = np.where((e == 0.0) & (along0 >= 0.0), lo, hi)
+        for t_a, t_b in spans:
+            a, b = np.maximum(lo, t_a), np.minimum(hi, t_b)
+            tail = (np.interp(sigma0 + c * b, edges, cum)
+                    - np.interp(sigma0 + c * a, edges, cum)) / c
+            out += np.where(crossing & (b > a), tail, 0.0)
 
 
 def _lattice_run(t0, t1, step):
@@ -331,13 +367,9 @@ def transform_beam_field(tf: TransformField, dirs, d, radius) -> np.ndarray:
        to r2 + 4h where the kept data has no reach left; they are read from
        the kept data padded with one cell of zeros, which is how the FFT
        treats the grid edge;
-    3. beyond the r2 disc the data along strip s is its ring profile
-       g_s(sigma), sigma = x . perp(s), so over the t where the ray is in
-       the strip the tail is (G_s(sigma(t_b)) - G_s(sigma(t_a))) / c with
-       c = d . perp(s) and G_s the cumulative integral of g_s read on
-       cells of width dsig.  c is nonzero because d is not along a strip
-       (for the V-line, w is not along u or v), and the strips are
-       disjoint outside the r2 disc, so their tails add.
+    3. the strip tails over t in (0, k_in h/2) and (k_out h/2, inf) come
+       in closed form from ``strip_tails``; d is not along a strip (for
+       the V-line, w is not along u or v), so every strip contributes.
     """
     grid = tf.grid
     d = unit_vector(d)
@@ -366,32 +398,8 @@ def transform_beam_field(tf: TransformField, dirs, d, radius) -> np.ndarray:
                      py[owner] + t * d[1])
     phi -= np.bincount(owner, weights=extra, minlength=len(px)) * step
 
-    # G_s is exact for the cellwise-constant profile, which leaves an error
-    # of O(dsig^2) that repeats every cell; D_u D_v divides it by h^2, so
-    # dsig shrinks like h^2: nx * max(16, nx/8) cells across the strip
-    n_sigma = grid.nx * max(16, grid.nx // 8)
-    _, dsig, profiles = strip_profiles(grid, values, dirs, n_sigma)
-    edges = -grid.r1 + dsig * np.arange(n_sigma + 1)
-    for s, (_, prof) in zip(dirs, profiles):
-        cum = np.concatenate([[0.0], np.cumsum(prof) * dsig])
-        c = -d[0] * s[1] + d[1] * s[0]          # d . perp(s)
-        e = d[0] * s[0] + d[1] * s[1]           # d . s
-        sigma0 = -px * s[1] + py * s[0]         # x . perp(s)
-        along0 = px * s[0] + py * s[1]          # x . s
-        # in the strip: |sigma0 + t c| < r1 and along0 + t e < 0
-        lo = np.minimum((-grid.r1 - sigma0) / c, (grid.r1 - sigma0) / c)
-        hi = np.maximum((-grid.r1 - sigma0) / c, (grid.r1 - sigma0) / c)
-        if e > 0.0:
-            hi = np.minimum(hi, -along0 / e)
-        elif e < 0.0:
-            lo = np.maximum(lo, -along0 / e)
-        else:
-            hi = np.where(along0 < 0.0, hi, lo)
-        for t_a, t_b in ((0.0, k_in * step), (k_out * step, np.inf)):
-            a, b = np.maximum(lo, t_a), np.minimum(hi, t_b)
-            tail = (np.interp(sigma0 + c * b, edges, cum)
-                    - np.interp(sigma0 + c * a, edges, cum)) / c
-            phi += np.where(b > a, tail, 0.0)
+    strip_tails(grid, values, dirs, px, py, d,
+                ((0.0, k_in * step), (k_out * step, np.inf)), phi)
 
     out = np.zeros((grid.nx, grid.ny))
     out[near] = phi

@@ -5,7 +5,8 @@ Convention: the angle parameter is the direction of the line NORMAL
 psi = (cos a, sin a); R h(psi, s) integrates h over the line
 {x : x . psi = s}.  Transform fields (which are constant along ray
 directions inside semi-infinite strips outside the r2 disc) are projected
-as a grid-sampled chord part plus closed-form strip-tail integrals.
+as a grid-sampled chord part plus the closed-form strip tails of
+``beam.strip_tails``, the integral the signed V-line inversion also uses.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beam import strip_profiles, strip_ring_radius
+from .beam import check_strip_ring, strip_ring_radius, strip_tails
 from .errors import ConfigError
 from .fields import Grid2D, ScalarField, TransformField
 from .operators import bilinear
@@ -120,60 +121,36 @@ def radon_forward(h: ScalarField, n_angles, n_offsets, full=False) -> Sinogram:
     return Sinogram(out, 0.0, dangle, ds)
 
 
-def _ramp_sums(phi, prof, offsets, ds):
-    """sum_i clip((phi_i - s)/ds + 1/2, 0, 1) * prof_i for every offset s.
-
-    The weight is 1 for phi_i >= s + ds/2, 0 for phi_i <= s - ds/2 and
-    linear in between, so after sorting by phi each sum is a suffix sum
-    plus the ramp part, both read from cumulative sums of prof and
-    phi * prof: O((n + m) log n) instead of an (m, n) weight matrix.
-    """
-    order = np.argsort(phi, kind="stable")
-    phi, prof = phi[order], prof[order]
-    c0 = np.concatenate([[0.0], np.cumsum(prof)])
-    c1 = np.concatenate([[0.0], np.cumsum(phi * prof)])
-    lo = np.searchsorted(phi, offsets - 0.5 * ds, side="right")
-    hi = np.searchsorted(phi, offsets + 0.5 * ds, side="left")
-    ramp = (c1[hi] - c1[lo]) / ds + (0.5 - offsets / ds) * (c0[hi] - c0[lo])
-    return (c0[-1] - c0[hi]) + ramp
-
-
 def radon_transform_field(tf: TransformField, dirs, n_angles, n_offsets,
                           full=True) -> Sinogram:
     """Radon transform of strip-extended transform data.
 
-    The chord part integrates the grid samples over the strip-ring disc
-    |x| <= r2 + 2h; the strip tails beyond that ring are constant along
-    their ray direction, so each tail reduces to a 1-D integral of the ring
-    profile against a (smoothed) indicator of the half-plane cut by the
-    line.  Lines nearly parallel to a strip direction (|psi . d| < 1e-9)
-    get no tail; those angles are singular for the downstream inversion
-    and are discarded there anyway.
+    The line s psi + t psi_perp is split where it meets the strip ring
+    |x| = r2 + 2h, at t = +-half with half = sqrt(ring^2 - s^2) (0 for
+    lines that miss the ring).  The chord |t| < half integrates the grid
+    samples; the tails beyond it come in closed form from
+    ``beam.strip_tails``, one call per component for every line.  Lines
+    nearly parallel to a strip direction (|psi . d| < 1e-9) get no tail from
+    it; those angles are singular for the downstream inversion and are
+    discarded there anyway.  Grids whose square does not hold the strip
+    ring plus one cell raise GeometryError (``beam.check_strip_ring``).
     """
     grid = tf.grid
+    check_strip_ring(grid)
     dangle, ds, offsets = _lattice(grid, n_angles, n_offsets, full)
     ring = strip_ring_radius(grid)
+    a = dangle * np.arange(n_angles)
+    psi = np.stack([np.cos(a), np.sin(a)], axis=1)
+    px, py = psi[:, 0, None] * offsets, psi[:, 1, None] * offsets
+    psi_perp = np.stack([-psi[:, 1], psi[:, 0]], axis=1)[:, None, :]
+    half = np.sqrt(np.maximum(ring * ring - offsets * offsets, 0.0))
     out = np.zeros((tf.ncomp, n_angles, n_offsets))
     for c in range(tf.ncomp):
         values = tf.component(c)
-        sigma, dsig, profiles = strip_profiles(grid, values, dirs,
-                                               4 * grid.nx)
         for k in range(n_angles):
-            a = dangle * k
-            psi = np.array([np.cos(a), np.sin(a)])
-            row = _chord_integrals(grid, values, psi, offsets, ring)
-            for d, (back, prof) in zip(dirs, profiles):
-                alpha = psi[0] * d[0] + psi[1] * d[1]
-                if abs(alpha) < 1e-9:
-                    continue
-                alphap = -psi[0] * d[1] + psi[1] * d[0]  # psi . perp(d)
-                # offset at which the line meets the ring at this sigma
-                phi = alphap * sigma - alpha * back
-                # alpha < 0 mirrors the ramp: negate phi and the offsets
-                sign = 1.0 if alpha > 0 else -1.0
-                row = row + _ramp_sums(sign * phi, prof, sign * offsets, ds) \
-                    * (dsig / abs(alpha))
-            out[c, k] = row
+            out[c, k] = _chord_integrals(grid, values, psi[k], offsets, ring)
+        strip_tails(grid, values, dirs, px, py, psi_perp,
+                    ((-np.inf, -half), (half, np.inf)), out[c])
     return Sinogram(out, 0.0, dangle, ds)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beam import check_strip_ring, ray_sum
+from .beam import ray_sum
 from .errors import ConfigError, GeometryError
 from .fields import (RayGeometry, TransformField, VectorField, direction,
                      grid_for_vline, perp, unit_vector)
@@ -304,14 +304,14 @@ def invert_star(sf: TransformField, sg: StarGeometry, n_angles=360,
     offset per grid column, and includes the analytic strip-tail
     contributions; guard-banded singular angles are interpolated over
     before the Ram-Lak backprojection.  Grids whose square does not hold
-    the strip ring plus one cell raise GeometryError.
+    the strip ring plus one cell raise GeometryError
+    (``radon_transform_field`` checks before any work).
     """
     if classify(sg) == "symmetric":
         raise GeometryError("symmetric star transform is not invertible")
     if sf.ncomp != 2:
         raise ConfigError("star data must have 2 components")
     grid = sf.grid
-    check_strip_ring(grid)
     sino = radon_transform_field(sf, sg.gammas, n_angles, grid.nx, full=True)
     rf = apply_q(sinogram_dds(sino), sg, guard_deg=guard_deg)
     f1, f2 = (fbp_inverse(Sinogram(rf.values[k], rf.angle0, rf.dangle, rf.ds),

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from vlinetomo import (ConfigError, Grid2D, ScalarField, Sinogram,
-                       fbp_inverse, radon_forward, sinogram_dds)
+from vlinetomo import (ConfigError, GeometryError, Grid2D, ScalarField,
+                       Sinogram, TransformField, direction, fbp_inverse,
+                       radon_forward, radon_transform_field, sinogram_dds)
+from vlinetomo.beam import (beam_field, sample_with_strips, strip_ring_radius,
+                            strip_tails)
 from vlinetomo.phantoms import bump_scalar
-from vlinetomo.radon import _ramp_sums
 
 from conftest import rel_l2
 
@@ -73,20 +75,46 @@ def test_radon_zero_and_linearity(grid):
     assert np.allclose(sc, 2.0 * sa - 0.5 * sb)
 
 
-def test_strip_tail_sums_match_dense_oracle():
-    rng = np.random.default_rng(7)
-    ds = 0.05
-    offsets = (np.arange(64) - 31.5) * ds
-    # random ring offsets, some exactly on a ramp end, and repeated values
-    phi = np.concatenate([rng.uniform(-2.0, 2.0, 500),
-                          offsets[::7] + 0.5 * ds, offsets[::9] - 0.5 * ds,
-                          np.full(5, 0.3)])
-    prof = rng.normal(size=phi.size)
-    for sign in (1.0, -1.0):
-        dense = np.clip((sign * phi[None, :] - sign * offsets[:, None]) / ds
-                        + 0.5, 0.0, 1.0) @ prof
-        fast = _ramp_sums(sign * phi, prof, sign * offsets, ds)
-        assert np.abs(fast - dense).max() <= 1e-12 * np.abs(prof).sum()
+def test_radon_strip_tails_match_dense_sum():
+    # tails of the lines s psi + t psi_perp beyond the strip ring, as
+    # radon_transform_field takes them, against a midpoint sum at step h/16
+    # of sample_with_strips; the reference lines are 60 long, so the spans
+    # stop at t = +-30
+    grid = Grid2D.centered(64, 1.0, 2.0)
+    d = direction(0.4)
+    values = beam_field(bump_scalar(grid), d)
+    ring = strip_ring_radius(grid)
+    angles = np.array([0.4 + np.pi / 2 + 0.05, 1.9, 2.8, 4.0])
+    offsets = np.array([-2.5, -1.3, -0.6, -0.1, 0.3, 0.9, 1.6, 2.35])
+    assert np.abs(offsets).max() > ring
+    psi = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    px, py = psi[:, 0, None] * offsets, psi[:, 1, None] * offsets
+    psi_perp = np.stack([-psi[:, 1], psi[:, 0]], axis=1)
+    half = np.sqrt(np.maximum(ring * ring - offsets * offsets, 0.0))
+    got = np.zeros(px.shape)
+    strip_tails(grid, values, (d,), px, py, psi_perp[:, None, :],
+                ((-30.0, -half), (half, 30.0)), got)
+    ref = np.zeros(px.shape)
+    for k in range(len(angles)):
+        for j in range(len(offsets)):
+            n = int(np.ceil((30.0 - half[j]) * 16 / grid.h))
+            dt = (30.0 - half[j]) / n
+            for sign in (-1.0, 1.0):
+                t = sign * (half[j] + (np.arange(n) + 0.5) * dt)
+                vals = sample_with_strips(grid, values, (d,),
+                                          px[k, j] + t * psi_perp[k, 0],
+                                          py[k, j] + t * psi_perp[k, 1])
+                ref[k, j] += vals.sum() * dt
+    assert np.abs(got - ref).max() <= 1e-5 * np.abs(ref).max()
+
+
+def test_radon_transform_field_rejects_grid_without_strip_ring():
+    # the grid square reaches half a cell beyond r2, short of r2 + 3h
+    h = 2.0 / 23.0
+    grid = Grid2D(48, 48, h, (-23.5 * h, -23.5 * h), 1.0, 2.0)
+    tf = TransformField(grid, np.zeros((2, grid.nx, grid.ny)), "S")
+    with pytest.raises(GeometryError):
+        radon_transform_field(tf, (direction(0.0),), 16, 32)
 
 
 def test_dds_of_constant_rows_is_zero():
