@@ -33,13 +33,14 @@ def det2(v, u):
 
 
 def unit_vector(d):
-    """Validate and return ``d`` as a unit 2-vector."""
-    d = np.asarray(d, dtype=float)
+    """Validate ``d`` and return it as a read-only unit 2-vector copy."""
+    d = np.array(d, dtype=float)
     if d.shape != (2,):
         raise GeometryError(f"direction must be a 2-vector, got shape {d.shape}")
     n = float(np.hypot(d[0], d[1]))
     if abs(n - 1.0) > 1e-12:
         raise GeometryError(f"direction must be unit length, |d| = {n!r}")
+    d.flags.writeable = False
     return d
 
 
@@ -60,6 +61,7 @@ class Grid2D:
     r2: float
 
     def __post_init__(self):
+        object.__setattr__(self, "origin", tuple(float(c) for c in self.origin))
         if self.h <= 0:
             raise ConfigError("grid spacing must be positive")
         if self.nx < 16 or self.ny < 16:

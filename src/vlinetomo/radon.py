@@ -29,8 +29,8 @@ CHORD_BLOCK = 8192
 class Sinogram:
     """Radon-domain samples on a uniform (angle, offset) lattice.
 
-    values has shape (ncomp, n_angles, n_offsets); the offset lattice is
-    s_j = (j - (n_offsets - 1)/2) * ds, symmetric about 0.
+    values is a read-only copy shaped (ncomp, n_angles, n_offsets); the
+    offset lattice is s_j = (j - (n_offsets - 1)/2) * ds, symmetric about 0.
     """
 
     values: np.ndarray
@@ -39,7 +39,7 @@ class Sinogram:
     ds: float
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)
         if values.ndim == 2:
             values = values[None]
         if values.ndim != 3 or values.shape[0] not in (1, 2):
@@ -48,6 +48,7 @@ class Sinogram:
             raise ConfigError("sinogram contains non-finite samples")
         if self.ds <= 0 or self.dangle <= 0:
             raise ConfigError("sinogram lattice spacings must be positive")
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     @property

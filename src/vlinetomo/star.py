@@ -11,7 +11,10 @@ Q(psi) = [gamma(psi); gamma(psi)^perp]^{-1}.  A star transform is
 invertible exactly when it is not symmetric (rays pairing as
 gamma_i = -gamma_j with c_i = -c_j); the matrix Q blows up only at the
 singular directions Z1 (some psi . gamma_i = 0) and Z2 (gamma(psi) = 0),
-which are removable and are bridged by angular interpolation here.
+which are removable and are bridged by angular interpolation here.  Both
+sets come in closed form: Z1 from the ray angles, Z2 as the unit-circle
+roots of one polynomial of degree m-1 in w = e^{2 i theta} built from P
+(``p_coefficients``), found as companion-matrix eigenvalues.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .beam import ray_sum
 from .errors import ConfigError, GeometryError
@@ -32,8 +36,9 @@ Z1_TOL = 1e-9
 Z2_TOL = 1e-9
 # angular tolerance for the symmetric-pairing test
 PAIR_TOL = 1e-10
-# angular lattice on which Z2 roots are bracketed before refinement
-Z2_SEARCH_ANGLES = 4096
+# roots of the Z2 polynomial in w closer than this are one multiple root,
+# which eigenvalues split by about eps^(1/k) for multiplicity k
+Z2_MERGE_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -129,16 +134,6 @@ def p_coefficients(sg: StarGeometry):
     return c1, c2
 
 
-def _eval_homogeneous(coef, angles):
-    """Evaluate a homogeneous polynomial at psi = (cos a, sin a)."""
-    m1 = len(coef) - 1
-    ca, sa = np.cos(angles), np.sin(angles)
-    out = np.zeros_like(np.asarray(angles, dtype=float))
-    for k, c in enumerate(coef):
-        out = out + c * ca ** (m1 - k) * sa**k
-    return out
-
-
 def symmetric_by_coefficients(sg: StarGeometry):
     """True when P(psi) is the zero polynomial (coefficient-norm test)."""
     c1, c2 = p_coefficients(sg)
@@ -184,60 +179,53 @@ class SingularDirections:
 
 
 def singular_directions(sg: StarGeometry) -> SingularDirections:
-    """Locate the type-1 and type-2 singular directions.
+    """Locate the type-1 and type-2 singular directions in closed form.
 
-    Z1 comes from exact orthogonality to each ray.  Z2 roots are shared
-    zeros of both components of P; they are located as local minima of
-    |P1| + |P2| on a dense angular grid (this also catches even-order
-    roots, where neither component changes sign), refined by ternary
-    search to 1e-12, and accepted only if |gamma(psi)| <= 1e-9 on
-    re-evaluation.
+    Z1 comes from exact orthogonality to each ray.  Z2 holds the common
+    zeros of both components of P on the circle.  With z = e^{i theta} and
+    w = z^2, z^{m-1} (P1 + i P2) is a polynomial of degree m-1 in w, since
+    psi_1 z = (w + 1)/2 and psi_2 z = (w - 1)/(2i); its roots come from one
+    companion-matrix eigenvalue call, and each root w gives the pair
+    theta = arg(w)/2 and theta + pi.  A root is kept only if
+    |gamma(psi)| <= Z2_TOL there, which also drops the roots off the
+    circle; roots within Z2_MERGE_TOL of a kept one are the split copies
+    of a multiple root and are merged into it.
     """
     z1 = []
     for g in sg.gammas:
         a = np.arctan2(g[1], g[0])
-        z1.append((a + np.pi / 2.0) % (2.0 * np.pi))
-        z1.append((a - np.pi / 2.0) % (2.0 * np.pi))
-    z1 = np.sort(np.array(z1))
+        z1.append(a + np.pi / 2.0)
+        z1.append(a - np.pi / 2.0)
+    z1 = _wrap(np.array(z1))
 
     if classify(sg) == "symmetric":
         return SingularDirections(z1, np.array([]), True)
 
     c1, c2 = p_coefficients(sg)
-    scale = max(float(np.max(np.abs(c1))), float(np.max(np.abs(c2))))
-
-    def objective(a):
-        a = np.atleast_1d(np.asarray(a, dtype=float))
-        return np.abs(_eval_homogeneous(c1, a)) + np.abs(_eval_homogeneous(c2, a))
-
-    da = 2.0 * np.pi / Z2_SEARCH_ANGLES
-    angles = da * np.arange(Z2_SEARCH_ANGLES)
-    vals = objective(angles)
-    z2 = []
-    for k in range(Z2_SEARCH_ANGLES):
-        v0 = vals[k - 1]
-        vm = vals[k]
-        v1 = vals[(k + 1) % Z2_SEARCH_ANGLES]
-        # local minimum small enough to plausibly be a root of P
-        if not (vm <= v0 and vm <= v1 and vm <= 1e-4 * scale):
-            continue
-        lo, hi = angles[k] - da, angles[k] + da
-        while hi - lo > 1e-12:
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            if float(objective(m1)[0]) <= float(objective(m2)[0]):
-                hi = m2
-            else:
-                lo = m1
-        a = (0.5 * (lo + hi)) % (2.0 * np.pi)
-        psi = direction(a)
-        dots = [abs(float(np.dot(psi, g))) for g in sg.gammas]
-        if min(dots) < Z1_TOL:
+    m1 = sg.m - 1
+    coef = np.zeros(sg.m, dtype=complex)
+    for k in range(sg.m):
+        basis = npoly.polymul(npoly.polypow([1.0, 1.0], m1 - k),
+                              npoly.polypow([-1.0, 1.0], k))
+        coef += (c1[k] + 1j * c2[k]) * basis / (2.0 ** (m1 - k) * (2j) ** k)
+    kept = []
+    for w in npoly.polyroots(coef):
+        psi = direction(np.angle(w) / 2.0)
+        if min(abs(float(np.dot(psi, g))) for g in sg.gammas) < Z1_TOL:
             continue  # already in Z1
-        if float(np.hypot(*gamma_of_psi(sg, psi))) <= Z2_TOL:
-            if not any(_angular_distance(a, b) < 1e-9 for b in z2):
-                z2.append(a)
-    return SingularDirections(z1, np.sort(np.array(z2)), False)
+        if (float(np.hypot(*gamma_of_psi(sg, psi))) <= Z2_TOL
+                and all(abs(w - v) > Z2_MERGE_TOL for v in kept)):
+            kept.append(w)
+    a = np.angle(np.array(kept, dtype=complex)) / 2.0
+    return SingularDirections(z1, _wrap(np.concatenate([a, a + np.pi])),
+                              False)
+
+
+def _wrap(angles):
+    """Sorted angles reduced to [0, 2pi); a tiny negative angle, which the
+    modulo rounds up to 2pi, becomes 0."""
+    a = np.mod(angles, 2.0 * np.pi)
+    return np.sort(np.where(a < 2.0 * np.pi, a, 0.0))
 
 
 def _angular_distance(a, b):
@@ -262,26 +250,29 @@ def _interpolate_guarded(rows, valid):
     return out
 
 
+def _check_guard(guard_deg):
+    if not guard_deg > 0:
+        raise ConfigError(f"guard_deg must be positive, got {guard_deg!r}")
+
+
 def apply_q(dsino: Sinogram, sg: StarGeometry, guard_deg=2.0):
     """Per-angle Q(psi) multiply of a 2-component (already d/ds) sinogram.
 
     Angles within the guard band of a singular direction are dropped and
     refilled by linear interpolation in angle (the singularities are
-    removable, so the interpolated limit equals R f there).  Returns a
-    2-component sinogram holding (R f1, R f2).
+    removable, so the interpolated limit equals R f there); guard_deg must
+    be positive.  Returns a 2-component sinogram holding (R f1, R f2).
     """
     if dsino.ncomp != 2:
         raise ConfigError("star data sinograms must have 2 components")
+    _check_guard(guard_deg)
     sing = singular_directions(sg)
     if sing.degenerate:
         raise GeometryError("symmetric star transform is not invertible")
     bad = np.concatenate([sing.z1, sing.z2])
-    guard = np.deg2rad(guard_deg)
     angles = dsino.angles()
-    valid = np.ones(dsino.n_angles, dtype=bool)
-    for k, a in enumerate(angles):
-        if bad.size and float(np.min(_angular_distance(a, bad))) < guard:
-            valid[k] = False
+    valid = (_angular_distance(angles[:, None], bad[None, :]).min(axis=1)
+             >= np.deg2rad(guard_deg))
     if int(valid.sum()) < 16:
         raise ConfigError("too few angles survive the singular guard bands")
     out = np.zeros((2, dsino.n_angles, dsino.n_offsets))
@@ -305,12 +296,14 @@ def invert_star(sf: TransformField, sg: StarGeometry, n_angles=360,
     contributions; guard-banded singular angles are interpolated over
     before the Ram-Lak backprojection.  Grids whose square does not hold
     the strip ring plus one cell raise GeometryError
-    (``radon_transform_field`` checks before any work).
+    (``radon_transform_field`` checks before any work), and guard_deg <= 0
+    raises ConfigError before any work.
     """
     if classify(sg) == "symmetric":
         raise GeometryError("symmetric star transform is not invertible")
     if sf.ncomp != 2:
         raise ConfigError("star data must have 2 components")
+    _check_guard(guard_deg)
     grid = sf.grid
     sino = radon_transform_field(sf, sg.gammas, n_angles, grid.nx, full=True)
     rf = apply_q(sinogram_dds(sino), sg, guard_deg=guard_deg)

@@ -156,6 +156,17 @@ def test_invert_symmetric_star_exit_code(tmp_path):
     assert rc == 3
 
 
+def test_invert_star_nonpositive_guard_exit_code(tmp_path):
+    ph = _phantom(tmp_path, nx=48)
+    star = StarGeometry(tuple(direction(a) for a in (0.0, 2.1, 4.2)),
+                        (1.0, 1.0, 1.0))
+    rc = main(["invert", "--pipeline", "star", "--guard-deg", "0",
+               "--sf", str(ph / "field.vlt"),
+               "--star-geometry", _star_file(tmp_path, star),
+               "--out-dir", str(tmp_path / "x")])
+    assert rc == 2
+
+
 INVERT_INPUTS = {"lt": ("--lf", "--tf"), "li": ("--lf", "--if"),
                  "tj": ("--tf", "--jf"), "star": ("--sf",),
                  "curl": ("--lf",), "div": ("--tf",), "stream": ("--lf",),

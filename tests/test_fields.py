@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from vlinetomo import (ConfigError, GeometryError, Grid2D, ScalarField,
-                       TransformField, VectorField, VLineGeometry, det2,
-                       direction, grid_for_vline, perp, unit_vector)
+                       StarGeometry, TransformField, VectorField,
+                       VLineGeometry, det2, direction, grid_for_vline, perp,
+                       unit_vector)
 
 
 def test_perp_paper_examples():
@@ -102,6 +103,28 @@ def test_fields_own_read_only_samples(small_grid):
         assert np.all(arr == 0.0)
         with pytest.raises(ValueError):
             arr[0, 0] = 2.0
+
+
+def test_geometries_own_read_only_directions():
+    u, v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    geom = VLineGeometry(u, v)
+    star = StarGeometry((u, v), (1.0, 1.0))
+    u[:] = (0.6, 0.8)  # would leave det(v, u) below MIN_DET if aliased
+    v[:] = (0.6, 0.8)
+    for d, want in ((geom.u, (1.0, 0.0)), (geom.v, (0.0, 1.0)),
+                    (star.gammas[0], (1.0, 0.0)), (star.gammas[1], (0.0, 1.0))):
+        assert np.array_equal(d, want)
+        with pytest.raises(ValueError):
+            d[0] = 2.0
+    assert not unit_vector(u).flags.writeable
+
+
+def test_grid_origin_is_a_tuple_of_floats():
+    origin = [-2.0, np.float32(-2.0)]
+    grid = Grid2D(64, 64, 4.0 / 63, origin, 1.0, 1.9)
+    origin[0] = 5.0
+    assert grid.origin == (-2.0, -2.0)
+    assert all(type(c) is float for c in grid.origin)
 
 
 def test_vline_geometry_rejects_parallel():

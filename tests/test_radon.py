@@ -11,6 +11,18 @@ from vlinetomo.phantoms import bump_scalar
 from conftest import rel_l2
 
 
+def test_sinogram_owns_read_only_values():
+    src = np.zeros((2, 8, 8))
+    flat = np.zeros((8, 8))
+    sinos = [Sinogram(src, 0.0, 0.1, 0.1), Sinogram(flat, 0.0, 0.1, 0.1)]
+    src[:] = 1.0
+    flat[:] = 1.0
+    for sg in sinos:
+        assert np.all(sg.values == 0.0)
+        with pytest.raises(ValueError):
+            sg.values[0, 0, 0] = 2.0
+
+
 def test_sinogram_validation():
     with pytest.raises(ConfigError):
         Sinogram(np.zeros((3, 8, 8)), 0.0, 0.1, 0.1)

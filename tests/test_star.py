@@ -6,7 +6,7 @@ from vlinetomo import (ConfigError, GeometryError, Sinogram, StarGeometry,
                        gamma_of_psi, grid_for_star, invert_star, make_phantom,
                        p_coefficients, perp, q_of_psi, singular_directions,
                        symmetric_by_coefficients)
-from vlinetomo.star import apply_q
+from vlinetomo.star import _angular_distance, apply_q
 
 from conftest import rel_l2
 
@@ -130,28 +130,84 @@ def test_singular_directions_z1(corner_star):
     assert not sd.degenerate
 
 
+def test_singular_directions_skips_roots_in_z1():
+    # an opposite, non-symmetric pair makes P vanish where psi is orthogonal
+    # to both rays; that direction is type 1 and stays out of Z2
+    sg = _star((0.0, 180.0, 57.0), (1.0, 2.0, -0.5))
+    sd = singular_directions(sg)
+    assert np.sum(np.abs(sd.z1 - np.pi / 2) <= 1e-12) == 2
+    assert sd.z2.size == 0
+
+
 def test_singular_directions_degenerate(symmetric_star):
     sd = singular_directions(symmetric_star)
     assert sd.degenerate
     assert sd.z2.size == 0
 
 
-def test_singular_directions_finds_z2_roots():
-    # weights chosen so gamma(psi) vanishes at psi = (1, 0): solve for the
-    # null space of the 2x3 system sum_i c_i gamma_i prod_{j!=i}(e1.gamma_j)=0
-    ang = np.deg2rad([10.0, 130.0, 250.0])
-    gam = [direction(a) for a in ang]
-    prods = [np.prod([float(E1 @ gam[j]) for j in range(3) if j != i])
+def _star_with_z2_root(theta0):
+    # rays 10/130/250 degrees with weights chosen so gamma(psi) vanishes at
+    # psi = direction(theta0): the null space of the 2x3 system
+    # sum_i c_i gamma_i prod_{j!=i}(psi.gamma_j) = 0
+    gam = [direction(np.deg2rad(a)) for a in (10.0, 130.0, 250.0)]
+    psi = direction(theta0)
+    prods = [np.prod([float(psi @ gam[j]) for j in range(3) if j != i])
              for i in range(3)]
     m = np.column_stack([gam[i] * prods[i] for i in range(3)])
     c = np.linalg.svd(m)[2][-1]
-    sg = StarGeometry(tuple(gam), tuple(c / np.max(np.abs(c))))
+    return StarGeometry(tuple(gam), tuple(c / np.max(np.abs(c))))
+
+
+# 0.0 lies on any angular lattice; the others lie between lattice points
+@pytest.mark.parametrize("theta0", [0.0, 0.3156, 0.9651,
+                                    2 * np.pi * 20 / 360],
+                         ids=["0.0", "0.3156", "0.9651", "20deg"])
+def test_singular_directions_finds_z2_roots(theta0):
+    sg = _star_with_z2_root(theta0)
     sd = singular_directions(sg)
     assert sd.z2.size == 2  # psi and -psi
-    assert min(abs(sd.z2[0]), 2 * np.pi - sd.z2[0]) <= 1e-9
-    assert sd.z2[1] == pytest.approx(np.pi, abs=1e-9)
+    assert np.all(np.diff(sd.z2) > 0)
+    assert np.all((sd.z2 >= 0.0) & (sd.z2 < 2 * np.pi))
+    for root in (theta0, theta0 + np.pi):
+        assert np.min(_angular_distance(sd.z2, root)) <= 1e-9
     for a in sd.z2:
         assert np.hypot(*gamma_of_psi(sg, direction(a))) <= 1e-9
+
+
+def test_singular_directions_merges_even_order_root():
+    # weights make P and dP/dtheta vanish together at theta0 (the same as
+    # C(w0) = C'(w0) = 0 for the w-polynomial), so theta0 is a double root
+    # that eigenvalues return as two nearby copies
+    theta0 = 0.37
+    gam = [direction(np.deg2rad(a)) for a in (5.0, 80.0, 150.0, 220.0, 300.0)]
+    psi, dpsi = direction(theta0), perp(direction(theta0))
+    cols = []
+    for i, g in enumerate(gam):
+        others = [gam[j] for j in range(5) if j != i]
+        val = np.prod([psi @ h for h in others])
+        der = sum(dpsi @ others[k]
+                  * np.prod([psi @ h for j, h in enumerate(others) if j != k])
+                  for k in range(4))
+        cols.append(np.concatenate([g * val, g * der]))
+    c = np.linalg.svd(np.column_stack(cols))[2][-1]
+    sg = StarGeometry(tuple(gam), tuple(c / np.max(np.abs(c))))
+    sd = singular_directions(sg)
+    for root in (theta0, theta0 + np.pi):
+        assert np.sum(_angular_distance(sd.z2, root) <= 1e-7) == 1
+    for a in sd.z2:
+        assert np.hypot(*gamma_of_psi(sg, direction(a))) <= 1e-9
+
+
+@pytest.mark.parametrize("root_deg", [20.0, 18.003])
+def test_invert_star_through_z2_root(root_deg):
+    # a root on the 1-degree angle lattice, and one just off it
+    sg = _star_with_z2_root(np.deg2rad(root_deg))
+    grid = grid_for_star(64, 1.0, sg)
+    ph = make_phantom("mixed", grid)
+    rec = invert_star(forward_star(ph.field, sg), sg, n_angles=360)
+    mask = grid.disc_mask(grid.r1)
+    assert rel_l2(rec.f1, ph.field.f1, mask) <= 0.10
+    assert rel_l2(rec.f2, ph.field.f2, mask) <= 0.10
 
 
 def test_forward_star_matches_L_and_T(geom):
@@ -213,3 +269,28 @@ def test_apply_q_validation(corner_star):
     few = Sinogram(np.zeros((2, 8, 32)), 0.0, 2 * np.pi / 8, 0.1)
     with pytest.raises(ConfigError):
         apply_q(few, corner_star)
+
+
+def test_apply_q_rejects_nonpositive_guard():
+    # the 360-angle lattice hits the type-1 direction pi/2 of this star, so
+    # without the check q_of_psi would raise GeometryError there
+    sg = _star((0.0, 120.0, 240.0), (1.0, 1.0, 1.0))
+    sino = Sinogram(np.zeros((2, 360, 32)), 0.0, 2 * np.pi / 360, 0.1)
+    for guard in (0.0, -1.0, float("nan")):
+        with pytest.raises(ConfigError):
+            apply_q(sino, sg, guard_deg=guard)
+
+
+def test_invert_star_rejects_nonpositive_guard_before_radon(monkeypatch):
+    import vlinetomo.star as star_module
+
+    def no_radon(*args, **kwargs):
+        raise AssertionError("the Radon transform ran before the guard check")
+
+    monkeypatch.setattr(star_module, "radon_transform_field", no_radon)
+    sg = _star((0.0, 120.0, 240.0), (1.0, 1.0, 1.0))
+    grid = grid_for_star(64, 1.0, sg)
+    from vlinetomo import TransformField
+    sf = TransformField(grid, np.zeros((2, grid.nx, grid.ny)), "S")
+    with pytest.raises(ConfigError):
+        invert_star(sf, sg, guard_deg=0.0)
