@@ -20,17 +20,14 @@ def bilinear(grid: Grid2D, values: np.ndarray, px, py):
     """Bilinear interpolation of grid samples; zero outside the grid square."""
     gx = (np.asarray(px, dtype=float) - grid.origin[0]) / grid.h
     gy = (np.asarray(py, dtype=float) - grid.origin[1]) / grid.h
-    i = np.floor(gx).astype(np.int64)
-    j = np.floor(gy).astype(np.int64)
     inside = (gx >= 0) & (gx <= grid.nx - 1) & (gy >= 0) & (gy <= grid.ny - 1)
-    ic = np.clip(i, 0, grid.nx - 2)
-    jc = np.clip(j, 0, grid.ny - 2)
+    ic = np.clip(np.floor(gx).astype(np.int64), 0, grid.nx - 2)
+    jc = np.clip(np.floor(gy).astype(np.int64), 0, grid.ny - 2)
     fx = gx - ic
     fy = gy - jc
-    v00 = values[ic, jc]
-    v10 = values[ic + 1, jc]
-    v01 = values[ic, jc + 1]
-    v11 = values[ic + 1, jc + 1]
+    ny, flat = values.shape[1], values.reshape(-1)
+    k = ic * ny + jc  # flat index of corner (i, j)
+    v00, v10, v01, v11 = (flat.take(k + o) for o in (0, ny, 1, ny + 1))
     out = (
         (1.0 - fx) * (1.0 - fy) * v00
         + fx * (1.0 - fy) * v10

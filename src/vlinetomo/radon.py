@@ -7,6 +7,8 @@ psi = (cos a, sin a); R h(psi, s) integrates h over the line
 directions inside semi-infinite strips outside the r2 disc) are projected
 as a grid-sampled chord part plus the closed-form strip tails of
 ``beam.strip_tails``, the integral the signed V-line inversion also uses.
+A full circle of even count integrates its half circle and mirrors it; a
+2-component field is sampled in one complex pass.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ class Sinogram:
             raise ConfigError(f"sinogram values have bad shape {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ConfigError("sinogram contains non-finite samples")
-        if self.ds <= 0 or self.dangle <= 0:
-            raise ConfigError("sinogram lattice spacings must be positive")
+        if not (0 < self.ds < np.inf and 0 < self.dangle < np.inf):
+            raise ConfigError("sinogram spacings must be finite and positive")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -77,48 +79,48 @@ class Sinogram:
 
 
 def _lattice(grid, n_angles, n_offsets, full):
+    """Spacings, offsets and the normals of the rows to integrate: all n,
+    or the half circle k < n/2 for a full circle of even n, whose row
+    k + n/2 is row k reversed (R h(-psi, -s) = R h(psi, s), symmetric s)."""
     if n_angles < 1 or n_offsets < 2:
         raise ConfigError("need at least 1 angle and 2 offsets")
     dangle = (FULL_TURN if full else np.pi) / n_angles
     ds = 2.0 * grid.r2 / (n_offsets - 1)
     offsets = (np.arange(n_offsets) - (n_offsets - 1) / 2.0) * ds
-    return dangle, ds, offsets
+    n_lines = n_angles // 2 if full and n_angles % 2 == 0 else n_angles
+    a = dangle * np.arange(n_lines)
+    return dangle, ds, offsets, np.stack([np.cos(a), np.sin(a)], axis=1)
 
 
-def _chord_integrals(grid, values, psi, offsets, rmax):
-    """Line integrals over the chords |x| <= rmax for one angle, sampled at
-    arc-length step h/2.
-
-    Rows of offsets are evaluated in blocks of at most CHORD_BLOCK samples,
-    which keeps every temporary small enough to be reused from the heap
-    rather than mapped afresh on each call; each row's sum is unchanged.
-    """
-    s = offsets
-    step = grid.h / 2.0
+def _chord_integrals(grid, values, psi, s, rmax):
+    """Midpoint-rule integrals over the chords |x| <= rmax, a row per normal
+    psi[k], with n = ceil(4 rmax / h) samples on every chord (step <= h/2,
+    finer on short chords); complex values give both parts in one pass.
+    Offsets go in blocks of at most CHORD_BLOCK samples, so temporaries are
+    reused from the heap, not mapped afresh; each row's sum is unchanged."""
     half = np.sqrt(np.maximum(rmax * rmax - s * s, 0.0))
-    n = max(1, int(np.ceil(2.0 * rmax / step)))
+    n = max(1, int(np.ceil(4.0 * rmax / grid.h)))
     mid = (np.arange(n) + 0.5) / n  # fractions of the chord length
     dt = 2.0 * half / n
     rows = max(1, CHORD_BLOCK // n)
-    out = np.empty(len(s))
-    for a in range(0, len(s), rows):
-        b = min(a + rows, len(s))
-        t = -half[a:b, None] + (2.0 * half[a:b])[:, None] * mid[None, :]
-        px = s[a:b, None] * psi[0] - t * psi[1]
-        py = s[a:b, None] * psi[1] + t * psi[0]
-        out[a:b] = bilinear(grid, values, px, py).sum(axis=1) * dt[a:b]
+    out = np.empty((len(psi), len(s)), dtype=values.dtype)
+    for k, (cos, sin) in enumerate(psi):
+        for a in range(0, len(s), rows):
+            b = min(a + rows, len(s))
+            t = -half[a:b, None] + (2.0 * half[a:b])[:, None] * mid[None, :]
+            px = s[a:b, None] * cos - t * sin
+            py = s[a:b, None] * sin + t * cos
+            out[k, a:b] = bilinear(grid, values, px, py).sum(axis=1) * dt[a:b]
     return out
 
 
 def radon_forward(h: ScalarField, n_angles, n_offsets, full=False) -> Sinogram:
     """Radon transform of a scalar field compactly supported in the r1 disc."""
     grid = h.grid
-    dangle, ds, offsets = _lattice(grid, n_angles, n_offsets, full)
-    out = np.zeros((1, n_angles, n_offsets))
-    for k in range(n_angles):
-        a = dangle * k
-        psi = np.array([np.cos(a), np.sin(a)])
-        out[0, k] = _chord_integrals(grid, h.values, psi, offsets, grid.r1)
+    dangle, ds, offsets, psi = _lattice(grid, n_angles, n_offsets, full)
+    out = np.empty((1, n_angles, n_offsets))
+    out[0, :len(psi)] = _chord_integrals(grid, h.values, psi, offsets, grid.r1)
+    out[:, len(psi):] = out[:, :n_angles - len(psi), ::-1]
     return Sinogram(out, 0.0, dangle, ds)
 
 
@@ -126,32 +128,32 @@ def radon_transform_field(tf: TransformField, dirs, n_angles, n_offsets,
                           full=True) -> Sinogram:
     """Radon transform of strip-extended transform data.
 
-    The line s psi + t psi_perp is split where it meets the strip ring
-    |x| = r2 + 2h, at t = +-half with half = sqrt(ring^2 - s^2) (0 for
-    lines that miss the ring).  The chord |t| < half integrates the grid
-    samples; the tails beyond it come in closed form from
-    ``beam.strip_tails``, one call per component for every line.  Lines
-    nearly parallel to a strip direction (|psi . d| < 1e-9) get no tail from
-    it; those angles are singular for the downstream inversion and are
-    discarded there anyway.  Grids whose square does not hold the strip
-    ring plus one cell raise GeometryError (``beam.check_strip_ring``).
-    """
+    The line s psi + t psi_perp meets the strip ring |x| = r2 + 2h at
+    t = +-half, half = sqrt(ring^2 - s^2) (0 for lines that miss it).  The
+    chord |t| < half integrates the grid samples, both components in one
+    pass over f1 + i f2; the tails beyond come in closed form from
+    ``beam.strip_tails``, one call per component.  Both are taken on the
+    lines ``_lattice`` integrates and mirrored to the rest.  Lines within
+    1e-9 of parallel to a strip get no tail from it; those angles are
+    singular downstream and discarded there.  Grids whose square does not
+    hold the strip ring plus one cell raise GeometryError
+    (``beam.check_strip_ring``)."""
     grid = tf.grid
     check_strip_ring(grid)
-    dangle, ds, offsets = _lattice(grid, n_angles, n_offsets, full)
+    dangle, ds, offsets, psi = _lattice(grid, n_angles, n_offsets, full)
     ring = strip_ring_radius(grid)
-    a = dangle * np.arange(n_angles)
-    psi = np.stack([np.cos(a), np.sin(a)], axis=1)
+    packed = tf.values[0] + 1j * tf.values[1] if tf.ncomp == 2 else tf.values
+    chords = _chord_integrals(grid, packed, psi, offsets, ring)
+    n = len(psi)
     px, py = psi[:, 0, None] * offsets, psi[:, 1, None] * offsets
     psi_perp = np.stack([-psi[:, 1], psi[:, 0]], axis=1)[:, None, :]
     half = np.sqrt(np.maximum(ring * ring - offsets * offsets, 0.0))
-    out = np.zeros((tf.ncomp, n_angles, n_offsets))
-    for c in range(tf.ncomp):
-        values = tf.component(c)
-        for k in range(n_angles):
-            out[c, k] = _chord_integrals(grid, values, psi[k], offsets, ring)
-        strip_tails(grid, values, dirs, px, py, psi_perp,
-                    ((-np.inf, -half), (half, np.inf)), out[c])
+    out = np.empty((tf.ncomp, n_angles, n_offsets))
+    for c, part in enumerate((chords.real, chords.imag)[:tf.ncomp]):
+        out[c, :n] = part
+        strip_tails(grid, tf.component(c), dirs, px, py, psi_perp,
+                    ((-np.inf, -half), (half, np.inf)), out[c, :n])
+    out[:, n:] = out[:, :n_angles - n, ::-1]
     return Sinogram(out, 0.0, dangle, ds)
 
 
@@ -163,9 +165,7 @@ def sinogram_dds(sg: Sinogram) -> Sinogram:
 
 def _ramp_filter(rows, ds, window):
     n = rows.shape[-1]
-    npad = 1
-    while npad < 2 * n:
-        npad *= 2
+    npad = 1 << (2 * n - 1).bit_length()  # the power of two >= 2n
     freqs = np.fft.rfftfreq(npad, d=ds)
     filt = np.abs(freqs)
     if window == "hann":

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from vlinetomo import (ConfigError, GeometryError, Grid2D, ScalarField,
-                       Sinogram, TransformField, direction, fbp_inverse,
+                       Sinogram, StarGeometry, TransformField, direction,
+                       fbp_inverse, forward_star, grid_for_star, make_phantom,
                        radon_forward, radon_transform_field, sinogram_dds)
 from vlinetomo.beam import (beam_field, sample_with_strips, strip_ring_radius,
                             strip_tails)
 from vlinetomo.phantoms import bump_scalar
+from vlinetomo.radon import _chord_integrals
 
 from conftest import rel_l2
 
@@ -30,6 +32,10 @@ def test_sinogram_validation():
         Sinogram(np.full((1, 8, 8), np.nan), 0.0, 0.1, 0.1)
     with pytest.raises(ConfigError):
         Sinogram(np.zeros((1, 8, 8)), 0.0, -0.1, 0.1)
+    for dangle, ds in ((np.nan, 0.1), (0.1, np.nan), (np.inf, 0.1),
+                       (0.1, np.inf), (0.0, np.nan), (np.nan, np.inf)):
+        with pytest.raises(ConfigError):
+            Sinogram(np.zeros((1, 8, 8)), 0.0, dangle, ds)
 
 
 def test_sinogram_lattice():
@@ -73,6 +79,62 @@ def test_radon_evenness(grid):
     half = sg.n_angles // 2
     scale = np.abs(vals).max()
     assert np.abs(vals[:half] - vals[half:, ::-1]).max() <= 1e-6 * scale
+
+
+def test_radon_rows_match_closed_form(grid):
+    # R of A (1 - |x - c|^2 / a^2)^3 is A (32/35) a (1 - (s - c . psi)^2 /
+    # a^2)^(7/2); every row, the mirrored half circle included
+    c, a = np.array([0.15, 0.25]), 0.4
+    sg = radon_forward(bump_scalar(grid, center=c, scale=a), 20, 129,
+                       full=True)
+    ang = sg.angles()
+    shift = sg.offsets()[None, :] - (c[0] * np.cos(ang) + c[1] * np.sin(ang))[:, None]
+    q = np.maximum(1.0 - shift**2 / a**2, 0.0)
+    exact = (32.0 / 35.0) * a * q**3.5
+    assert np.abs(sg.values[0] - exact).max() <= 3e-3
+
+
+def _star_data(nx):
+    sg = StarGeometry(tuple(direction(a) for a in (0.3, 2.4, 4.3)),
+                      (1.0, -0.7, 1.3))
+    grid = grid_for_star(nx, 1.0, sg)
+    return forward_star(make_phantom("mixed", grid).field, sg), sg.gammas
+
+
+def test_full_circle_integrates_the_half_circle_and_mirrors_it(grid):
+    # the first half of an even full circle is the half-range sinogram of
+    # n/2 angles, bit for bit; the second half is the first reversed in s
+    sf, dirs = _star_data(48)
+    h = bump_scalar(grid, center=(0.15, 0.25), scale=0.4)
+    for full, half in ((radon_transform_field(sf, dirs, 24, 40),
+                        radon_transform_field(sf, dirs, 12, 40, full=False)),
+                       (radon_forward(h, 20, 65, full=True),
+                        radon_forward(h, 10, 65))):
+        n = half.n_angles
+        assert full.ncomp == half.ncomp and full.n_angles == 2 * n
+        assert np.array_equal(full.values[:, :n], half.values)
+        assert np.array_equal(full.values[:, n:], half.values[:, :, ::-1])
+
+
+def test_odd_full_circle_integrates_every_row(grid):
+    h = bump_scalar(grid, center=(0.15, 0.25), scale=0.4)
+    sg = radon_forward(h, 21, 65, full=True)
+    a = sg.angles()
+    psi = np.stack([np.cos(a), np.sin(a)], axis=1)
+    for k in range(sg.n_angles):
+        row = _chord_integrals(grid, h.values, psi[k:k + 1], sg.offsets(),
+                               grid.r1)
+        assert np.array_equal(sg.values[0, k], row[0])
+
+
+def test_packed_components_match_separate_transforms():
+    # both star components in one complex pass against one pass each
+    sf, dirs = _star_data(48)
+    packed = radon_transform_field(sf, dirs, 24, 40).values
+    for c in range(2):
+        alone = TransformField(sf.grid, sf.component(c), "L")
+        ref = radon_transform_field(alone, dirs, 24, 40).values[0]
+        assert np.abs(packed[c] - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 def test_radon_zero_and_linearity(grid):
