@@ -43,15 +43,18 @@ def correlate(values, kernel, center):
     ``center`` = (ca, cb) is the kernel index of the zero offset and must
     lie inside the kernel.
 
-    Evaluated as one zero-padded real FFT product (linear, not circular),
-    O(N^2 log N) for any kernel no larger than the padded array.
+    Evaluated as one zero-padded real FFT product, O(N^2 log N).  Per axis
+    it wraps with period n + max(c, k - 1 - c), the least that keeps the
+    wrap-around off every output sample, so a centred kernel pads less
+    than a one-sided one; a longer kernel is cut to that period, which
+    drops only taps that reach no sample.
     """
     nx, ny = values.shape
     kx, ky = kernel.shape
     if not (0 <= center[0] < kx and 0 <= center[1] < ky):
         raise ValueError(f"kernel center {center} outside kernel of shape {kernel.shape}")
-    shape = (next_fast_len(nx + kx - 1, real=True),
-             next_fast_len(ny + ky - 1, real=True))
+    shape = tuple(next_fast_len(n + max(c, k - 1 - c), real=True)
+                  for n, k, c in ((nx, kx, center[0]), (ny, ky, center[1])))
     # correlating with the kernel is convolving with its mirror image
     spec = rfft2(values, shape) * rfft2(kernel[::-1, ::-1], shape)
     full = irfft2(spec, shape)

@@ -176,22 +176,32 @@ def _ramp_filter(rows, ds, window):
     return np.fft.irfft(spec, n=npad, axis=-1)[..., :n]
 
 
-def fbp_inverse(sg: Sinogram, grid: Grid2D, window=None) -> ScalarField:
-    """Filtered backprojection of a single-component sinogram onto a grid.
+def _backproject(sg: Sinogram, grid: Grid2D, window=None) -> np.ndarray:
+    """Filtered backprojection of every component of ``sg``, shaped
+    (ncomp, nx, ny).
 
     Ramp (Ram-Lak) filter in the frequency domain with zero-padding to the
-    next power of two; backprojection by linear interpolation in offset.
+    next power of two, all rows at once; backprojection by linear
+    interpolation in offset, s = x . psi once per angle and one
+    interpolation of f1 + i f2 for two components.
     """
-    if sg.ncomp != 1:
-        raise ConfigError("fbp_inverse needs a single-component sinogram")
     if sg.n_angles < 16:
-        raise ConfigError("fbp_inverse needs at least 16 angles")
-    rows = _ramp_filter(sg.values[0], sg.ds, window)
+        raise ConfigError("filtered backprojection needs at least 16 angles")
+    rows = _ramp_filter(sg.values, sg.ds, window)
+    packed = rows[0] + 1j * rows[1] if sg.ncomp == 2 else rows[0]
     offsets = sg.offsets()
     xx, yy = grid.mesh()
-    acc = np.zeros((grid.nx, grid.ny))
+    acc = np.zeros((grid.nx, grid.ny), dtype=packed.dtype)
     for k, a in enumerate(sg.angles()):
         s = xx * np.cos(a) + yy * np.sin(a)
-        acc += np.interp(s, offsets, rows[k], left=0.0, right=0.0)
-    scale = sg.dangle * (0.5 if sg.full_range else 1.0)
-    return ScalarField(grid, acc * scale)
+        acc += np.interp(s, offsets, packed[k], left=0.0, right=0.0)
+    acc *= sg.dangle * (0.5 if sg.full_range else 1.0)
+    return np.stack([acc.real, acc.imag]) if sg.ncomp == 2 else acc[None]
+
+
+def fbp_inverse(sg: Sinogram, grid: Grid2D, window=None) -> ScalarField:
+    """Filtered backprojection of a single-component sinogram onto a grid
+    (``_backproject``)."""
+    if sg.ncomp != 1:
+        raise ConfigError("fbp_inverse needs a single-component sinogram")
+    return ScalarField(grid, _backproject(sg, grid, window)[0])

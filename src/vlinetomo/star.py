@@ -28,7 +28,7 @@ from .beam import ray_sum
 from .errors import ConfigError, GeometryError
 from .fields import (RayGeometry, TransformField, VectorField, direction,
                      grid_for_vline, perp, unit_vector)
-from .radon import Sinogram, fbp_inverse, radon_transform_field, sinogram_dds
+from .radon import Sinogram, _backproject, radon_transform_field, sinogram_dds
 
 # |psi . gamma_i| below this is a type-1 singular direction
 Z1_TOL = 1e-9
@@ -307,6 +307,4 @@ def invert_star(sf: TransformField, sg: StarGeometry, n_angles=360,
     grid = sf.grid
     sino = radon_transform_field(sf, sg.gammas, n_angles, grid.nx, full=True)
     rf = apply_q(sinogram_dds(sino), sg, guard_deg=guard_deg)
-    f1, f2 = (fbp_inverse(Sinogram(rf.values[k], rf.angle0, rf.dangle, rf.ds),
-                          grid) for k in (0, 1))
-    return VectorField(grid, f1.values, f2.values)
+    return VectorField(grid, *_backproject(rf, grid))

@@ -5,9 +5,31 @@ from vlinetomo import (Grid2D, ScalarField, VectorField, curl,
                        directional_derivative, divergence, gradient,
                        helmholtz_decompose, laplacians_from_div_curl,
                        make_phantom)
-from vlinetomo.operators import bilinear
+from vlinetomo.operators import bilinear, correlate
 
 from conftest import rel_l2
+
+
+@pytest.mark.parametrize("kshape, center", [
+    ((5, 13), (0, 0)), ((5, 13), (4, 12)), ((5, 13), (2, 6)),
+    ((5, 13), (1, 10)), ((17, 3), (3, 1)), ((30, 30), (2, 25)),
+    ((30, 30), (14, 15)),
+])
+def test_correlate_matches_direct_sum(kshape, center):
+    # centred, one-sided and off-centre kernels, one longer than twice the
+    # array: each pads its FFT differently
+    rng = np.random.default_rng(7)
+    values, kernel = rng.standard_normal((7, 9)), rng.standard_normal(kshape)
+    ref = np.zeros_like(values)
+    for i in range(values.shape[0]):
+        for j in range(values.shape[1]):
+            for a in range(kshape[0]):
+                for b in range(kshape[1]):
+                    p, q = i + a - center[0], j + b - center[1]
+                    if 0 <= p < values.shape[0] and 0 <= q < values.shape[1]:
+                        ref[i, j] += kernel[a, b] * values[p, q]
+    out = correlate(values, kernel, center)
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def _coords(grid):

@@ -1,11 +1,65 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
-from vlinetomo import (ConfigError, ScalarField, make_phantom,
+from vlinetomo import (ConfigError, GeometryError, Grid2D, ScalarField,
+                       grid_for_vline, make_phantom, poisson,
                        solve_dirichlet_disc, solve_free_space)
+from vlinetomo.operators import correlate, laplacians_from_div_curl
 from vlinetomo.phantoms import bump_scalar
 
 from conftest import rel_l2
+
+
+def _second_difference(n):
+    """(n, n) matrix of -d^2/dx^2 times h^2, zero beyond both ends."""
+    return sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
+
+
+def dirichlet_lu(rhs):
+    """Oracle: the 5-point system on the samples with rr < r1, assembled
+    as a sparse matrix and solved by sparse LU."""
+    grid = rhs.grid
+    mask = grid.rr() < grid.r1
+    inside = np.flatnonzero(mask)
+    neg_lap = sp.kronsum(_second_difference(grid.ny),
+                         _second_difference(grid.nx), format="csr")
+    a = (neg_lap[inside][:, inside] / (grid.h * grid.h)).tocsc()
+    out = np.zeros((grid.nx, grid.ny))
+    out[mask] = spsolve(a, -rhs.values[mask], permc_spec="MMD_AT_PLUS_A")
+    return out
+
+
+# r2 just above r1 on a square that barely holds it: the DST box, one
+# cell beyond the disc and grown to a 5-smooth size, passes the grid's edge
+TIGHT_GRID = Grid2D(nx=64, ny=64, h=2.002 / 63, origin=(-1.001, -1.001),
+                    r1=1.0, r2=1.001)
+
+
+@pytest.mark.parametrize("make_grid", [
+    lambda geom: grid_for_vline(96, 1.0, geom),
+    lambda geom: grid_for_vline(97, 1.0, geom),
+    lambda geom: TIGHT_GRID,
+], ids=["nx96", "nx97", "tight"])
+def test_dirichlet_matches_sparse_lu(make_grid, geom):
+    grid = make_grid(geom)
+    ph = make_phantom("mixed", grid)
+    res = solve_dirichlet_disc(ph.div)
+    ref = dirichlet_lu(ph.div)
+    assert np.abs(res.field.values - ref).max() <= 1e-10 * np.abs(ref).max()
+    assert res.iterations > 0
+    assert res.residual <= poisson.CG_RTOL
+    assert np.array_equal(solve_dirichlet_disc(ph.div).field.values, res.field.values)
+    if grid is TIGHT_GRID:
+        lo, shape = poisson._dst_box(*np.nonzero(grid.rr() < grid.r1))
+        assert min(lo) < 0 or lo[0] + shape[0] > grid.nx or lo[1] + shape[1] > grid.ny
+
+
+def test_dirichlet_raises_short_of_tolerance(grid, monkeypatch):
+    monkeypatch.setattr(poisson, "CG_MAX_ITER", 1)
+    with pytest.raises(GeometryError, match="1 iterations"):
+        solve_dirichlet_disc(make_phantom("mixed", grid).div)
 
 
 def test_dirichlet_recovers_bump_potential(grid):
@@ -56,6 +110,21 @@ def test_free_space_recovers_component(grid):
     res = solve_free_space(rhs)
     mask = grid.disc_mask(grid.r1)
     assert rel_l2(res.field.values, ph.field.f1 + 1e-300, mask) <= 0.05
+
+
+@pytest.mark.parametrize("kind", ["masked", "unmasked", "off-centre"])
+def test_free_space_matches_full_grid_correlation(grid, kind):
+    ph = make_phantom("mixed", grid)
+    lap = laplacians_from_div_curl(ph.div, ph.curl)[0].values
+    rhs = {"masked": lambda: ScalarField(grid, np.where(grid.disc_mask(grid.r1), lap, 0.0)),
+           "unmasked": lambda: ScalarField(grid, lap),
+           "off-centre": lambda: bump_scalar(grid, center=(0.45, -0.3), scale=0.35)}[kind]()
+    assert rhs.is_compact()
+    nx, ny = grid.nx, grid.ny
+    k = poisson.log_kernel(grid.h, np.arange(-(nx - 1), nx), np.arange(-(ny - 1), ny))
+    ref = correlate(rhs.values, k, (nx - 1, ny - 1))
+    out = solve_free_space(rhs).field.values
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_free_space_zero(grid):
