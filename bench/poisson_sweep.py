@@ -13,13 +13,12 @@ Stages, on the mixed phantom (r1 = 1) at each requested nx:
                         angles
 
 V-line stages use the axis-aligned pair u = (1, 0), v = (0, 1).  Each time
-is the best of --repeats calls on inputs built outside the timed region;
+is the best of REPEATS calls on inputs built outside the timed region;
 the error is the relative L2 error over the r1 disc against the phantom's
 analytic field (the larger of the two components for f).  Dirichlet rows
 also carry the solver's iteration count and residual.
 
-The library is imported from the Python path, so one copy of this script
-measures any checkout:
+The library is imported from the Python path:
 
     PYTHONPATH=src python bench/poisson_sweep.py --label change \\
         --out BENCH_poisson.json
@@ -45,12 +44,13 @@ from vlinetomo import radon, star
 R1 = 1.0
 STAR_ANGLES = (0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0)
 N_ANGLES = 360
+REPEATS = 3
 
 
-def best_of(repeats, fn, *args):
-    """(result of the last call, shortest wall time of ``repeats`` calls)."""
+def best_of(fn, *args):
+    """(result of the last call, shortest wall time of REPEATS calls)."""
     best = np.inf
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         out = fn(*args)
         best = min(best, time.perf_counter() - t0)
@@ -63,16 +63,7 @@ def rel_l2(recon, oracle, mask):
                for r, o in zip(recon, oracle))
 
 
-def backproject_both(rf, grid):
-    """The FBP stage of invert_star: both components of ``rf``.  Trees
-    without ``radon._backproject`` backproject one component at a time."""
-    if hasattr(radon, "_backproject"):
-        return radon._backproject(rf, grid)
-    return [radon.fbp_inverse(radon.Sinogram(rf.values[k], rf.angle0, rf.dangle,
-                                             rf.ds), grid).values for k in (0, 1)]
-
-
-def sweep_nx(nx, repeats):
+def sweep_nx(nx):
     rows = []
 
     def row(stage, out_s, err, **extra):
@@ -84,19 +75,19 @@ def sweep_nx(nx, repeats):
     ph = vt.make_phantom("mixed", grid)
     f = [ph.field.f1, ph.field.f2]
 
-    res, t = best_of(repeats, vt.solve_dirichlet_disc, ph.div)
+    res, t = best_of(vt.solve_dirichlet_disc, ph.div)
     row("solve_dirichlet_disc", t, rel_l2([res.field.values], [ph.potential.values], disc),
         iterations=res.iterations, residual=res.residual)
     tf = vt.forward_T(ph.field, geom)
-    pot, t = best_of(repeats, vt.recover_potential, tf, geom)
+    pot, t = best_of(vt.recover_potential, tf, geom)
     row("recover_potential", t, rel_l2([pot.values], [ph.potential.values], disc))
 
     rhs = [vt.ScalarField(grid, np.where(disc, lap.values, 0.0))
            for lap in vt.laplacians_from_div_curl(ph.div, ph.curl)]
-    comps, t = best_of(repeats, lambda: [vt.solve_free_space(r).field.values for r in rhs])
+    comps, t = best_of(lambda: [vt.solve_free_space(r).field.values for r in rhs])
     row("solve_free_space", t, rel_l2(comps, f, disc))
     lf = vt.forward_L(ph.field, geom)
-    rec, t = best_of(repeats, vt.recover_field_LT, lf, tf, geom)
+    rec, t = best_of(vt.recover_field_LT, lf, tf, geom)
     row("recover_field_LT", t, rel_l2([rec.f1, rec.f2], f, disc))
 
     sg = vt.StarGeometry(tuple(vt.direction(a) for a in STAR_ANGLES), (1.0, 1.0, 1.0))
@@ -105,7 +96,7 @@ def sweep_nx(nx, repeats):
     sf = vt.forward_star(sph.field, sg)
     sino = radon.radon_transform_field(sf, sg.gammas, N_ANGLES, sgrid.nx, full=True)
     rf = star.apply_q(radon.sinogram_dds(sino), sg)
-    out, t = best_of(repeats, backproject_both, rf, sgrid)
+    out, t = best_of(radon._backproject, rf, sgrid)
     row("star_fbp", t, rel_l2(out, [sph.field.f1, sph.field.f2],
                               sgrid.disc_mask(sgrid.r1)), n_angles=N_ANGLES)
     return rows
@@ -114,16 +105,15 @@ def sweep_nx(nx, repeats):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--nx", type=int, nargs="+", default=[128, 256, 512])
-    ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--label", required=True, help="name of this run in --out")
     ap.add_argument("--out", required=True, help="JSON file to write or update")
     args = ap.parse_args(argv)
-    if args.repeats < 1 or min(args.nx) < 16:
-        ap.error("need --repeats >= 1 and every --nx >= 16")
+    if min(args.nx) < 16:
+        ap.error("need every --nx >= 16")
 
     rows = []
     for nx in args.nx:
-        rows += sweep_nx(nx, args.repeats)
+        rows += sweep_nx(nx)
         for r in rows[-5:]:
             print(f"{r['stage']:22s} nx={nx:4d}  {r['best_s']:8.4f} s  rel_l2 {r['rel_l2']:.4e}")
 
@@ -135,7 +125,7 @@ def main(argv=None):
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version(), "numpy": np.__version__,
                  "scipy": scipy.__version__},
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "stages": rows,
     }
     with open(args.out, "w") as fh:
