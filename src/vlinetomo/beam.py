@@ -10,20 +10,16 @@ shared, the beam over the whole grid is a correlation of the field with a
 fixed sparse kernel, which ``beam_field`` evaluates with one FFT;
 ``beam_values`` sums the same samples directly at arbitrary points.
 
-The inversion integrates transform data extended by strip constancy beyond
-the r2 disc along w = (v - u)/|v - u|.  ``transform_beam_field`` builds that
-integral from three pieces on the same lattice (step h/2): one FFT
-correlation for the samples of the grid data, a subtraction of the samples
-that lie outside the r2 disc, out to where the correlated data ends, and
-the strip tails.  Its cost does not depend on the opening angle;
-``transform_beam_values`` sums the same integral directly and serves as its
-reference.
+The inversion applies the paper's formula with D_u D_v moved inside the
+integral: the differentiated data D_u D_v T_s h = D_{u-v} h is supported
+in the r1 disc, so it is one ``mixed_partial`` and one ``beam_field`` FFT
+along u - v (``integrate_w``), with no strip extension.
 
 ``strip_tails`` is the one strip-tail integral: beyond the r2 disc each
 strip's data is its ring profile, and the integral over any span of a ray
-is read in closed form from the profile's cumulative integral.  The
-V-line inversion and the Radon transform of star data
-(``radon.radon_transform_field``) both take their tails from it.
+is read in closed form from the profile's cumulative integral.  The Radon
+transform of star data (``radon.radon_transform_field``) takes its tails
+from it; ``transform_beam_values`` sums strip-extended data directly.
 """
 
 from __future__ import annotations
@@ -34,8 +30,7 @@ import numpy as np
 
 from ._blocks import map_blocks
 from .errors import ConfigError, GeometryError
-from .fields import (Grid2D, ScalarField, TransformField, VLineGeometry,
-                     unit_vector)
+from .fields import ScalarField, TransformField, VLineGeometry, unit_vector
 from .operators import bilinear, correlate, mixed_partial
 
 
@@ -289,14 +284,6 @@ def strip_tails(grid, values, dirs, px, py, d, spans, out):
             out += np.where(crossing & (b > a), tail, 0.0)
 
 
-def _lattice_run(t0, t1, step):
-    """Indices [k0, k1) of the lattice samples (k + 1/2) step, k >= 0,
-    that lie in [t0, t1]."""
-    k0 = np.maximum(0, np.ceil(t0 / step - 0.5)).astype(np.int64)
-    k1 = np.maximum(k0, np.floor(t1 / step - 0.5).astype(np.int64) + 1)
-    return k0, k1
-
-
 def _chord(px, py, d, radius):
     """Entry and exit t of the rays x + t d through the disc of ``radius``;
     both 0 for a ray that misses it."""
@@ -310,10 +297,10 @@ def _chord(px, py, d, radius):
 def transform_beam_values(tf: TransformField, dirs, points, d, workers=1):
     """Beam integrals of strip-extended transform data along direction d.
 
-    Direct midpoint-rule reference for ``transform_beam_field``: the
-    t-integral runs until the ray has left both the r2 disc and every strip
-    for good, beyond which the data is identically zero, so its cost grows
-    like 1/|d . perp(s)| as d turns toward a strip direction s.
+    Direct midpoint-rule sum: the t-integral runs until the ray has left
+    both the r2 disc and every strip for good, beyond which the data is
+    identically zero, so its cost grows like 1/|d . perp(s)| as d turns
+    toward a strip direction s.
     """
     grid = tf.grid
     d = unit_vector(d)
@@ -336,7 +323,7 @@ def transform_beam_values(tf: TransformField, dirs, points, d, workers=1):
         return out
     n = max(1, int(np.ceil(pos / step)))
     # one shared t-lattice for every vertex: quadrature errors then cancel
-    # in the finite differences the inversion takes between nearby vertices
+    # in finite differences taken between nearby vertices
     dt = pos / n
     t = (np.arange(n) + 0.5) * dt
 
@@ -350,82 +337,35 @@ def transform_beam_values(tf: TransformField, dirs, points, d, workers=1):
     return np.concatenate(parts)
 
 
-def transform_beam_field(tf: TransformField, dirs, d, radius) -> np.ndarray:
-    """Beam integrals of strip-extended transform data along d at every
-    vertex within ``radius``, zero elsewhere, as an (nx, ny) array.
+def integrate_w(g: ScalarField, geom: VLineGeometry) -> ScalarField:
+    """h = -(1/|v - u|) X_e g with e = (u - v)/|u - v|, masked to the r1
+    disc, for g = D_u D_v T_s h = D_{u-v} h (supported in the r1 disc).
 
-    The quadrature is the one ``transform_beam_values`` sums directly:
-    the lattice t_k = (k + 1/2) h/2 reads the grid data over the run
-    [k_in, k_out) of samples inside the r2 disc and the strip data over the
-    rest of the ray, split at the cell boundaries k_in h/2 and k_out h/2.
-    It is assembled from three pieces whose cost does not depend on d:
-
-    1. one FFT correlation (``_beam_kernel``) gives the lattice sum of the
-       data's bilinear interpolant at every vertex, with the data kept
-       within r2 + 2h, which holds every corner a sample inside r2 reads;
-    2. the samples before k_in and from k_out on are subtracted again, out
-       to r2 + 4h where the kept data has no reach left; they are read from
-       the kept data padded with one cell of zeros, which is how the FFT
-       treats the grid edge;
-    3. the strip tails over t in (0, k_in h/2) and (k_out h/2, inf) come
-       in closed form from ``strip_tails``; d is not along a strip (for
-       the V-line, w is not along u or v), so every strip contributes.
+    One ``beam_field`` FFT, which reads g inside the r1 disc only.
     """
-    grid = tf.grid
-    d = unit_vector(d)
-    h = grid.h
-    step = _step(grid, None)
-    near = grid.disc_mask(radius)
-    xx, yy = grid.mesh()
-    px, py = xx[near], yy[near]
-    values = tf.component(0)
-
-    kept = np.where(grid.disc_mask(grid.r2 + 2.0 * h), values, 0.0)
-    kernel, center = _beam_kernel(grid, d, None, False)
-    phi = correlate(kept, kernel, center)[near]
-
-    k_in, k_out = _lattice_run(*_chord(px, py, d, grid.r2), step)
-    _, k_end = _lattice_run(*_chord(px, py, d, grid.r2 + 4.0 * h), step)
-    counts = k_in + (k_end - k_out)
-    owner = np.repeat(np.arange(len(px)), counts)
-    j = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    k = np.where(j < k_in[owner], j, j - k_in[owner] + k_out[owner])
-    t = (k + 0.5) * step
-    x0, y0 = grid.origin
-    padded = Grid2D(grid.nx + 2, grid.ny + 2, h, (x0 - h, y0 - h),
-                    grid.r1, grid.r2)
-    extra = bilinear(padded, np.pad(kept, 1), px[owner] + t * d[0],
-                     py[owner] + t * d[1])
-    phi -= np.bincount(owner, weights=extra, minlength=len(px)) * step
-
-    strip_tails(grid, values, dirs, px, py, d,
-                ((0.0, k_in * step), (k_out * step, np.inf)), phi)
-
-    out = np.zeros((grid.nx, grid.ny))
-    out[near] = phi
-    return out
+    grid = g.grid
+    vals = beam_field(g, -geom.w) / -geom.norm_vu
+    return ScalarField(grid, np.where(grid.disc_mask(grid.r1), vals, 0.0))
 
 
 def invert_signed(ts: TransformField, geom: VLineGeometry,
                   workers=1) -> ScalarField:
     """Invert the signed V-line transform.
 
-    h(x) = (1/|v - u|) D_u D_v  int_0^inf (T_s h)(x + t w) dt, with
-    w = (v - u)/|v - u| and the data extended by strip constancy beyond
-    the r2 disc.  The t-integral is ``transform_beam_field`` at every
-    vertex within r1 + 3h: one FFT correlation for the samples inside the
-    r2 disc, a subtraction of the lattice samples between the r2 disc and
-    r2 + 4h, and the strip tails in closed form, so the cost does not
-    depend on the opening angle.  D_u D_v is the grid chain rule
-    ``mixed_partial``, whose stencil reaches two cells, so every vertex of
-    the r1 disc sees only evaluated values.  Output is supported in the
-    closed r1 disc.  ``workers`` is kept for callers of the public function
-    and has no effect.  Grids whose square does not hold the strip ring
-    plus one cell raise GeometryError (``check_strip_ring``).
+    The paper's formula h(x) = (1/|v - u|) D_u D_v int_0^inf (T_s h)(x + t w)
+    dt, w = (v - u)/|v - u|, with D_u D_v moved inside the integral: since
+    D_u D_v T_s h = D_{u-v} h is supported in the r1 disc, h is the beam
+    integral of g = D_u D_v T_s h (``mixed_partial``) along u - v
+    (``integrate_w``), and no data beyond the r1 disc, strip extension
+    included, is ever read.  Output is supported in the closed r1 disc.
+    ``workers`` is kept for callers of the public function and has no
+    effect.  Degenerate geometries raise GeometryError, and so do grids
+    whose square does not hold the strip ring plus one cell
+    (``check_strip_ring``): the documented exit 3 of the V-line inversions
+    is kept, though this route reads no strip.
     """
     grid = ts.grid
-    w = geom.w  # raises on degenerate geometry
+    geom.w  # raises on degenerate geometry
     check_strip_ring(grid)
-    phi = transform_beam_field(ts, geom.rays, w, grid.r1 + 3.0 * grid.h)
-    duv = mixed_partial(phi, geom.u, geom.v, grid.h) / geom.norm_vu
-    return ScalarField(grid, np.where(grid.disc_mask(grid.r1), duv, 0.0))
+    g = mixed_partial(ts.component(0), geom.u, geom.v, grid.h)
+    return integrate_w(ScalarField(grid, g), geom)

@@ -15,9 +15,11 @@ Reconstructions: curl f = D_u D_v L f / det(v, u) and div f from T f in
 the same way, where D_u D_v is ``operators.mixed_partial``, the chain rule
 sum_ij u_i v_j d_i d_j on the grid samples; the full field through either
 Poisson recovery of both components (LT), or the first-moment pipeline
-(LI) that assembles the signed V-line transform of each component and
-inverts it in closed form (``beam.invert_signed``, the same D_u D_v).  TJ
-is LI applied to R f.
+(LI).  LI applies the paper's signed inversion to each component with
+D_u D_v moved inside the integral: D_u D_v of the component's signed
+V-line data is built from D_u D_v I f and the plain beams of the recovered
+curl, is supported in the r1 disc, and is integrated along u - v
+(``beam.integrate_w``) with no strip extension.  TJ is LI applied to R f.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .beam import beam_field, invert_signed, ray_sum
+from .beam import beam_field, check_strip_ring, integrate_w, ray_sum
 from .errors import ConfigError, GeometryError
 from .fields import ScalarField, TransformField, VectorField, VLineGeometry
 from .operators import (bilinear, laplacians_from_div_curl, mixed_partial,
@@ -121,29 +123,39 @@ def recover_stream(lf: TransformField, geom: VLineGeometry) -> ScalarField:
 
 def _moment_pipeline(i_f: TransformField, c: ScalarField,
                      geom: VLineGeometry) -> VectorField:
-    """Core of the LI reconstruction from I f and the recovered curl f.
+    """Core of the LI reconstruction from I f and the recovered curl c.
 
-    Assembles the signed V-line transform of each field component,
-        X_u f1 - X_v f1 = d1(I f) + u2 X1_u(curl f) - v2 X1_v(curl f)
-        X_u f2 - X_v f2 = d2(I f) - u1 X1_u(curl f) + v1 X1_v(curl f),
-    then applies the closed-form signed inversion per component.
+    The signed V-line transform of each field component is
+        X_u f1 - X_v f1 = d1(I f) + u2 X1_u c - v2 X1_v c
+        X_u f2 - X_v f2 = d2(I f) - u1 X1_u c + v1 X1_v c,
+    and the signed inversion (``beam.invert_signed``) integrates its
+    D_u D_v along u - v.  With D_u D_v X1_u c = -D_v X_u c and
+    D_u D_v X1_v c = -D_u X_v c that derivative is
+        g1 = d1 D_u D_v I f - u2 D_v X_u c + v2 D_u X_v c
+        g2 = d2 D_u D_v I f + u1 D_v X_u c - v1 D_u X_v c,
+    supported in the r1 disc, so each component is one ``integrate_w``
+    and the only beams are the plain X_u c and X_v c.
 
-    The assembled data carries grid-scale quadrature and stencil noise
-    that the inversion's second difference would amplify by 1/h^2, so it
-    is mollified with a one-cell Gaussian first; the mollifier bias is
-    O(h^2), the same order as the stencils themselves.
+    The differences that form g_k amplify the grid-scale quadrature noise
+    of the data, so g_k is mollified with a one-cell Gaussian before the
+    integral; the mollifier bias is O(h^2), the same order as the stencils
+    themselves.  Grids that ``invert_signed`` rejects (``check_strip_ring``)
+    are rejected here too.
     """
     grid = i_f.grid
+    check_strip_ring(grid)
     h = grid.h
     u, v = geom.u, geom.v
-    mu = beam_field(c, u, moment=True)
-    mv = beam_field(c, v, moment=True)
+    duv = mixed_derivative(i_f, geom)
+    xu = beam_field(c, u)
+    xv = beam_field(c, v)
+    dv_xu = v[0] * partial_x(xu, h) + v[1] * partial_y(xu, h)
+    du_xv = u[0] * partial_x(xv, h) + u[1] * partial_y(xv, h)
     fields = []
-    for deriv, cu, cv in ((partial_x(i_f.component(0), h), u[1], -v[1]),
-                          (partial_y(i_f.component(0), h), -u[0], v[0])):
-        ts = gaussian_filter(deriv + cu * mu + cv * mv, 1.0)
-        rec = invert_signed(TransformField(grid, ts, "Ts"), geom)
-        fields.append(rec.values)
+    for deriv, cu, cv in ((partial_x(duv, h), -u[1], v[1]),
+                          (partial_y(duv, h), u[0], -v[0])):
+        g = gaussian_filter(deriv + cu * dv_xu + cv * du_xv, 1.0)
+        fields.append(integrate_w(ScalarField(grid, g), geom).values)
     return VectorField(grid, fields[0], fields[1])
 
 

@@ -32,6 +32,14 @@ def rel_l2(a, b, mask=None):
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
 
+def finer_grid(grid):
+    """The same square at a 4x finer step: its samples [::4, ::4] are the
+    samples of ``grid``, so forward data computed on it and subsampled
+    does not share the quadrature of the grid it is inverted on."""
+    return Grid2D(4 * grid.nx - 3, 4 * grid.ny - 3, grid.h / 4.0,
+                  grid.origin, grid.r1, grid.r2)
+
+
 # one PASS/FAIL line per acceptance criterion, echoed after the test run
 ACCEPTANCE_LINES = []
 

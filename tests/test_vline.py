@@ -10,7 +10,7 @@ from vlinetomo import (GeometryError, RayQuadrature, TransformField,
 from vlinetomo.operators import bilinear
 from vlinetomo.vline import mixed_derivative
 
-from conftest import rel_l2
+from conftest import finer_grid, rel_l2
 
 
 def _zero_field(grid):
@@ -182,6 +182,60 @@ def test_recover_field_TJ_round_trip(geom):
     mask = g.disc_mask(g.r1)
     assert rel_l2(rec.f1, ph.field.f1, mask) <= 0.10
     assert rel_l2(rec.f2, ph.field.f2, mask) <= 0.10
+
+
+def _max_component_error(rec, field, mask):
+    return max(rel_l2(rec.f1, field.f1, mask), rel_l2(rec.f2, field.f2, mask))
+
+
+def test_oblique_LI_TJ_converge_at_second_order(oblique_geom):
+    # u@0.35 / v@2.1, measured LI 1.57 / 0.49% and TJ 1.25 / 0.35% at
+    # nx = 256 / 512
+    errs = {"LI": [], "TJ": []}
+    for nx in (256, 512):
+        g = grid_for_vline(nx, 1.0, oblique_geom)
+        ph = make_phantom("mixed", g)
+        mask = g.disc_mask(g.r1)
+        li = recover_field_LI(forward_L(ph.field, oblique_geom),
+                              forward_I(ph.field, oblique_geom), oblique_geom)
+        tj = recover_field_TJ(forward_T(ph.field, oblique_geom),
+                              forward_J(ph.field, oblique_geom), oblique_geom)
+        errs["LI"].append(_max_component_error(li, ph.field, mask))
+        errs["TJ"].append(_max_component_error(tj, ph.field, mask))
+    for e256, e512 in errs.values():
+        assert e256 <= 0.02 and e256 / e512 >= 2.5
+
+
+def test_recover_field_LI_converges_on_finer_forward_data(oblique_geom):
+    # L f and I f from a 4x finer grid, subsampled: not the inverting
+    # grid's quadrature; measured 5.26 / 1.49% at nx = 128 / 256
+    errs = []
+    for nx in (128, 256):
+        g = grid_for_vline(nx, 1.0, oblique_geom)
+        fine = make_phantom("mixed", finer_grid(g)).field
+        lf, i_f = (TransformField(g, op(fine, oblique_geom).values[::4, ::4],
+                                  kind)
+                   for op, kind in ((forward_L, "L"), (forward_I, "I")))
+        rec = recover_field_LI(lf, i_f, oblique_geom)
+        errs.append(_max_component_error(rec, make_phantom("mixed", g).field,
+                                         g.disc_mask(g.r1)))
+    assert errs[1] <= 0.03 and errs[0] / errs[1] >= 2.5
+
+
+def test_moment_pipelines_reject_grid_without_strip_ring(oblique_geom):
+    # the edge lies half a cell beyond r2: LI and TJ raise (CLI exit 3)
+    # like the signed inversion
+    from vlinetomo import Grid2D
+    r2 = oblique_geom.required_r2(1.0)
+    h = r2 / 23.0
+    g = Grid2D(48, 48, h, (-23.5 * h, -23.5 * h), 1.0, r2)
+    ph = make_phantom("mixed", g)
+    with pytest.raises(GeometryError):
+        recover_field_LI(forward_L(ph.field, oblique_geom),
+                         forward_I(ph.field, oblique_geom), oblique_geom)
+    with pytest.raises(GeometryError):
+        recover_field_TJ(forward_T(ph.field, oblique_geom),
+                         forward_J(ph.field, oblique_geom), oblique_geom)
 
 
 def test_moment_pipelines_zero(grid, geom):
