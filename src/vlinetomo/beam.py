@@ -252,9 +252,10 @@ def strip_tails(grid, values, dirs, px, py, d, spans, out):
     px, py, d[..., 0], d[..., 1] and the span ends broadcast to the shape
     of ``out``, which receives the integrals strip by strip, span by span.
     """
-    # G_s leaves an error of O(dsig^2) that repeats every cell; D_u D_v
-    # divides it by h^2, so dsig shrinks like h^2: nx * max(16, nx/8)
-    # cells across the strip
+    # G_s leaves an error of O(dsig^2) that repeats every cell; the one
+    # caller, the star Radon transform, is then differentiated twice in s
+    # (d/ds, then the ramp filter of the FBP), which divides it by h^2, so
+    # dsig shrinks like h^2: nx * max(16, nx/8) cells across the strip
     n_sigma = grid.nx * max(16, grid.nx // 8)
     sigma = -grid.r1 + 2.0 * grid.r1 * ((np.arange(n_sigma) + 0.5) / n_sigma)
     dsig = 2.0 * grid.r1 / n_sigma
@@ -286,7 +287,7 @@ def strip_tails(grid, values, dirs, px, py, d, spans, out):
 
 def _chord(px, py, d, radius):
     """Entry and exit t of the rays x + t d through the disc of ``radius``;
-    both 0 for a ray that misses it."""
+    both 0 for a ray that misses it (for ``transform_beam_values`` only)."""
     b = px * d[0] + py * d[1]
     disc = b * b - (px * px + py * py - radius * radius)
     root = np.sqrt(np.maximum(disc, 0.0))
@@ -301,6 +302,10 @@ def transform_beam_values(tf: TransformField, dirs, points, d, workers=1):
     both the r2 disc and every strip for good, beyond which the data is
     identically zero, so its cost grows like 1/|d . perp(s)| as d turns
     toward a strip direction s.
+
+    On no output path and in no test: kept only because
+    ``perfbench/tracer.py`` wraps it.  At u@0/v@3.14, nx=128, one block
+    asks for 9.28 GiB.
     """
     grid = tf.grid
     d = unit_vector(d)

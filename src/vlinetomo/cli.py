@@ -1,10 +1,13 @@
 """Batch command-line front-end.
 
-Commands: phantom, forward, invert, radon, render, report.  Every run
-writes a key=value manifest recording parameters, output file hashes, and
-the library version.  Options may come from a key=value config file via
---config; explicit flags win.  Exit codes: 0 success, 2 configuration
-error, 3 math/geometry error, 4 I/O error.
+Commands: phantom, forward, invert, radon, render, report.  ``main``
+creates --out-dir, runs the command, which returns the path and hash of
+each file it wrote, and writes a key=value manifest recording
+parameters, those hashes, and the library version.  Options may come
+from a key=value config file via --config FILE or --config=FILE;
+explicit flags win.  Exit codes: 0 success, otherwise the ``exit_code``
+of the error raised (2 configuration error, 3 math/geometry error, 4 I/O
+error).
 """
 
 from __future__ import annotations
@@ -12,17 +15,18 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import pathlib
 import sys
 
 import numpy as np
 
 from . import __version__
 from .beam import RayQuadrature, invert_signed, signed_vline
-from .errors import ConfigError, FileFormatError, GeometryError, VlineError
+from .errors import ConfigError, VlineError
 from .fields import Grid2D, ScalarField, TransformField, VectorField
-from .io import (_components, read_star_geometry, read_vline_geometry,
-                 read_vlt1, write_pgm, write_ppm_direction, write_vls1,
-                 write_vlt1)
+from .io import (_components, _key_values, read_star_geometry,
+                 read_vline_geometry, read_vlt1, write_pgm,
+                 write_ppm_direction, write_vls1, write_vlt1)
 from .phantoms import make_phantom
 from .radon import fbp_inverse, radon_forward, sinogram_dds
 from .star import forward_star, invert_star
@@ -61,55 +65,58 @@ def _join_pairs(argv):
     return out
 
 
-def _load_config_tokens(path):
-    """Turn key=value config lines into CLI tokens (flags override them).
-
-    Each line becomes one ``--key=value`` token, so values that start with
-    a minus sign are not read as flags.
-    """
+def _config_tokens(argv):
+    """CLI tokens from the config file named by ``--config FILE`` or
+    ``--config=FILE``, none without one; explicit flags override them.
+    Each line becomes one ``--key=value`` token, so a value that starts
+    with a minus sign is not read as a flag."""
+    path = None
+    for k, tok in enumerate(argv):
+        if tok.startswith("--config="):
+            path = tok[len("--config="):]
+            break
+        if tok == "--config":
+            if k + 1 == len(argv):
+                raise ConfigError("--config needs a file argument")
+            path = argv[k + 1]
+            break
+    if path is None:
+        return []
     tokens = []
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    for line in lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, val = line.partition("=")
-        if not sep:
+    for line, key, val in _key_values(path, ConfigError, "config "):
+        if "=" not in line:
             raise ConfigError(f"config line {line!r} is not key=value")
-        key, val = key.strip(), val.strip()
         flag = "--" + key.replace("_", "-")
-        if val.lower() in ("true", "false"):
-            if val.lower() == "true":
-                tokens.append(flag)
-        else:
+        if val.lower() == "true":
+            tokens.append(flag)
+        elif val.lower() != "false":
             tokens.append(f"{flag}={val}")
     return tokens
 
 
-def _sha256(path):
+def _write_manifest(args, saved):
+    with open(os.path.join(args.out_dir, "manifest.txt"), "w") as fh:
+        fh.write(f"command={args.command}\n")
+        fh.write(f"version={__version__}\n")
+        for key in sorted(vars(args).keys() - {"func", "command"}):
+            fh.write(f"param.{key}={getattr(args, key)}\n")
+        for path, digest in sorted(saved):
+            fh.write(f"sha256.{os.path.basename(path)}={digest}\n")
+
+
+def _save(args, name, obj, writer=None):
+    """Write ``obj`` to ``name`` in --out-dir with ``writer`` (default
+    ``write_vlt1``, looked up per call so that rebinding it reaches the
+    CLI too); return (path, SHA-256 of the file).  Hashing here, while the
+    command's arrays are held, keeps the heap from shrinking between the
+    commands of an in-process chain, which would page-fault it back."""
+    path = os.path.join(args.out_dir, name)
+    (writer or write_vlt1)(path, obj)
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _write_manifest(out_dir, command, args, outputs):
-    path = os.path.join(out_dir, "manifest.txt")
-    with open(path, "w") as fh:
-        fh.write(f"command={command}\n")
-        fh.write(f"version={__version__}\n")
-        for key in sorted(vars(args)):
-            if key in ("func", "command"):
-                continue
-            fh.write(f"param.{key}={getattr(args, key)}\n")
-        for out in sorted(outputs):
-            fh.write(f"sha256.{os.path.basename(out)}={_sha256(out)}\n")
-    return path
+    return path, digest.hexdigest()
 
 
 def _add_noise(values, sigma, seed):
@@ -120,66 +127,38 @@ def _add_noise(values, sigma, seed):
     return values + scale * rng.standard_normal(values.shape)
 
 
-def _quad(args):
-    step = getattr(args, "step", None)
-    return None if step is None else RayQuadrature(step=step)
-
-
-def _ensure_out_dir(args):
-    os.makedirs(args.out_dir, exist_ok=True)
-    return args.out_dir
-
-
-def _error_report(out_dir, field, oracle):
+def _error_report(args, field, oracle):
     """Write report.txt with the relative L1/L2/Linf errors of ``field``
-    against ``oracle`` on the r1 disc, print its lines, return its path."""
+    against ``oracle`` on the r1 disc and print its lines."""
     comps, ocomps = _components(field), _components(oracle)
     if len(comps) != len(ocomps):
         raise ConfigError("field and oracle component counts differ")
     mask = field.grid.disc_mask(field.grid.r1)
+    norms = (("l1", lambda a: np.sum(np.abs(a))), ("l2", np.linalg.norm),
+             ("linf", lambda a: np.max(np.abs(a))))
     lines = []
     for k, (rec, ora) in enumerate(zip(comps, ocomps)):
-        diff = (rec - ora)[mask]
-        ref = ora[mask]
-        nref2 = float(np.linalg.norm(ref))
-        nref1 = float(np.sum(np.abs(ref)))
-        nrefi = float(np.max(np.abs(ref)))
-        lines.append(f"component{k + 1}.rel_l1="
-                     f"{np.sum(np.abs(diff)) / nref1 if nref1 else 0.0:.6e}")
-        lines.append(f"component{k + 1}.rel_l2="
-                     f"{np.linalg.norm(diff) / nref2 if nref2 else 0.0:.6e}")
-        lines.append(f"component{k + 1}.rel_linf="
-                     f"{np.max(np.abs(diff)) / nrefi if nrefi else 0.0:.6e}")
-    path = os.path.join(out_dir, "report.txt")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    for line in lines:
-        print(line)
-    return path
+        diff, ref = (rec - ora)[mask], ora[mask]
+        for name, norm in norms:
+            nref = float(norm(ref))
+            lines.append(f"component{k + 1}.rel_{name}="
+                         f"{norm(diff) / nref if nref else 0.0:.6e}")
+    saved = _save(args, "report.txt", "\n".join(lines) + "\n",
+                  lambda p, text: pathlib.Path(p).write_text(text))
+    print(*lines, sep="\n")
+    return saved
 
 
 def cmd_phantom(args):
-    out_dir = _ensure_out_dir(args)
     r2 = args.r2 if args.r2 is not None else 3.0 * args.r1
     grid = Grid2D.centered(args.nx, args.r1, r2)
     ph = make_phantom(args.kind, grid, center=args.center, scale=args.scale,
                       amplitude=args.amplitude)
-    outputs = []
-
-    def save(name, obj):
-        path = os.path.join(out_dir, name)
-        write_vlt1(path, obj)
-        outputs.append(path)
-
-    save("field.vlt", ph.field)
-    save("oracle_div.vlt", ph.div)
-    save("oracle_curl.vlt", ph.curl)
-    if ph.potential is not None:
-        save("oracle_potential.vlt", ph.potential)
-    if ph.stream is not None:
-        save("oracle_stream.vlt", ph.stream)
-    _write_manifest(out_dir, "phantom", args, outputs)
-    return 0
+    files = {"field.vlt": ph.field, "oracle_div.vlt": ph.div,
+             "oracle_curl.vlt": ph.curl, "oracle_potential.vlt": ph.potential,
+             "oracle_stream.vlt": ph.stream}
+    return [_save(args, name, obj) for name, obj in files.items()
+            if obj is not None]
 
 
 def _load_vline_geometry(args):
@@ -195,9 +174,8 @@ def _load_star_geometry(args):
 
 
 def cmd_forward(args):
-    out_dir = _ensure_out_dir(args)
     field = read_vlt1(args.field)
-    quad = _quad(args)
+    quad = None if args.step is None else RayQuadrature(step=args.step)
     name = args.transform
     if name == "star":
         sg = _load_star_geometry(args)
@@ -215,15 +193,10 @@ def cmd_forward(args):
               "I": forward_I, "J": forward_J}[name]
         tf = op(field, _load_vline_geometry(args), quad)
     values = _add_noise(tf.values, args.noise_sigma, args.seed)
-    tf = TransformField(tf.grid, values, tf.kind)
-    out = os.path.join(out_dir, args.out)
-    write_vlt1(out, tf)
-    _write_manifest(out_dir, "forward", args, [out])
-    return 0
+    return [_save(args, args.out, TransformField(tf.grid, values, tf.kind))]
 
 
 def cmd_invert(args):
-    out_dir = _ensure_out_dir(args)
     pipeline = args.pipeline
     # pipeline -> (reconstruction, [(input argument, transform kind)]), looked
     # up per call so that rebinding a module-level name reaches the CLI too
@@ -249,66 +222,37 @@ def cmd_invert(args):
                     guard_deg=args.guard_deg)
     else:
         result = fn(*data, _load_vline_geometry(args))
-
-    out = os.path.join(out_dir, args.out)
-    write_vlt1(out, result)
-    outputs = [out]
+    outputs = [_save(args, args.out, result)]
     if args.oracle is not None:
-        outputs.append(_error_report(out_dir, result, read_vlt1(args.oracle)))
-    _write_manifest(out_dir, "invert", args, outputs)
-    return 0
+        outputs.append(_error_report(args, result, read_vlt1(args.oracle)))
+    return outputs
 
 
 def cmd_radon(args):
-    out_dir = _ensure_out_dir(args)
     field = read_vlt1(args.field)
     if not isinstance(field, ScalarField):
         raise ConfigError("radon expects a scalar VLT1 field")
     sg = radon_forward(field, args.angles, args.offsets, full=args.full)
     if args.dds:
         sg = sinogram_dds(sg)
-    out = os.path.join(out_dir, args.out)
-    write_vls1(out, sg)
-    outputs = [out]
+    outputs = [_save(args, args.out, sg, write_vls1)]
     if args.fbp:
-        rec = fbp_inverse(sg, field.grid)
-        fbp_out = os.path.join(out_dir, "fbp.vlt")
-        write_vlt1(fbp_out, rec)
-        outputs.append(fbp_out)
-    _write_manifest(out_dir, "radon", args, outputs)
-    return 0
+        outputs.append(_save(args, "fbp.vlt", fbp_inverse(sg, field.grid)))
+    return outputs
 
 
 def cmd_render(args):
-    out_dir = _ensure_out_dir(args)
     field = read_vlt1(args.field)
-    outputs = []
     if isinstance(field, ScalarField):
-        out = os.path.join(out_dir, args.prefix + ".pgm")
-        write_pgm(out, field.values)
-        outputs.append(out)
-    else:
-        mag = os.path.join(out_dir, args.prefix + "_magnitude.pgm")
-        write_pgm(mag, np.hypot(field.f1, field.f2))
-        hsv = os.path.join(out_dir, args.prefix + "_direction.ppm")
-        write_ppm_direction(hsv, field.f1, field.f2)
-        outputs.extend([mag, hsv])
-    _write_manifest(out_dir, "render", args, outputs)
-    return 0
+        return [_save(args, args.prefix + ".pgm", field.values, write_pgm)]
+    return [_save(args, args.prefix + "_magnitude.pgm",
+                  np.hypot(field.f1, field.f2), write_pgm),
+            _save(args, args.prefix + "_direction.ppm", field,
+                  lambda path, f: write_ppm_direction(path, f.f1, f.f2))]
 
 
 def cmd_report(args):
-    out_dir = _ensure_out_dir(args)
-    rpt = _error_report(out_dir, read_vlt1(args.field), read_vlt1(args.oracle))
-    _write_manifest(out_dir, "report", args, [rpt])
-    return 0
-
-
-def _common(p):
-    p.add_argument("--config", help="key=value config file (flags win)")
-    p.add_argument("--out-dir", default=".", help="output directory")
-    p.add_argument("--threads", type=int, default=1,
-                   help="recorded in the manifest; changes no output")
+    return [_error_report(args, read_vlt1(args.field), read_vlt1(args.oracle))]
 
 
 def build_parser():
@@ -316,9 +260,14 @@ def build_parser():
                                      description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="key=value config file (flags win)")
+    common.add_argument("--out-dir", default=".", help="output directory")
+    common.add_argument("--threads", type=int, default=1,
+                        help="recorded in the manifest; changes no output")
 
-    p = sub.add_parser("phantom", help="generate an analytic phantom")
-    _common(p)
+    p = sub.add_parser("phantom", parents=[common],
+                       help="generate an analytic phantom")
     p.add_argument("--kind", required=True,
                    choices=["potential", "solenoidal", "mixed"])
     p.add_argument("--nx", type=int, default=256)
@@ -330,8 +279,8 @@ def build_parser():
     p.add_argument("--amplitude", type=float, default=1.0)
     p.set_defaults(func=cmd_phantom)
 
-    p = sub.add_parser("forward", help="apply a forward transform")
-    _common(p)
+    p = sub.add_parser("forward", parents=[common],
+                       help="apply a forward transform")
     p.add_argument("--transform", required=True,
                    choices=["L", "T", "I", "J", "star", "signed"])
     p.add_argument("--field", required=True, help="input VLT1 field")
@@ -345,8 +294,8 @@ def build_parser():
     p.add_argument("--out", default="transform.vlt")
     p.set_defaults(func=cmd_forward)
 
-    p = sub.add_parser("invert", help="run a reconstruction pipeline")
-    _common(p)
+    p = sub.add_parser("invert", parents=[common],
+                       help="run a reconstruction pipeline")
     p.add_argument("--pipeline", required=True,
                    choices=["lt", "li", "tj", "star", "potential", "stream",
                             "curl", "div", "signed"])
@@ -364,8 +313,8 @@ def build_parser():
     p.add_argument("--out", default="reconstruction.vlt")
     p.set_defaults(func=cmd_invert)
 
-    p = sub.add_parser("radon", help="Radon transform of a scalar field")
-    _common(p)
+    p = sub.add_parser("radon", parents=[common],
+                       help="Radon transform of a scalar field")
     p.add_argument("--field", required=True)
     p.add_argument("--angles", type=int, default=180)
     p.add_argument("--offsets", type=int, default=256)
@@ -378,14 +327,14 @@ def build_parser():
     p.add_argument("--out", default="sinogram.vls")
     p.set_defaults(func=cmd_radon)
 
-    p = sub.add_parser("render", help="export PGM/PPM images")
-    _common(p)
+    p = sub.add_parser("render", parents=[common],
+                       help="export PGM/PPM images")
     p.add_argument("--field", required=True)
     p.add_argument("--prefix", default="render")
     p.set_defaults(func=cmd_render)
 
-    p = sub.add_parser("report", help="error metrics of a field vs an oracle")
-    _common(p)
+    p = sub.add_parser("report", parents=[common],
+                       help="error metrics of a field vs an oracle")
     p.add_argument("--field", required=True)
     p.add_argument("--oracle", required=True)
     p.set_defaults(func=cmd_report)
@@ -394,29 +343,16 @@ def build_parser():
 
 def main(argv=None):
     argv = _join_pairs(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        if "--config" in argv:
-            k = argv.index("--config")
-            if k + 1 >= len(argv):
-                raise ConfigError("--config needs a file argument")
-            tokens = _load_config_tokens(argv[k + 1])
-            # insert after the subcommand so explicit flags override
-            argv = argv[:1] + tokens + argv[1:]
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        # insert after the subcommand so explicit flags override
+        argv = argv[:1] + _config_tokens(argv) + argv[1:]
+        args = build_parser().parse_args(argv)
+        os.makedirs(args.out_dir, exist_ok=True)
+        _write_manifest(args, args.func(args))
     except VlineError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,16 +1,20 @@
 """Exception hierarchy shared by the library and the CLI.
 
-Exit-code mapping used by the CLI: ConfigError -> 2, GeometryError -> 3,
-FileFormatError -> 4.
+Each class carries the exit code the CLI returns for it: ConfigError 2,
+GeometryError (and any other VlineError) 3, FileFormatError 4.
 """
 
 
 class VlineError(Exception):
     """Base class for all library errors."""
 
+    exit_code = 3
+
 
 class ConfigError(VlineError):
     """Invalid parameters or inconsistent inputs."""
+
+    exit_code = 2
 
 
 class GeometryError(VlineError):
@@ -20,3 +24,5 @@ class GeometryError(VlineError):
 
 class FileFormatError(VlineError):
     """Malformed or unreadable data file."""
+
+    exit_code = 4

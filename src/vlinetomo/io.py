@@ -51,36 +51,52 @@ def write_vlt1(path, obj):
             fh.write(np.ascontiguousarray(c, dtype="<f8").tobytes())
 
 
+def _read_binary(path, magic, fmt, shape):
+    """Read a VLT1 or VLS1 file whose header is struct ``fmt``: return the
+    header fields after the magic, and the f64 samples shaped
+    ``shape(fields)`` as a read-only view of the file's bytes.  An
+    unreadable file, a wrong magic, a short header and a size other than
+    the header announces raise FileFormatError."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise FileFormatError(f"cannot read {path}: {exc}") from exc
+    name = magic.decode()
+    if data[:4] != magic:
+        raise FileFormatError(f"{path}: not a {name} file")
+    header = struct.calcsize(fmt)
+    if len(data) < header:
+        raise FileFormatError(f"{path}: truncated {name} header")
+    fields = struct.unpack_from(fmt, data)[1:]
+    dims = shape(fields)
+    need = header + 8 * dims[0] * dims[1] * dims[2]
+    if len(data) != need:
+        raise FileFormatError(f"{path}: expected {need} bytes, got {len(data)}")
+    return fields, np.frombuffer(data, "<f8", offset=header).reshape(dims)
+
+
 def read_vlt1(path, kind=None):
     """Read a VLT1 file.
 
     Returns a ScalarField (ncomp 1) or VectorField (ncomp 2) by default;
     pass a transform ``kind`` to get a TransformField instead.
     """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    if len(data) < 4 or data[:4] != VLT1_MAGIC:
-        raise FileFormatError(f"{path}: not a VLT1 file")
-    header = 4 + 8 + 40 + 4
-    if len(data) < header:
-        raise FileFormatError(f"{path}: truncated VLT1 header")
-    nx, ny = struct.unpack_from("<II", data, 4)
-    h, ox, oy, r1, r2 = struct.unpack_from("<5d", data, 12)
-    (ncomp,) = struct.unpack_from("<I", data, 52)
-    if ncomp not in (1, 2):
-        raise FileFormatError(f"{path}: ncomp must be 1 or 2, got {ncomp}")
-    need = header + ncomp * nx * ny * 8
-    if len(data) != need:
-        raise FileFormatError(f"{path}: expected {need} bytes, got {len(data)}")
+    def shape(fields):
+        nx, ny, *_, ncomp = fields
+        if ncomp not in (1, 2):
+            raise FileFormatError(f"{path}: ncomp must be 1 or 2, got {ncomp}")
+        return ncomp, nx, ny
+
+    (nx, ny, h, ox, oy, r1, r2, ncomp), raw = _read_binary(
+        path, VLT1_MAGIC, "<4sII5dI", shape)
+    # copied while the file's bytes are held, like the hash in cli._save,
+    # so the heap does not shrink between the commands of a CLI chain
+    comps = raw.astype(float)
     try:
         grid = Grid2D(nx=nx, ny=ny, h=h, origin=(ox, oy), r1=r1, r2=r2)
     except Exception as exc:
         raise FileFormatError(f"{path}: bad grid header: {exc}") from exc
-    raw = np.frombuffer(data, dtype="<f8", offset=header)
-    comps = raw.reshape(ncomp, nx, ny).astype(float)
     if kind is not None:
         want = 2 if kind == "S" else 1
         if ncomp != want:
@@ -102,23 +118,8 @@ def write_vls1(path, sg: Sinogram):
 
 
 def read_vls1(path) -> Sinogram:
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    if len(data) < 4 or data[:4] != VLS1_MAGIC:
-        raise FileFormatError(f"{path}: not a VLS1 file")
-    header = 4 + 12 + 24
-    if len(data) < header:
-        raise FileFormatError(f"{path}: truncated VLS1 header")
-    n_angles, n_offsets, ncomp = struct.unpack_from("<III", data, 4)
-    ds, angle0, dangle = struct.unpack_from("<3d", data, 16)
-    need = header + ncomp * n_angles * n_offsets * 8
-    if len(data) != need:
-        raise FileFormatError(f"{path}: expected {need} bytes, got {len(data)}")
-    raw = np.frombuffer(data, dtype="<f8", offset=header)
-    values = raw.reshape(ncomp, n_angles, n_offsets).astype(float)
+    (n_angles, n_offsets, ncomp, ds, angle0, dangle), values = _read_binary(
+        path, VLS1_MAGIC, "<4sIII3d", lambda f: (f[2], f[0], f[1]))
     try:
         return Sinogram(values, angle0, dangle, ds)
     except Exception as exc:
@@ -142,18 +143,25 @@ def write_vline_geometry(path, geom: VLineGeometry):
         fh.write(f"v={float(geom.v[0])!r},{float(geom.v[1])!r}\n")
 
 
-def read_vline_geometry(path) -> VLineGeometry:
-    pairs = {}
+def _key_values(path, error, what=""):
+    """(line, key, value) of each line of a key=value text file, all three
+    stripped; blank and ``#`` lines are skipped, and a line without ``=``
+    has the value "".  A file that cannot be read raises ``error``."""
     try:
         with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, val = line.partition("=")
-                pairs[key.strip()] = val.strip()
+            lines = [line.strip() for line in fh]
     except OSError as exc:
-        raise FileFormatError(f"cannot read {path}: {exc}") from exc
+        raise error(f"cannot read {what}{path}: {exc}") from exc
+    out = []
+    for line in lines:
+        if line and not line.startswith("#"):
+            key, _, val = line.partition("=")
+            out.append((line, key.strip(), val.strip()))
+    return out
+
+
+def read_vline_geometry(path) -> VLineGeometry:
+    pairs = {key: val for _, key, val in _key_values(path, FileFormatError)}
     try:
         u = np.array([float(t) for t in pairs["u"].split(",")])
         v = np.array([float(t) for t in pairs["v"].split(",")])
@@ -170,17 +178,8 @@ def write_star_geometry(path, sg: StarGeometry):
 
 def read_star_geometry(path) -> StarGeometry:
     gammas, weights = [], []
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    for line in lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, val = line.partition("=")
-        if key.strip() != "ray":
+    for line, key, val in _key_values(path, FileFormatError):
+        if key != "ray":
             raise FileFormatError(f"{path}: unexpected line {line!r}")
         try:
             gx, gy, c = (float(t) for t in val.split(","))

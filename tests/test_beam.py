@@ -7,7 +7,6 @@ from vlinetomo import (ConfigError, RayQuadrature, ScalarField,
                        signed_vline)
 from vlinetomo.beam import (beam_field, beam_values, sample_with_strips,
                             strip_ring_radius)
-from vlinetomo.operators import bilinear
 from vlinetomo.phantoms import bump_scalar
 
 from conftest import finer_grid, rel_l2
@@ -218,24 +217,32 @@ def test_invert_signed_converges_on_finer_forward_data():
 
 
 def test_invert_signed_cost_bounded_near_straight(monkeypatch):
-    # the direct t-lattice grows like 1/|w . perp(u)| as the opening nears
-    # pi; the FFT, the subtracted samples and the closed-form tails do not
-    from vlinetomo import beam, grid_for_vline
-    counts = {}
+    # one beam FFT along u - v whatever the opening: its padded shape stays
+    # within (2 nx)^2 and does not grow as the opening nears pi
+    from vlinetomo import beam, grid_for_vline, operators
+    nx = 48
+    correlate, rfft2 = operators.correlate, operators.rfft2
+    shapes = {}
     for angle in (np.pi / 2, 3.1, 3.14):
         geom = VLineGeometry(direction(0.0), direction(angle))
-        grid = grid_for_vline(48, 1.0, geom)
+        grid = grid_for_vline(nx, 1.0, geom)
         ts = signed_vline(bump_scalar(grid, scale=0.8), geom)
-        points = []
+        calls = []
 
-        def counting(grid, values, px, py):
-            points.append(np.size(px))
-            return bilinear(grid, values, px, py)
+        def counting(values, kernel, center):
+            calls.append(set())
+            return correlate(values, kernel, center)
 
-        monkeypatch.setattr(beam, "bilinear", counting)
+        def recording(x, s):
+            calls[-1].add(tuple(s))
+            return rfft2(x, s)
+
+        monkeypatch.setattr(beam, "correlate", counting)
+        monkeypatch.setattr(operators, "rfft2", recording)
         rec = invert_signed(ts, geom)
         monkeypatch.undo()
         assert np.all(np.isfinite(rec.values))
-        counts[angle] = sum(points)
-    assert abs(counts[3.14] - counts[3.1]) <= 0.05 * counts[3.1]
-    assert counts[3.14] <= 2 * counts[np.pi / 2]
+        assert len(calls) == 1
+        (shapes[angle],) = calls[0]
+    assert all(max(shape) <= 2 * nx for shape in shapes.values())
+    assert shapes[3.14] == shapes[3.1]

@@ -292,3 +292,101 @@ def test_invert_signed_tight_grid_exit_code(tmp_path, geom_file):
     rc = main(["invert", "--pipeline", "signed", "--ts", str(path),
                "--geometry", geom_file, "--out-dir", str(tmp_path / "x")])
     assert rc == 3
+
+
+def test_config_equals_spelling(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kind=solenoidal\nnx=32\nr2=2.0\n")
+    outs = []
+    for spelling in (["--config", str(cfg)], [f"--config={cfg}"]):
+        out = tmp_path / f"run{len(outs)}"
+        assert main(["phantom", *spelling, "--out-dir", str(out)]) == 0
+        outs.append((out / "field.vlt").read_bytes())
+    assert outs[0] == outs[1]
+    assert read_vlt1(tmp_path / "run1" / "field.vlt").grid.nx == 32
+
+
+def test_config_skips_blank_and_comment_lines(tmp_path):
+    plain, noisy = tmp_path / "plain.cfg", tmp_path / "noisy.cfg"
+    plain.write_text("kind=solenoidal\nnx=32\nr2=2.0\n")
+    noisy.write_text("# phantom\n\nkind=solenoidal\n   \n# grid\nnx=32\n"
+                     "r2=2.0\n\n")
+    outs = []
+    for cfg in (plain, noisy):
+        out = tmp_path / cfg.stem
+        assert main(["phantom", "--config", str(cfg),
+                     "--out-dir", str(out)]) == 0
+        outs.append((out / "field.vlt").read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_unreadable_config_and_geometry_exit_codes(tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    rc = main(["phantom", "--kind", "mixed", "--config", missing,
+               "--out-dir", str(tmp_path / "a")])
+    assert rc == 2
+    assert "cannot read config" in capsys.readouterr().err
+    ph = _phantom(tmp_path, nx=48)
+    for flag, transform in (("--geometry", "L"), ("--star-geometry", "star")):
+        rc = main(["forward", "--transform", transform,
+                   "--field", str(ph / "field.vlt"), flag, missing,
+                   "--out-dir", str(tmp_path / "b")])
+        assert rc == 4
+
+
+def _manifest_hashes(out):
+    """name -> hash of every sha256.* line of out/manifest.txt."""
+    lines = (out / "manifest.txt").read_text().splitlines()
+    return dict(line[len("sha256."):].split("=", 1) for line in lines
+                if line.startswith("sha256."))
+
+
+def test_manifest_names_every_output(tmp_path, geom_file):
+    # every subcommand: the manifest hashes exactly the files it wrote
+    import hashlib
+    ph = _phantom(tmp_path, nx=48, kind="mixed")
+    d = str(tmp_path)
+    commands = {
+        "forward": ["forward", "--transform", "L", "--field",
+                    f"{ph}/field.vlt", "--geometry", geom_file],
+        "invert": ["invert", "--pipeline", "curl", "--lf",
+                   f"{d}/forward/transform.vlt", "--geometry", geom_file,
+                   "--oracle", f"{ph}/oracle_curl.vlt"],
+        "radon": ["radon", "--field", f"{ph}/oracle_div.vlt", "--angles",
+                  "32", "--offsets", "48", "--fbp"],
+        "render": ["render", "--field", f"{ph}/field.vlt"],
+        "report": ["report", "--field", f"{ph}/field.vlt",
+                   "--oracle", f"{ph}/field.vlt"],
+    }
+    for name, argv in commands.items():
+        assert main(argv + ["--out-dir", f"{d}/{name}"]) == 0, name
+    for out in [ph] + [tmp_path / name for name in commands]:
+        written = {p.name for p in out.iterdir()} - {"manifest.txt"}
+        hashes = _manifest_hashes(out)
+        assert set(hashes) == written, out.name
+        for name, digest in hashes.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+def test_module_exit_status(tmp_path, geom_file):
+    # `python -m vlinetomo.cli` turns main's return value into the process
+    # exit status
+    import os
+    import subprocess
+    import sys
+    import vlinetomo
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(vlinetomo.__file__)))
+    cases = [
+        (0, ["phantom", "--kind", "potential", "--nx", "32"]),
+        (2, ["phantom", "--kind", "potential", "--config",
+             str(tmp_path / "missing.cfg")]),
+        (4, ["forward", "--transform", "L", "--geometry", geom_file,
+             "--field", str(tmp_path / "missing.vlt")]),
+    ]
+    for code, argv in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "vlinetomo.cli", *argv,
+             "--out-dir", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == code, proc.stderr

@@ -224,3 +224,22 @@ def test_ppm_direction_layout(tmp_path):
     assert data.startswith(b"P6\n16 24\n255\n")
     body = data.split(b"255\n", 1)[1]
     assert len(body) == 16 * 24 * 3
+
+
+@pytest.mark.parametrize("write,read,geom", [
+    (write_vline_geometry, read_vline_geometry,
+     VLineGeometry(np.array([np.cos(0.3), np.sin(0.3)]),
+                   np.array([np.cos(2.0), np.sin(2.0)]))),
+    (write_star_geometry, read_star_geometry,
+     StarGeometry((np.array([1.0, 0.0]), np.array([0.0, 1.0])), (1.0, -2.0)))])
+def test_geometry_files_skip_blank_and_comment_lines(tmp_path, write, read,
+                                                     geom):
+    plain, noisy = tmp_path / "plain.txt", tmp_path / "noisy.txt"
+    write(plain, geom)
+    lines = plain.read_text().splitlines()
+    noisy.write_text("# geometry\n\n" + "\n  \n# next ray\n".join(lines)
+                     + "\n\n")
+    a, b = read(plain), read(noisy)
+    assert all(np.array_equal(x, y) for x, y in zip(a.rays, b.rays))
+    assert len(a.rays) == len(b.rays) == len(geom.rays)
+    assert getattr(a, "weights", None) == getattr(b, "weights", None)
