@@ -1,16 +1,18 @@
-"""Per-stage timings of the Poisson solvers and the star FBP, each next to
-its reconstruction error.
+"""Per-stage timings of the Poisson solvers and the star inversion, each
+next to its reconstruction error.
 
 Stages, on the mixed phantom (r1 = 1) at each requested nx:
 
-  solve_dirichlet_disc  Lap V = div f on the r1 disc      error of V
-  recover_potential     T f -> div f -> V                 error of V
-  solve_free_space      both components of f from their   error of f
-                        masked Laplacians (the LT solve)
-  recover_field_LT      (L f, T f) -> f                   error of f
-  star_fbp              the FBP stage of invert_star on   error of f
-                        the 3-ray equiangular star, 360
-                        angles
+  solve_dirichlet_disc   Lap V = div f on the r1 disc     error of V
+  recover_potential      T f -> div f -> V                error of V
+  solve_free_space       both components of f from their  error of f
+                         masked Laplacians (the LT solve)
+  recover_field_LT       (L f, T f) -> f                  error of f
+  radon_transform_field  the Radon stage of invert_star   error of f
+                         on the 3-ray equiangular star,   (invert_star's)
+                         360 angles
+  star_fbp               its FBP stage                    error of f
+  invert_star            the whole star inversion         error of f
 
 V-line stages use the axis-aligned pair u = (1, 0), v = (0, 1).  Each time
 is the best of REPEATS calls on inputs built outside the timed region;
@@ -94,11 +96,17 @@ def sweep_nx(nx):
     sgrid = vt.grid_for_star(nx, R1, sg)
     sph = vt.make_phantom("mixed", sgrid)
     sf = vt.forward_star(sph.field, sg)
-    sino = radon.radon_transform_field(sf, sg.gammas, N_ANGLES, sgrid.nx, full=True)
+    sf_oracle, sdisc = [sph.field.f1, sph.field.f2], sgrid.disc_mask(sgrid.r1)
+    sino, t_radon = best_of(radon.radon_transform_field, sf, sg.gammas, N_ANGLES,
+                            sgrid.nx, True)
     rf = star.apply_q(radon.sinogram_dds(sino), sg)
     out, t = best_of(radon._backproject, rf, sgrid)
-    row("star_fbp", t, rel_l2(out, [sph.field.f1, sph.field.f2],
-                              sgrid.disc_mask(sgrid.r1)), n_angles=N_ANGLES)
+    err = rel_l2(out, sf_oracle, sdisc)
+    row("radon_transform_field", t_radon, err, n_angles=N_ANGLES)
+    row("star_fbp", t, err, n_angles=N_ANGLES)
+    rec, t = best_of(vt.invert_star, sf, sg, N_ANGLES)
+    row("invert_star", t, rel_l2([rec.f1, rec.f2], sf_oracle, sdisc),
+        n_angles=N_ANGLES)
     return rows
 
 
@@ -113,8 +121,9 @@ def main(argv=None):
 
     rows = []
     for nx in args.nx:
-        rows += sweep_nx(nx)
-        for r in rows[-5:]:
+        done = sweep_nx(nx)
+        rows += done
+        for r in done:
             print(f"{r['stage']:22s} nx={nx:4d}  {r['best_s']:8.4f} s  rel_l2 {r['rel_l2']:.4e}")
 
     doc = {"bench": "bench/poisson_sweep.py", "runs": {}}

@@ -13,6 +13,7 @@ error).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import pathlib
@@ -256,7 +257,8 @@ def cmd_report(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(prog="vlinetomo",
+    # no abbreviated flags: ``_config_tokens`` finds --config by its full name
+    parser = argparse.ArgumentParser(prog="vlinetomo", allow_abbrev=False,
                                      description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -265,9 +267,9 @@ def build_parser():
     common.add_argument("--out-dir", default=".", help="output directory")
     common.add_argument("--threads", type=int, default=1,
                         help="recorded in the manifest; changes no output")
+    command = functools.partial(sub.add_parser, parents=[common], allow_abbrev=False)
 
-    p = sub.add_parser("phantom", parents=[common],
-                       help="generate an analytic phantom")
+    p = command("phantom", help="generate an analytic phantom")
     p.add_argument("--kind", required=True,
                    choices=["potential", "solenoidal", "mixed"])
     p.add_argument("--nx", type=int, default=256)
@@ -279,8 +281,7 @@ def build_parser():
     p.add_argument("--amplitude", type=float, default=1.0)
     p.set_defaults(func=cmd_phantom)
 
-    p = sub.add_parser("forward", parents=[common],
-                       help="apply a forward transform")
+    p = command("forward", help="apply a forward transform")
     p.add_argument("--transform", required=True,
                    choices=["L", "T", "I", "J", "star", "signed"])
     p.add_argument("--field", required=True, help="input VLT1 field")
@@ -294,8 +295,7 @@ def build_parser():
     p.add_argument("--out", default="transform.vlt")
     p.set_defaults(func=cmd_forward)
 
-    p = sub.add_parser("invert", parents=[common],
-                       help="run a reconstruction pipeline")
+    p = command("invert", help="run a reconstruction pipeline")
     p.add_argument("--pipeline", required=True,
                    choices=["lt", "li", "tj", "star", "potential", "stream",
                             "curl", "div", "signed"])
@@ -313,8 +313,7 @@ def build_parser():
     p.add_argument("--out", default="reconstruction.vlt")
     p.set_defaults(func=cmd_invert)
 
-    p = sub.add_parser("radon", parents=[common],
-                       help="Radon transform of a scalar field")
+    p = command("radon", help="Radon transform of a scalar field")
     p.add_argument("--field", required=True)
     p.add_argument("--angles", type=int, default=180)
     p.add_argument("--offsets", type=int, default=256)
@@ -327,14 +326,12 @@ def build_parser():
     p.add_argument("--out", default="sinogram.vls")
     p.set_defaults(func=cmd_radon)
 
-    p = sub.add_parser("render", parents=[common],
-                       help="export PGM/PPM images")
+    p = command("render", help="export PGM/PPM images")
     p.add_argument("--field", required=True)
     p.add_argument("--prefix", default="render")
     p.set_defaults(func=cmd_render)
 
-    p = sub.add_parser("report", parents=[common],
-                       help="error metrics of a field vs an oracle")
+    p = command("report", help="error metrics of a field vs an oracle")
     p.add_argument("--field", required=True)
     p.add_argument("--oracle", required=True)
     p.set_defaults(func=cmd_report)

@@ -7,8 +7,11 @@ psi = (cos a, sin a); R h(psi, s) integrates h over the line
 directions inside semi-infinite strips outside the r2 disc) are projected
 as a grid-sampled chord part plus the closed-form strip tails of
 ``beam.strip_tails``, the integral the signed V-line inversion also uses.
-A full circle of even count integrates its half circle and mirrors it; a
-2-component field is sampled in one complex pass.
+The chords are sampled by their own bilinear kernel, which works in grid
+units in buffers reused across blocks.  A full circle of even count
+integrates its half circle and mirrors it, and FBP folds it back onto the
+half circle; a 2-component field is sampled and backprojected in one
+complex pass.
 """
 
 from __future__ import annotations
@@ -18,12 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beam import check_strip_ring, strip_ring_radius, strip_tails
-from .errors import ConfigError
+from .errors import ConfigError, GeometryError
 from .fields import Grid2D, ScalarField, TransformField
-from .operators import bilinear
 
 FULL_TURN = 2.0 * np.pi
-# samples per block of chord integrals (rows x samples per row)
+# samples per block of chord integrals (rows x samples per row): sizes the
+# work buffers of ``_chord_integrals``, about 130 KB each for complex data
 CHORD_BLOCK = 8192
 
 
@@ -96,22 +99,65 @@ def _chord_integrals(grid, values, psi, s, rmax):
     """Midpoint-rule integrals over the chords |x| <= rmax, a row per normal
     psi[k], with n = ceil(4 rmax / h) samples on every chord (step <= h/2,
     finer on short chords); complex values give both parts in one pass.
-    Offsets go in blocks of at most CHORD_BLOCK samples, so temporaries are
-    reused from the heap, not mapped afresh; each row's sum is unchanged."""
-    half = np.sqrt(np.maximum(rmax * rmax - s * s, 0.0))
+
+    Bilinear interpolation of the grid samples in lerp form.  Chord sample
+    coordinates are kept in grid units; offsets go in blocks of at most
+    CHORD_BLOCK samples through one set of work buffers allocated per call,
+    so a block allocates nothing.  Every sample lies inside the rmax disc,
+    so the interpolation cell needs no clipping; grids whose square does
+    not hold that disc clear of its edges raise GeometryError.  Lines that
+    miss the disc (|s| >= rmax) integrate to 0."""
+    # a sample's grid coordinates are rounded by ~1e-13 cells at most
+    if not grid.holds_disc(rmax + 1e-9 * grid.h):
+        raise GeometryError("chord disc reaches the edge of the grid square")
+    out = np.zeros((len(psi), len(s)), dtype=values.dtype)
+    live = np.flatnonzero(np.abs(s) < rmax)
+    s = s[live]
+    half = np.sqrt(rmax * rmax - s * s)
     n = max(1, int(np.ceil(4.0 * rmax / grid.h)))
     mid = (np.arange(n) + 0.5) / n  # fractions of the chord length
     dt = 2.0 * half / n
+    th = (-half[:, None] + (2.0 * half)[:, None] * mid[None, :]) / grid.h
+    sh = s / grid.h
+    ox, oy = grid.origin[0] / grid.h, grid.origin[1] / grid.h
+    ny, flat = values.shape[1], values.reshape(-1)
+    # corners (i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1) of flat cell k
+    corners = (flat, flat[ny:], flat[1:], flat[ny + 1:])
     rows = max(1, CHORD_BLOCK // n)
-    out = np.empty((len(psi), len(s)), dtype=values.dtype)
-    for k, (cos, sin) in enumerate(psi):
+    shape = (min(rows, len(s)), n)
+    gx, gy, fi, fj = (np.empty(shape) for _ in range(4))
+    k = np.empty(shape, dtype=np.intp)
+    v = [np.empty(shape, dtype=values.dtype) for _ in corners]
+    for row, (cos, sin) in zip(out, psi):
         for a in range(0, len(s), rows):
             b = min(a + rows, len(s))
-            t = -half[a:b, None] + (2.0 * half[a:b])[:, None] * mid[None, :]
-            px = s[a:b, None] * cos - t * sin
-            py = s[a:b, None] * sin + t * cos
-            out[k, a:b] = bilinear(grid, values, px, py).sum(axis=1) * dt[a:b]
+            x, y, i, j, kb, *corner = (w[:b - a] for w in (gx, gy, fi, fj, k, *v))
+            np.multiply(th[a:b], -sin, out=x)
+            x += (sh[a:b] * cos - ox)[:, None]
+            np.multiply(th[a:b], cos, out=y)
+            y += (sh[a:b] * sin - oy)[:, None]
+            np.floor(x, out=i)
+            np.floor(y, out=j)
+            x -= i
+            y -= j
+            i *= ny
+            i += j
+            kb[...] = i
+            # mode "clip": the default "raise" writes out through a buffer
+            v00, v10, v01, v11 = (np.take(c, kb, out=w, mode="clip")
+                                  for c, w in zip(corners, corner))
+            _lerp_into(v01, v00, y)
+            _lerp_into(v11, v10, y)
+            _lerp_into(v11, v01, x)
+            row[live[a:b]] = v11.sum(axis=1) * dt[a:b]
     return out
+
+
+def _lerp_into(hi, lo, frac):
+    """hi <- lo + frac (hi - lo), in place."""
+    hi -= lo
+    hi *= frac
+    hi += lo
 
 
 def radon_forward(h: ScalarField, n_angles, n_offsets, full=False) -> Sinogram:
@@ -183,16 +229,24 @@ def _backproject(sg: Sinogram, grid: Grid2D, window=None) -> np.ndarray:
     Ramp (Ram-Lak) filter in the frequency domain with zero-padding to the
     next power of two, all rows at once; backprojection by linear
     interpolation in offset, s = x . psi once per angle and one
-    interpolation of f1 + i f2 for two components.
+    interpolation of f1 + i f2 for two components.  A full circle of even
+    count is folded first: row k + n/2, at angle a + pi, is read at -s, so
+    it adds to row k reversed (the offset lattice is symmetric and the
+    ramp filter commutes with the reversal), and only the half circle is
+    filtered and backprojected.
     """
     if sg.n_angles < 16:
         raise ConfigError("filtered backprojection needs at least 16 angles")
-    rows = _ramp_filter(sg.values, sg.ds, window)
+    values, angles = sg.values, sg.angles()
+    if sg.full_range and sg.n_angles % 2 == 0:
+        m = sg.n_angles // 2
+        values, angles = values[:, :m] + values[:, m:, ::-1], angles[:m]
+    rows = _ramp_filter(values, sg.ds, window)
     packed = rows[0] + 1j * rows[1] if sg.ncomp == 2 else rows[0]
     offsets = sg.offsets()
     xx, yy = grid.mesh()
     acc = np.zeros((grid.nx, grid.ny), dtype=packed.dtype)
-    for k, a in enumerate(sg.angles()):
+    for k, a in enumerate(angles):
         s = xx * np.cos(a) + yy * np.sin(a)
         acc += np.interp(s, offsets, packed[k], left=0.0, right=0.0)
     acc *= sg.dangle * (0.5 if sg.full_range else 1.0)

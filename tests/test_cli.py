@@ -306,6 +306,18 @@ def test_config_equals_spelling(tmp_path):
     assert read_vlt1(tmp_path / "run1" / "field.vlt").grid.nx == 32
 
 
+def test_abbreviated_config_flag_is_rejected(tmp_path):
+    # argparse would take --conf for --config, but the file would go unread
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("nx=32\n")
+    out = tmp_path / "ab"
+    with pytest.raises(SystemExit) as exc:
+        main(["phantom", "--conf", str(cfg), "--kind", "mixed",
+              "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_config_skips_blank_and_comment_lines(tmp_path):
     plain, noisy = tmp_path / "plain.cfg", tmp_path / "noisy.cfg"
     plain.write_text("kind=solenoidal\nnx=32\nr2=2.0\n")

@@ -7,8 +7,10 @@ from vlinetomo import (ConfigError, GeometryError, Grid2D, ScalarField,
                        radon_forward, radon_transform_field, sinogram_dds)
 from vlinetomo.beam import (beam_field, sample_with_strips, strip_ring_radius,
                             strip_tails)
+from vlinetomo.operators import bilinear
 from vlinetomo.phantoms import bump_scalar
-from vlinetomo.radon import _chord_integrals
+from vlinetomo.radon import (CHORD_BLOCK, _backproject, _chord_integrals,
+                             _lattice, _ramp_filter)
 
 from conftest import rel_l2
 
@@ -127,6 +129,69 @@ def test_odd_full_circle_integrates_every_row(grid):
         assert np.array_equal(sg.values[0, k], row[0])
 
 
+def chord_reference(grid, values, psi, s, rmax):
+    """The midpoint chord sums as ``_chord_integrals`` once took them: the
+    same n = ceil(4 rmax / h) samples per chord through one ``bilinear``
+    call per normal."""
+    half = np.sqrt(np.maximum(rmax * rmax - s * s, 0.0))
+    n = max(1, int(np.ceil(4.0 * rmax / grid.h)))
+    mid = (np.arange(n) + 0.5) / n
+    t = -half[:, None] + (2.0 * half)[:, None] * mid[None, :]
+    out = np.empty((len(psi), len(s)), dtype=values.dtype)
+    for k, (cos, sin) in enumerate(psi):
+        px = s[:, None] * cos - t * sin
+        py = s[:, None] * sin + t * cos
+        out[k] = bilinear(grid, values, px, py).sum(axis=1) * (2.0 * half / n)
+    return out
+
+
+def _star_radon_case(n_angles, full):
+    # the star-radon benchmark geometry: three equiangular rays, unit weights
+    sg = StarGeometry(tuple(direction(a) for a in (0.0, 2 * np.pi / 3, 4 * np.pi / 3)),
+                      (1.0, 1.0, 1.0))
+    grid = grid_for_star(96, 1.0, sg)
+    sf = forward_star(make_phantom("mixed", grid).field, sg)
+    psi = _lattice(grid, n_angles, grid.nx, full)[3]
+    offsets = (np.arange(grid.nx) - (grid.nx - 1) / 2.0) * (2.0 * grid.r2 / (grid.nx - 1))
+    return grid, sf.values[0] + 1j * sf.values[1], psi, offsets, strip_ring_radius(grid)
+
+
+def _off_centre_case(n_angles, full):
+    # a rectangular grid whose square is not centred on the origin
+    h = 0.05
+    grid = Grid2D(70, 90, h, (-1.6, -2.3), 0.9, 1.5)
+    field = bump_scalar(grid, center=(0.2, -0.3), scale=0.5).values
+    psi = _lattice(grid, n_angles, 301, full)[3]
+    offsets = (np.arange(301) - 150.0) * (2.0 * grid.r2 / 300)
+    return grid, field, psi, offsets, grid.r1
+
+
+@pytest.mark.parametrize("case", [_star_radon_case, _off_centre_case])
+@pytest.mark.parametrize("n_angles, full", [(24, True), (13, False), (15, True)])
+def test_chord_integrals_match_bilinear_reference(case, n_angles, full):
+    grid, values, psi, offsets, rmax = case(n_angles, full)
+    n = int(np.ceil(4.0 * rmax / grid.h))
+    rows = CHORD_BLOCK // n
+    live = int(np.sum(np.abs(offsets) < rmax))
+    assert live > rows and live % rows != 0  # a short last block
+    got = _chord_integrals(grid, values, psi, offsets, rmax)
+    ref = chord_reference(grid, values, psi, offsets, rmax)
+    assert got.dtype == values.dtype and got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_chord_disc_reaching_the_grid_edge_is_rejected():
+    grid = Grid2D.centered(32, 1.0, 2.0)
+    edge = (grid.nx - 1) * grid.h / 2.0  # the first and last grid columns
+    values = np.ones((grid.nx, grid.ny))
+    psi = np.array([[1.0, 0.0], [0.6, 0.8]])
+    s = np.linspace(-1.0, 1.0, 9)
+    assert np.all(np.isfinite(_chord_integrals(grid, values, psi, s, edge - grid.h)))
+    for rmax in (edge, edge + grid.h):
+        with pytest.raises(GeometryError):
+            _chord_integrals(grid, values, psi, s, rmax)
+
+
 def test_packed_components_match_separate_transforms():
     # both star components in one complex pass against one pass each
     sf, dirs = _star_data(48)
@@ -229,6 +294,31 @@ def test_fbp_half_range_matches_full_range():
     half = fbp_inverse(radon_forward(h, 90, 128, full=False), g).values
     mask = g.disc_mask(g.r1)
     assert np.abs(full - half)[mask].max() <= 0.02 * np.abs(full).max()
+
+
+def unfolded_backprojection(sg, grid):
+    """Every row of ``sg`` ramp-filtered and backprojected at its own angle."""
+    rows = _ramp_filter(sg.values, sg.ds, None)
+    xx, yy = grid.mesh()
+    out = np.zeros((sg.ncomp, grid.nx, grid.ny))
+    for c in range(sg.ncomp):
+        for k, a in enumerate(sg.angles()):
+            s = xx * np.cos(a) + yy * np.sin(a)
+            out[c] += np.interp(s, sg.offsets(), rows[c, k], left=0.0, right=0.0)
+    return out * sg.dangle * (0.5 if sg.full_range else 1.0)
+
+
+@pytest.mark.parametrize("n_angles", [32, 33])
+def test_backprojection_folds_the_full_circle(small_grid, n_angles):
+    # random data, not mirror-symmetric: folding row k + n/2 onto row k is
+    # exact for any sinogram on the symmetric offset lattice
+    rng = np.random.default_rng(7)
+    sg = Sinogram(rng.standard_normal((2, n_angles, 40)), 0.3,
+                  2 * np.pi / n_angles, 0.11)
+    assert sg.full_range
+    got = _backproject(sg, small_grid)
+    ref = unfolded_backprojection(sg, small_grid)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_fbp_zero_sinogram(grid):
