@@ -15,11 +15,9 @@ integral: the differentiated data D_u D_v T_s h = D_{u-v} h is supported
 in the r1 disc, so it is one ``mixed_partial`` and one ``beam_field`` FFT
 along u - v (``integrate_w``), with no strip extension.
 
-``strip_tails`` is the one strip-tail integral: beyond the r2 disc each
-strip's data is its ring profile, and the integral over any span of a ray
-is read in closed form from the profile's cumulative integral.  The Radon
-transform of star data (``radon.radon_transform_field``) takes its tails
-from it; ``transform_beam_values`` sums strip-extended data directly.
+``sample_with_strips`` samples strip-extended data on the strip model of
+``radon`` (a test reference) and ``transform_beam_values`` sums it
+directly; no output path calls either.
 """
 
 from __future__ import annotations
@@ -29,9 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blocks import map_blocks
-from .errors import ConfigError, GeometryError
+from .errors import ConfigError
 from .fields import ScalarField, TransformField, VLineGeometry, unit_vector
 from .operators import bilinear, correlate, mixed_partial
+from .radon import strip_ring_point
 
 
 @dataclass(frozen=True)
@@ -177,32 +176,6 @@ def signed_vline(h: ScalarField, geom: VLineGeometry, quad=None,
     return TransformField(h.grid, vals, "Ts")
 
 
-def strip_ring_radius(grid):
-    """Radius just outside the r2 disc where strip-constant values are read."""
-    return grid.r2 + 2.0 * grid.h
-
-
-def check_strip_ring(grid):
-    """Raise GeometryError unless the grid square holds the strip ring plus
-    one cell, so every strip-constant value is read from grid samples
-    (``bilinear`` reads 0 beyond the square)."""
-    if not grid.holds_disc(strip_ring_radius(grid) + grid.h):
-        raise GeometryError("grid square does not hold the strip ring "
-                            "r2 + 2h plus one cell")
-
-
-def strip_ring_point(grid, sigma, d):
-    """Where the strip along direction d reads its constant value.
-
-    Returns (qx, qy): q = sigma * perp(d) - back * d is the point of the
-    strip ring on the far (vertex) side of the strip, at transverse
-    coordinate sigma, with back = sqrt(ring^2 - sigma^2).
-    """
-    ring = strip_ring_radius(grid)
-    back = np.sqrt(np.maximum(ring * ring - sigma * sigma, 0.0))
-    return -sigma * d[1] - back * d[0], sigma * d[0] - back * d[1]
-
-
 def sample_with_strips(grid, values, dirs, px, py):
     """Sample strip-constant transform data at arbitrary points.
 
@@ -234,55 +207,6 @@ def sample_with_strips(grid, values, dirs, px, py):
         taken |= cond
     out[outside] = acc
     return out
-
-
-def strip_tails(grid, values, dirs, px, py, d, spans, out):
-    """Add the integrals of strip data along the rays x + t d over t-spans.
-
-    Beyond the r2 disc the data along strip s is its ring profile
-    g_s(sigma), sigma = x . perp(s), read (``strip_ring_point``) at the
-    midpoints of equal cells of width dsig across the strip's width 2 r1.
-    Over the t where a ray is in the strip the integral is
-    (G_s(sigma(b)) - G_s(sigma(a))) / c with c = d . perp(s) and G_s the
-    cumulative integral of g_s, exact for the cellwise-constant profile.
-    The strips are disjoint outside the r2 disc, so for spans (t_a, t_b)
-    outside it their integrals add.  A ray within 1e-9 of parallel to a
-    strip gets nothing from it.
-
-    px, py, d[..., 0], d[..., 1] and the span ends broadcast to the shape
-    of ``out``, which receives the integrals strip by strip, span by span.
-    """
-    # G_s leaves an error of O(dsig^2) that repeats every cell; the one
-    # caller, the star Radon transform, is then differentiated twice in s
-    # (d/ds, then the ramp filter of the FBP), which divides it by h^2, so
-    # dsig shrinks like h^2: nx * max(16, nx/8) cells across the strip
-    n_sigma = grid.nx * max(16, grid.nx // 8)
-    sigma = -grid.r1 + 2.0 * grid.r1 * ((np.arange(n_sigma) + 0.5) / n_sigma)
-    dsig = 2.0 * grid.r1 / n_sigma
-    edges = -grid.r1 + dsig * np.arange(n_sigma + 1)
-    dx, dy = d[..., 0], d[..., 1]
-    for s in dirs:
-        prof = bilinear(grid, values, *strip_ring_point(grid, sigma, s))
-        cum = np.concatenate([[0.0], np.cumsum(prof) * dsig])
-        c = -dx * s[1] + dy * s[0]              # d . perp(s)
-        e = dx * s[0] + dy * s[1]               # d . s
-        crossing = np.abs(c) >= 1e-9
-        c = np.where(crossing, c, 1.0)
-        sigma0 = -px * s[1] + py * s[0]         # x . perp(s)
-        along0 = px * s[0] + py * s[1]          # x . s
-        # in the strip: |sigma0 + t c| < r1 and along0 + t e < 0
-        lo = np.minimum((-grid.r1 - sigma0) / c, (grid.r1 - sigma0) / c)
-        hi = np.maximum((-grid.r1 - sigma0) / c, (grid.r1 - sigma0) / c)
-        cut = np.divide(-along0, e, out=np.zeros(np.broadcast(along0, e).shape),
-                        where=e != 0.0)
-        hi = np.where(e > 0.0, np.minimum(hi, cut), hi)
-        lo = np.where(e < 0.0, np.maximum(lo, cut), lo)
-        hi = np.where((e == 0.0) & (along0 >= 0.0), lo, hi)
-        for t_a, t_b in spans:
-            a, b = np.maximum(lo, t_a), np.minimum(hi, t_b)
-            tail = (np.interp(sigma0 + c * b, edges, cum)
-                    - np.interp(sigma0 + c * a, edges, cum)) / c
-            out += np.where(crossing & (b > a), tail, 0.0)
 
 
 def _chord(px, py, d, radius):
@@ -364,13 +288,10 @@ def invert_signed(ts: TransformField, geom: VLineGeometry,
     (``integrate_w``), and no data beyond the r1 disc, strip extension
     included, is ever read.  Output is supported in the closed r1 disc.
     ``workers`` is kept for callers of the public function and has no
-    effect.  Degenerate geometries raise GeometryError, and so do grids
-    whose square does not hold the strip ring plus one cell
-    (``check_strip_ring``): the documented exit 3 of the V-line inversions
-    is kept, though this route reads no strip.
+    effect.  Degenerate geometries raise GeometryError; every grid whose
+    square holds the r2 disc is accepted.
     """
     grid = ts.grid
     geom.w  # raises on degenerate geometry
-    check_strip_ring(grid)
     g = mixed_partial(ts.component(0), geom.u, geom.v, grid.h)
     return integrate_w(ScalarField(grid, g), geom)

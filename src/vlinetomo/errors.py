@@ -19,7 +19,7 @@ class ConfigError(VlineError):
 
 class GeometryError(VlineError):
     """Degenerate or non-invertible ray geometry, or a grid too small for
-    the strip extension an inversion reads."""
+    the strip ring that the star inversion reads."""
 
 
 class FileFormatError(VlineError):

@@ -5,13 +5,14 @@ Convention: the angle parameter is the direction of the line NORMAL
 psi = (cos a, sin a); R h(psi, s) integrates h over the line
 {x : x . psi = s}.  Transform fields (which are constant along ray
 directions inside semi-infinite strips outside the r2 disc) are projected
-as a grid-sampled chord part plus the closed-form strip tails of
-``beam.strip_tails``, the integral the signed V-line inversion also uses.
+as a grid-sampled chord part inside the strip ring plus closed-form strip
+tails beyond it; the strip model (``strip_ring_radius``,
+``strip_ring_point``, ``strip_tails``) lives here, next to its one caller.
 The chords are sampled by their own bilinear kernel, which works in grid
 units in buffers reused across blocks.  A full circle of even count
 integrates its half circle and mirrors it, and FBP folds it back onto the
-half circle; a 2-component field is sampled and backprojected in one
-complex pass.
+half circle; a 2-component field goes through chords, tails and
+backprojection as one complex array f1 + i f2.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beam import check_strip_ring, strip_ring_radius, strip_tails
 from .errors import ConfigError, GeometryError
 from .fields import Grid2D, ScalarField, TransformField
+from .operators import bilinear
 
 FULL_TURN = 2.0 * np.pi
 # samples per block of chord integrals (rows x samples per row): sizes the
@@ -109,7 +110,8 @@ def _chord_integrals(grid, values, psi, s, rmax):
     miss the disc (|s| >= rmax) integrate to 0."""
     # a sample's grid coordinates are rounded by ~1e-13 cells at most
     if not grid.holds_disc(rmax + 1e-9 * grid.h):
-        raise GeometryError("chord disc reaches the edge of the grid square")
+        raise GeometryError(f"grid square does not hold the chord disc of "
+                            f"radius {rmax:.6g} clear of its edges")
     out = np.zeros((len(psi), len(s)), dtype=values.dtype)
     live = np.flatnonzero(np.abs(s) < rmax)
     s = s[live]
@@ -170,35 +172,99 @@ def radon_forward(h: ScalarField, n_angles, n_offsets, full=False) -> Sinogram:
     return Sinogram(out, 0.0, dangle, ds)
 
 
+def strip_ring_radius(grid):
+    """Radius just outside the r2 disc where strip-constant values are read."""
+    return grid.r2 + 2.0 * grid.h
+
+
+def strip_ring_point(grid, sigma, d):
+    """Where the strip along direction d reads its constant value.
+
+    Returns (qx, qy): q = sigma * perp(d) - back * d is the point of the
+    strip ring on the far (vertex) side of the strip, at transverse
+    coordinate sigma, with back = sqrt(ring^2 - sigma^2).
+    """
+    ring = strip_ring_radius(grid)
+    back = np.sqrt(np.maximum(ring * ring - sigma * sigma, 0.0))
+    return -sigma * d[1] - back * d[0], sigma * d[0] - back * d[1]
+
+
+def strip_tails(grid, values, dirs, px, py, d, spans, out):
+    """Add the integrals of strip data along the rays x + t d over t-spans.
+
+    Beyond the r2 disc the data along strip s is its ring profile
+    g_s(sigma), sigma = x . perp(s), read (``strip_ring_point``) at the
+    midpoints of equal cells of width dsig across the strip's width 2 r1.
+    Over the t where a ray is in the strip the integral is
+    (G_s(sigma(b)) - G_s(sigma(a))) / c with c = d . perp(s) and G_s the
+    cumulative integral of g_s, exact for the cellwise-constant profile.
+    The strips are disjoint outside the r2 disc, so for spans (t_a, t_b)
+    outside it their integrals add.  A ray within 1e-9 of parallel to a
+    strip gets nothing from it.  Complex values give both parts at once.
+
+    px, py, d[..., 0], d[..., 1] and the span ends broadcast to the shape
+    of ``out``, which receives the integrals strip by strip, span by span.
+    """
+    # G_s leaves an error of O(dsig^2) that repeats every cell; the one
+    # caller, the star Radon transform, is then differentiated twice in s
+    # (d/ds, then the ramp filter of the FBP), which divides it by h^2, so
+    # dsig shrinks like h^2: nx * max(16, nx/8) cells across the strip
+    n_sigma = grid.nx * max(16, grid.nx // 8)
+    sigma = -grid.r1 + 2.0 * grid.r1 * ((np.arange(n_sigma) + 0.5) / n_sigma)
+    dsig = 2.0 * grid.r1 / n_sigma
+    edges = -grid.r1 + dsig * np.arange(n_sigma + 1)
+    dx, dy = d[..., 0], d[..., 1]
+    for s in dirs:
+        prof = bilinear(grid, values, *strip_ring_point(grid, sigma, s))
+        cum = np.concatenate([[0.0], np.cumsum(prof) * dsig])
+        c = -dx * s[1] + dy * s[0]              # d . perp(s)
+        e = dx * s[0] + dy * s[1]               # d . s
+        crossing = np.abs(c) >= 1e-9
+        c = np.where(crossing, c, 1.0)
+        sigma0 = -px * s[1] + py * s[0]         # x . perp(s)
+        along0 = px * s[0] + py * s[1]          # x . s
+        # in the strip: |sigma0 + t c| < r1 and along0 + t e < 0
+        lo = np.minimum((-grid.r1 - sigma0) / c, (grid.r1 - sigma0) / c)
+        hi = np.maximum((-grid.r1 - sigma0) / c, (grid.r1 - sigma0) / c)
+        cut = np.divide(-along0, e, out=np.zeros(np.broadcast(along0, e).shape),
+                        where=e != 0.0)
+        hi = np.where(e > 0.0, np.minimum(hi, cut), hi)
+        lo = np.where(e < 0.0, np.maximum(lo, cut), lo)
+        hi = np.where((e == 0.0) & (along0 >= 0.0), lo, hi)
+        for t_a, t_b in spans:
+            a, b = np.maximum(lo, t_a), np.minimum(hi, t_b)
+            tail = (np.interp(sigma0 + c * b, edges, cum)
+                    - np.interp(sigma0 + c * a, edges, cum)) / c
+            out += np.where(crossing & (b > a), tail, 0.0)
+
+
 def radon_transform_field(tf: TransformField, dirs, n_angles, n_offsets,
                           full=True) -> Sinogram:
     """Radon transform of strip-extended transform data.
 
     The line s psi + t psi_perp meets the strip ring |x| = r2 + 2h at
     t = +-half, half = sqrt(ring^2 - s^2) (0 for lines that miss it).  The
-    chord |t| < half integrates the grid samples, both components in one
-    pass over f1 + i f2; the tails beyond come in closed form from
-    ``beam.strip_tails``, one call per component.  Both are taken on the
-    lines ``_lattice`` integrates and mirrored to the rest.  Lines within
-    1e-9 of parallel to a strip get no tail from it; those angles are
-    singular downstream and discarded there.  Grids whose square does not
-    hold the strip ring plus one cell raise GeometryError
-    (``beam.check_strip_ring``)."""
+    chord |t| < half integrates the grid samples and the tails beyond come
+    in closed form from ``strip_tails``, both in one pass over f1 + i f2
+    for two components.  Both are taken on the lines ``_lattice``
+    integrates and mirrored to the rest.  Lines within 1e-9 of parallel to
+    a strip get no tail from it; those angles are singular downstream and
+    discarded there.  Grids whose square does not hold the strip ring
+    clear of its edges raise GeometryError before any chord work
+    (``_chord_integrals``)."""
     grid = tf.grid
-    check_strip_ring(grid)
     dangle, ds, offsets, psi = _lattice(grid, n_angles, n_offsets, full)
     ring = strip_ring_radius(grid)
     packed = tf.values[0] + 1j * tf.values[1] if tf.ncomp == 2 else tf.values
-    chords = _chord_integrals(grid, packed, psi, offsets, ring)
-    n = len(psi)
+    lines = _chord_integrals(grid, packed, psi, offsets, ring)
     px, py = psi[:, 0, None] * offsets, psi[:, 1, None] * offsets
     psi_perp = np.stack([-psi[:, 1], psi[:, 0]], axis=1)[:, None, :]
     half = np.sqrt(np.maximum(ring * ring - offsets * offsets, 0.0))
+    strip_tails(grid, packed, dirs, px, py, psi_perp,
+                ((-np.inf, -half), (half, np.inf)), lines)
+    n = len(psi)
     out = np.empty((tf.ncomp, n_angles, n_offsets))
-    for c, part in enumerate((chords.real, chords.imag)[:tf.ncomp]):
-        out[c, :n] = part
-        strip_tails(grid, tf.component(c), dirs, px, py, psi_perp,
-                    ((-np.inf, -half), (half, np.inf)), out[c, :n])
+    out[:, :n] = (lines.real, lines.imag)[:tf.ncomp]
     out[:, n:] = out[:, :n_angles - n, ::-1]
     return Sinogram(out, 0.0, dangle, ds)
 
@@ -209,20 +275,15 @@ def sinogram_dds(sg: Sinogram) -> Sinogram:
     return Sinogram(vals, sg.angle0, sg.dangle, sg.ds)
 
 
-def _ramp_filter(rows, ds, window):
+def _ramp_filter(rows, ds):
     n = rows.shape[-1]
     npad = 1 << (2 * n - 1).bit_length()  # the power of two >= 2n
-    freqs = np.fft.rfftfreq(npad, d=ds)
-    filt = np.abs(freqs)
-    if window == "hann":
-        filt = filt * (0.5 + 0.5 * np.cos(np.pi * freqs / freqs[-1]))
-    elif window is not None:
-        raise ConfigError(f"unknown FBP window {window!r}")
+    filt = np.abs(np.fft.rfftfreq(npad, d=ds))
     spec = np.fft.rfft(rows, n=npad, axis=-1) * filt
     return np.fft.irfft(spec, n=npad, axis=-1)[..., :n]
 
 
-def _backproject(sg: Sinogram, grid: Grid2D, window=None) -> np.ndarray:
+def _backproject(sg: Sinogram, grid: Grid2D) -> np.ndarray:
     """Filtered backprojection of every component of ``sg``, shaped
     (ncomp, nx, ny).
 
@@ -241,7 +302,7 @@ def _backproject(sg: Sinogram, grid: Grid2D, window=None) -> np.ndarray:
     if sg.full_range and sg.n_angles % 2 == 0:
         m = sg.n_angles // 2
         values, angles = values[:, :m] + values[:, m:, ::-1], angles[:m]
-    rows = _ramp_filter(values, sg.ds, window)
+    rows = _ramp_filter(values, sg.ds)
     packed = rows[0] + 1j * rows[1] if sg.ncomp == 2 else rows[0]
     offsets = sg.offsets()
     xx, yy = grid.mesh()
@@ -253,9 +314,9 @@ def _backproject(sg: Sinogram, grid: Grid2D, window=None) -> np.ndarray:
     return np.stack([acc.real, acc.imag]) if sg.ncomp == 2 else acc[None]
 
 
-def fbp_inverse(sg: Sinogram, grid: Grid2D, window=None) -> ScalarField:
+def fbp_inverse(sg: Sinogram, grid: Grid2D) -> ScalarField:
     """Filtered backprojection of a single-component sinogram onto a grid
     (``_backproject``)."""
     if sg.ncomp != 1:
         raise ConfigError("fbp_inverse needs a single-component sinogram")
-    return ScalarField(grid, _backproject(sg, grid, window)[0])
+    return ScalarField(grid, _backproject(sg, grid)[0])

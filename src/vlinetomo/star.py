@@ -256,7 +256,8 @@ def _check_guard(guard_deg):
 
 
 def apply_q(dsino: Sinogram, sg: StarGeometry, guard_deg=2.0):
-    """Per-angle Q(psi) multiply of a 2-component (already d/ds) sinogram.
+    """Per-angle Q(psi) multiply of a 2-component (already d/ds) sinogram:
+    Q(psi) = [[a, -b], [b, a]] (``q_of_psi``) multiplies d1 + i d2 by a + i b.
 
     Angles within the guard band of a singular direction are dropped and
     refilled by linear interpolation in angle (the singularities are
@@ -275,16 +276,14 @@ def apply_q(dsino: Sinogram, sg: StarGeometry, guard_deg=2.0):
              >= np.deg2rad(guard_deg))
     if int(valid.sum()) < 16:
         raise ConfigError("too few angles survive the singular guard bands")
-    out = np.zeros((2, dsino.n_angles, dsino.n_offsets))
-    for k, a in enumerate(angles):
-        if not valid[k]:
-            continue
-        q = q_of_psi(sg, direction(a))
-        out[0, k] = q[0, 0] * dsino.values[0, k] + q[0, 1] * dsino.values[1, k]
-        out[1, k] = q[1, 0] * dsino.values[0, k] + q[1, 1] * dsino.values[1, k]
-    out[0] = _interpolate_guarded(out[0], valid)
-    out[1] = _interpolate_guarded(out[1], valid)
-    return Sinogram(out, dsino.angle0, dsino.dangle, dsino.ds)
+    d = dsino.values[0] + 1j * dsino.values[1]
+    out = np.zeros_like(d)
+    for k in np.flatnonzero(valid):
+        q = q_of_psi(sg, direction(angles[k]))
+        out[k] = complex(q[0, 0], q[1, 0]) * d[k]
+    out = _interpolate_guarded(out, valid)
+    return Sinogram(np.stack([out.real, out.imag]), dsino.angle0, dsino.dangle,
+                    dsino.ds)
 
 
 def invert_star(sf: TransformField, sg: StarGeometry, n_angles=360,
@@ -295,9 +294,9 @@ def invert_star(sf: TransformField, sg: StarGeometry, n_angles=360,
     offset per grid column, and includes the analytic strip-tail
     contributions; guard-banded singular angles are interpolated over
     before the Ram-Lak backprojection.  Grids whose square does not hold
-    the strip ring plus one cell raise GeometryError
-    (``radon_transform_field`` checks before any work), and guard_deg <= 0
-    raises ConfigError before any work.
+    the strip ring r2 + 2h clear of its edges raise GeometryError (the
+    chord-disc check of ``radon_transform_field``, before any chord work),
+    and guard_deg <= 0 raises ConfigError before any work.
     """
     if classify(sg) == "symmetric":
         raise GeometryError("symmetric star transform is not invertible")

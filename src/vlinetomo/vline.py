@@ -19,7 +19,7 @@ Poisson recovery of both components (LT), or the first-moment pipeline
 D_u D_v moved inside the integral: D_u D_v of the component's signed
 V-line data is built from D_u D_v I f and the plain beams of the recovered
 curl, is supported in the r1 disc, and is integrated along u - v
-(``beam.integrate_w``) with no strip extension.  TJ is LI applied to R f.
+(``beam.integrate_w``).  TJ is LI applied to R f.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .beam import beam_field, check_strip_ring, integrate_w, ray_sum
+from .beam import beam_field, integrate_w, ray_sum
 from .errors import ConfigError, GeometryError
 from .fields import ScalarField, TransformField, VectorField, VLineGeometry
 from .operators import (bilinear, laplacians_from_div_curl, mixed_partial,
@@ -139,11 +139,10 @@ def _moment_pipeline(i_f: TransformField, c: ScalarField,
     The differences that form g_k amplify the grid-scale quadrature noise
     of the data, so g_k is mollified with a one-cell Gaussian before the
     integral; the mollifier bias is O(h^2), the same order as the stencils
-    themselves.  Grids that ``invert_signed`` rejects (``check_strip_ring``)
-    are rejected here too.
+    themselves.  Nothing beyond the r1 disc is read, so every grid whose
+    square holds the r2 disc is accepted.
     """
     grid = i_f.grid
-    check_strip_ring(grid)
     h = grid.h
     u, v = geom.u, geom.v
     duv = mixed_derivative(i_f, geom)

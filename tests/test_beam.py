@@ -5,8 +5,8 @@ from vlinetomo import (ConfigError, RayQuadrature, ScalarField,
                        VLineGeometry, direction, divergent_beam,
                        directional_derivative, invert_signed, moment_beam,
                        signed_vline)
-from vlinetomo.beam import (beam_field, beam_values, sample_with_strips,
-                            strip_ring_radius)
+from vlinetomo.beam import beam_field, beam_values, sample_with_strips
+from vlinetomo.radon import strip_ring_radius
 from vlinetomo.phantoms import bump_scalar
 
 from conftest import finer_grid, rel_l2

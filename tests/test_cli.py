@@ -279,7 +279,7 @@ def test_version_flag(capsys):
     assert __version__ in capsys.readouterr().out
 
 
-def test_invert_signed_tight_grid_exit_code(tmp_path, geom_file):
+def _tight_field(tmp_path, ncomp):
     # a VLT1 header whose grid edge lies half a cell beyond r2: the grid
     # is valid, but the strip ring r2 + 2h falls outside its square
     import struct
@@ -288,10 +288,27 @@ def test_invert_signed_tight_grid_exit_code(tmp_path, geom_file):
     path = tmp_path / "tight.vlt"
     path.write_bytes(b"VLT1" + struct.pack("<II", nx, nx)
                      + struct.pack("<5d", h, -23.5 * h, -23.5 * h, r1, r2)
-                     + struct.pack("<I", 1) + bytes(8 * nx * nx))
-    rc = main(["invert", "--pipeline", "signed", "--ts", str(path),
-               "--geometry", geom_file, "--out-dir", str(tmp_path / "x")])
+                     + struct.pack("<I", ncomp) + bytes(8 * ncomp * nx * nx))
+    return str(path)
+
+
+def test_invert_signed_tight_grid_exit_code(tmp_path, geom_file):
+    # the signed inversion reads nothing beyond the r1 disc
+    rc = main(["invert", "--pipeline", "signed",
+               "--ts", _tight_field(tmp_path, 1), "--geometry", geom_file,
+               "--out-dir", str(tmp_path / "x")])
+    assert rc == 0
+
+
+def test_invert_star_tight_grid_exit_code(tmp_path, capsys):
+    # the star inversion reads the strip ring, which the square misses
+    star = StarGeometry((direction(0.0), direction(np.pi / 2)), (1.0, 1.0))
+    rc = main(["invert", "--pipeline", "star",
+               "--sf", _tight_field(tmp_path, 2),
+               "--star-geometry", _star_file(tmp_path, star),
+               "--out-dir", str(tmp_path / "x")])
     assert rc == 3
+    assert "chord disc" in capsys.readouterr().err
 
 
 def test_config_equals_spelling(tmp_path):

@@ -253,7 +253,8 @@ def test_invert_star_rejects_symmetric(symmetric_star):
 
 
 def test_invert_star_rejects_grid_without_strip_ring(corner_star):
-    # the grid square reaches half a cell beyond r2, short of r2 + 3h
+    # the grid square reaches half a cell beyond r2, short of the strip
+    # ring r2 + 2h that the chords read
     from vlinetomo import Grid2D, TransformField
     h = 2.0 / 23.0
     grid = Grid2D(48, 48, h, (-23.5 * h, -23.5 * h), 1.0, 2.0)
@@ -269,6 +270,33 @@ def test_apply_q_validation(corner_star):
     few = Sinogram(np.zeros((2, 8, 32)), 0.0, 2 * np.pi / 8, 0.1)
     with pytest.raises(ConfigError):
         apply_q(few, corner_star)
+
+
+@pytest.mark.parametrize("sg", [
+    _star((0.0, 120.0, 240.0), (1.0, 1.0, 1.0)),
+    _star((10.0, 95.0, 200.0, 290.0), (1.0, -0.5, 2.0, 0.7))])
+def test_apply_q_matches_matrix_form(sg):
+    # unguarded rows are Q(psi) [d1; d2]; guarded rows interpolate linearly,
+    # periodically in angle, between the nearest unguarded rows
+    rng = np.random.default_rng(3)
+    n = 360
+    d = rng.standard_normal((2, n, 40))
+    got = apply_q(Sinogram(d, 0.0, 2 * np.pi / n, 0.1), sg).values
+    sing = singular_directions(sg)
+    angles = 2 * np.pi / n * np.arange(n)
+    dist = _angular_distance(angles[:, None],
+                             np.concatenate([sing.z1, sing.z2])[None, :])
+    valid = np.flatnonzero(dist.min(axis=1) >= np.deg2rad(2.0))
+    assert 0 < len(valid) < n
+    for k in range(n):
+        if k in valid:
+            ref = q_of_psi(sg, direction(angles[k])) @ d[:, k]
+        else:
+            k0 = valid[valid < k][-1] if np.any(valid < k) else valid[-1] - n
+            k1 = valid[valid > k][0] if np.any(valid > k) else valid[0] + n
+            t = (k - k0) / (k1 - k0)
+            ref = (1.0 - t) * got[:, k0 % n] + t * got[:, k1 % n]
+        assert np.abs(got[:, k] - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_apply_q_rejects_nonpositive_guard():

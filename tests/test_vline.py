@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from vlinetomo import (GeometryError, RayQuadrature, TransformField,
+from vlinetomo import (GeometryError, Grid2D, RayQuadrature, TransformField,
                        VectorField, divergent_beam, forward_I, forward_J,
-                       forward_L, forward_T, grid_for_vline, make_phantom,
-                       moment_beam, recover_curl, recover_div,
+                       forward_L, forward_T, grid_for_vline, invert_signed,
+                       make_phantom, moment_beam, recover_curl, recover_div,
                        recover_field_LI, recover_field_LT, recover_field_TJ,
-                       recover_potential, recover_stream, rhombus_check)
+                       recover_potential, recover_stream, rhombus_check,
+                       signed_vline)
 from vlinetomo.operators import bilinear
+from vlinetomo.phantoms import bump_scalar
 from vlinetomo.vline import mixed_derivative
 
 from conftest import finer_grid, rel_l2
@@ -222,20 +224,33 @@ def test_recover_field_LI_converges_on_finer_forward_data(oblique_geom):
     assert errs[1] <= 0.03 and errs[0] / errs[1] >= 2.5
 
 
-def test_moment_pipelines_reject_grid_without_strip_ring(oblique_geom):
-    # the edge lies half a cell beyond r2: LI and TJ raise (CLI exit 3)
-    # like the signed inversion
-    from vlinetomo import Grid2D
-    r2 = oblique_geom.required_r2(1.0)
-    h = r2 / 23.0
-    g = Grid2D(48, 48, h, (-23.5 * h, -23.5 * h), 1.0, r2)
-    ph = make_phantom("mixed", g)
-    with pytest.raises(GeometryError):
-        recover_field_LI(forward_L(ph.field, oblique_geom),
-                         forward_I(ph.field, oblique_geom), oblique_geom)
-    with pytest.raises(GeometryError):
-        recover_field_TJ(forward_T(ph.field, oblique_geom),
-                         forward_J(ph.field, oblique_geom), oblique_geom)
+def _vline_errors(g, geom):
+    """rel L2 of the signed round trip and worst-component rel L2 of LI and
+    TJ on grid g, for the mixed phantom and a bump."""
+    mask = g.disc_mask(g.r1)
+    f = make_phantom("mixed", g).field
+    h = bump_scalar(g, scale=0.8)
+    li = recover_field_LI(forward_L(f, geom), forward_I(f, geom), geom)
+    tj = recover_field_TJ(forward_T(f, geom), forward_J(f, geom), geom)
+    signed = invert_signed(signed_vline(h, geom), geom)
+    return (rel_l2(signed.values, h.values + 1e-300, mask),
+            _max_component_error(li, f, mask),
+            _max_component_error(tj, f, mask))
+
+
+def test_vline_inversions_accept_grid_without_strip_ring(oblique_geom):
+    # the centred grid's h on a square reaching r2 + h/2, short of the
+    # strip ring r2 + 2h: the signed, LI and TJ inversions read nothing
+    # beyond the r1 disc, so their errors match the centred grid's, up to
+    # the half-cell shift of the samples (LI 1.572 -> 1.565%, TJ 1.246 ->
+    # 1.238% at nx = 256)
+    wide = grid_for_vline(256, 1.0, oblique_geom)
+    nx, h = wide.nx - 7, wide.h
+    tight = Grid2D(nx, nx, h, (-(nx - 1) * h / 2.0,) * 2, 1.0, wide.r2)
+    assert not tight.holds_disc(wide.r2 + h)
+    for e_tight, e_wide in zip(_vline_errors(tight, oblique_geom),
+                               _vline_errors(wide, oblique_geom)):
+        assert abs(e_tight / e_wide - 1.0) <= 0.01
 
 
 def test_moment_pipelines_zero(grid, geom):
