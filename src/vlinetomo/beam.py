@@ -129,8 +129,9 @@ def _beam_kernel(grid, d, quad, moment):
     db = np.concatenate([b, b, b + 1, b + 1])
     w = np.concatenate([(1.0 - fx) * (1.0 - fy), fx * (1.0 - fy),
                         (1.0 - fx) * fy, fx * fy]) * np.tile(wt, 4)
-    # taps at offsets of a grid width or more never reach a sample
-    keep = (np.abs(da) < grid.nx) & (np.abs(db) < grid.ny)
+    # taps at offsets of a grid width or more never reach a sample, and
+    # zero taps (an axis-aligned ray's second row or column) are left out
+    keep = (np.abs(da) < grid.nx) & (np.abs(db) < grid.ny) & (w != 0.0)
     if not keep.any():
         return np.zeros((1, 1)), (0, 0)
     da, db, w = da[keep], db[keep], w[keep]

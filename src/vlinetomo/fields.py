@@ -103,8 +103,14 @@ class Grid2D:
         return np.meshgrid(self.xs(), self.ys(), indexing="ij")
 
     def rr(self):
-        """Distance of every sample from the origin."""
-        return np.hypot(self.xs()[:, None], self.ys()[None, :])
+        """Distance of every sample from the origin, as one read-only array
+        computed on the first call."""
+        rr = self.__dict__.get("_rr")
+        if rr is None:
+            rr = np.hypot(self.xs()[:, None], self.ys()[None, :])
+            rr.flags.writeable = False
+            object.__setattr__(self, "_rr", rr)
+        return rr
 
     def disc_mask(self, radius):
         return self.rr() <= radius

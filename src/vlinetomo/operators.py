@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft2, next_fast_len, rfft2
+from numpy.fft import irfftn, rfftn
 
 from .errors import ConfigError
 from .fields import Grid2D, ScalarField, VectorField, unit_vector
@@ -37,29 +37,43 @@ def bilinear(grid: Grid2D, values: np.ndarray, px, py):
     return np.where(inside, out, 0.0)
 
 
+def fast_len(n):
+    """The least 5-smooth integer >= n (a length numpy's FFT runs fast)."""
+    while True:
+        k = n
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return n
+        n += 1
+
+
 def correlate(values, kernel, center):
     """out[i, j] = sum_{a, b} kernel[a, b] * values[i + a - ca, j + b - cb]
     at every sample of ``values``, which counts as zero beyond the array;
     ``center`` = (ca, cb) is the kernel index of the zero offset and must
     lie inside the kernel.
 
-    Evaluated as one zero-padded real FFT product, O(N^2 log N).  Per axis
-    it wraps with period n + max(c, k - 1 - c), the least that keeps the
-    wrap-around off every output sample, so a centred kernel pads less
-    than a one-sided one; a longer kernel is cut to that period, which
-    drops only taps that reach no sample.
+    Evaluated as one zero-padded real FFT product, O(N^2 log N), over the
+    axes where the kernel has more than one tap.  Per axis it wraps with
+    period fast_len(n + max(c, k - 1 - c)), which keeps the wrap-around
+    off every output sample, so a centred kernel pads less than a
+    one-sided one; a longer kernel is cut to that period, which drops only
+    taps that reach no sample.
     """
-    nx, ny = values.shape
-    kx, ky = kernel.shape
-    if not (0 <= center[0] < kx and 0 <= center[1] < ky):
+    if not all(0 <= c < k for c, k in zip(center, kernel.shape)):
         raise ValueError(f"kernel center {center} outside kernel of shape {kernel.shape}")
-    shape = tuple(next_fast_len(n + max(c, k - 1 - c), real=True)
-                  for n, k, c in ((nx, kx, center[0]), (ny, ky, center[1])))
+    axes = [a for a in (0, 1) if kernel.shape[a] > 1]
+    if not axes:
+        return kernel[0, 0] * values
+    shape = [fast_len(values.shape[a] + max(center[a], kernel.shape[a] - 1 - center[a]))
+             for a in axes]
     # correlating with the kernel is convolving with its mirror image
-    spec = rfft2(values, shape) * rfft2(kernel[::-1, ::-1], shape)
-    full = irfft2(spec, shape)
-    i0, j0 = kx - 1 - center[0], ky - 1 - center[1]
-    return full[i0:i0 + nx, j0:j0 + ny]
+    spec = rfftn(values, shape, axes) * rfftn(kernel[::-1, ::-1], shape, axes)
+    full = irfftn(spec, shape, axes)
+    i0, j0 = (k - 1 - c for k, c in zip(kernel.shape, center))
+    return full[i0:i0 + values.shape[0], j0:j0 + values.shape[1]]
 
 
 def partial_x(values, h):

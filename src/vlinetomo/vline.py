@@ -19,13 +19,13 @@ Poisson recovery of both components (LT), or the first-moment pipeline
 D_u D_v moved inside the integral: D_u D_v of the component's signed
 V-line data is built from D_u D_v I f and the plain beams of the recovered
 curl, is supported in the r1 disc, and is integrated along u - v
-(``beam.integrate_w``).  TJ is LI applied to R f.
+(``beam.integrate_w``), after a one-cell Gaussian mollifier
+(``_mollify``).  TJ is LI applied to R f.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .beam import beam_field, integrate_w, ray_sum
 from .errors import ConfigError, GeometryError
@@ -121,6 +121,20 @@ def recover_stream(lf: TransformField, geom: VLineGeometry) -> ScalarField:
     return solve_dirichlet_disc(recover_curl(lf, geom)).field
 
 
+# one-cell Gaussian over offsets -4..4, normalised to sum 1
+_GAUSS = np.exp(-0.5 * np.arange(-4, 5) ** 2.0)
+_GAUSS /= _GAUSS.sum()
+
+
+def _mollify(x):
+    """Separable one-cell Gaussian of grid samples, mirrored at the edges
+    (the samples repeat in reverse order beyond them)."""
+    nx, ny = x.shape
+    p = np.pad(x, 4, "symmetric")
+    p = sum(w * p[k:k + nx] for k, w in enumerate(_GAUSS))
+    return sum(w * p[:, k:k + ny] for k, w in enumerate(_GAUSS))
+
+
 def _moment_pipeline(i_f: TransformField, c: ScalarField,
                      geom: VLineGeometry) -> VectorField:
     """Core of the LI reconstruction from I f and the recovered curl c.
@@ -153,7 +167,7 @@ def _moment_pipeline(i_f: TransformField, c: ScalarField,
     fields = []
     for deriv, cu, cv in ((partial_x(duv, h), -u[1], v[1]),
                           (partial_y(duv, h), u[0], -v[0])):
-        g = gaussian_filter(deriv + cu * dv_xu + cv * du_xv, 1.0)
+        g = _mollify(deriv + cu * dv_xu + cv * du_xv)
         fields.append(integrate_w(ScalarField(grid, g), geom).values)
     return VectorField(grid, fields[0], fields[1])
 

@@ -221,7 +221,7 @@ def test_invert_signed_cost_bounded_near_straight(monkeypatch):
     # within (2 nx)^2 and does not grow as the opening nears pi
     from vlinetomo import beam, grid_for_vline, operators
     nx = 48
-    correlate, rfft2 = operators.correlate, operators.rfft2
+    correlate, rfftn = operators.correlate, operators.rfftn
     shapes = {}
     for angle in (np.pi / 2, 3.1, 3.14):
         geom = VLineGeometry(direction(0.0), direction(angle))
@@ -233,12 +233,12 @@ def test_invert_signed_cost_bounded_near_straight(monkeypatch):
             calls.append(set())
             return correlate(values, kernel, center)
 
-        def recording(x, s):
+        def recording(x, s, axes):
             calls[-1].add(tuple(s))
-            return rfft2(x, s)
+            return rfftn(x, s, axes)
 
         monkeypatch.setattr(beam, "correlate", counting)
-        monkeypatch.setattr(operators, "rfft2", recording)
+        monkeypatch.setattr(operators, "rfftn", recording)
         rec = invert_signed(ts, geom)
         monkeypatch.undo()
         assert np.all(np.isfinite(rec.values))

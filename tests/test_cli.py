@@ -397,6 +397,21 @@ def test_manifest_names_every_output(tmp_path, geom_file):
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
+def test_import_loads_no_scipy():
+    # the library and its CLI run on numpy alone; only the tests use scipy
+    import os
+    import subprocess
+    import sys
+    import vlinetomo
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(vlinetomo.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import vlinetomo, vlinetomo.cli, sys; "
+         "assert 'scipy' not in sys.modules, 'scipy imported'"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_module_exit_status(tmp_path, geom_file):
     # `python -m vlinetomo.cli` turns main's return value into the process
     # exit status

@@ -119,6 +119,15 @@ def test_geometries_own_read_only_directions():
     assert not unit_vector(u).flags.writeable
 
 
+def test_grid_rr_is_read_only_and_computed_once():
+    grid = Grid2D(40, 48, 0.1, (-1.95, -2.3), 1.0, 1.9)
+    rr = grid.rr()
+    assert np.array_equal(rr, np.hypot(grid.xs()[:, None], grid.ys()[None, :]))
+    assert grid.rr() is rr
+    with pytest.raises(ValueError):
+        rr[0, 0] = 0.0
+
+
 def test_grid_origin_is_a_tuple_of_floats():
     origin = [-2.0, np.float32(-2.0)]
     grid = Grid2D(64, 64, 4.0 / 63, origin, 1.0, 1.9)

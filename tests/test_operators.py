@@ -5,7 +5,7 @@ from vlinetomo import (Grid2D, ScalarField, VectorField, curl,
                        directional_derivative, divergence, gradient,
                        helmholtz_decompose, laplacians_from_div_curl,
                        make_phantom)
-from vlinetomo.operators import bilinear, correlate
+from vlinetomo.operators import bilinear, correlate, fast_len
 
 from conftest import rel_l2
 
@@ -30,6 +30,32 @@ def test_correlate_matches_direct_sum(kshape, center):
                         ref[i, j] += kernel[a, b] * values[p, q]
     out = correlate(values, kernel, center)
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("kshape, center", [
+    ((6, 1), (2, 0)), ((1, 6), (0, 5)), ((11, 1), (0, 0)), ((1, 1), (0, 0)),
+])
+def test_correlate_one_axis_kernels_match_direct_sum(kshape, center):
+    # a kernel with one tap along an axis is transformed along the other
+    # axis only; a one-tap kernel is a plain scaling
+    rng = np.random.default_rng(8)
+    values, kernel = rng.standard_normal((7, 9)), rng.standard_normal(kshape)
+    ref = np.zeros_like(values)
+    for a in range(kshape[0]):
+        for b in range(kshape[1]):
+            for i in range(values.shape[0]):
+                for j in range(values.shape[1]):
+                    p, q = i + a - center[0], j + b - center[1]
+                    if 0 <= p < values.shape[0] and 0 <= q < values.shape[1]:
+                        ref[i, j] += kernel[a, b] * values[p, q]
+    out = correlate(values, kernel, center)
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len
+    assert [fast_len(n) for n in range(1, 4097)] == \
+        [next_fast_len(n, real=True) for n in range(1, 4097)]
 
 
 def _coords(grid):

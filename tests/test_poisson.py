@@ -56,6 +56,18 @@ def test_dirichlet_matches_sparse_lu(make_grid, geom):
         assert min(lo) < 0 or lo[0] + shape[0] > grid.nx or lo[1] + shape[1] > grid.ny
 
 
+@pytest.mark.parametrize("shape", [(7, 7), (8, 8), (9, 14), (15, 4), (31, 24)])
+def test_box_inverse_matches_scipy_dst(shape):
+    # square, non-square, odd and even sides
+    from scipy.fft import dstn, idstn
+    r = np.random.default_rng(3).standard_normal(shape)
+    lam = [2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1)) for n in shape]
+    inv_lam = 1.0 / (lam[0][:, None] + lam[1][None, :])
+    ref = idstn(dstn(r, type=1) * inv_lam, type=1)
+    out = poisson._box_inverse(shape)(r)
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_dirichlet_raises_short_of_tolerance(grid, monkeypatch):
     monkeypatch.setattr(poisson, "CG_MAX_ITER", 1)
     with pytest.raises(GeometryError, match="1 iterations"):

@@ -10,7 +10,7 @@ from vlinetomo import (GeometryError, Grid2D, RayQuadrature, TransformField,
                        signed_vline)
 from vlinetomo.operators import bilinear
 from vlinetomo.phantoms import bump_scalar
-from vlinetomo.vline import mixed_derivative
+from vlinetomo.vline import _mollify, mixed_derivative
 
 from conftest import finer_grid, rel_l2
 
@@ -259,6 +259,15 @@ def test_moment_pipelines_zero(grid, geom):
     rtj = recover_field_TJ(forward_T(z, geom), forward_J(z, geom), geom)
     for rec in (rli, rtj):
         assert np.all(rec.f1 == 0.0) and np.all(rec.f2 == 0.0)
+
+
+@pytest.mark.parametrize("shape", [(40, 33), (16, 16)])
+def test_mollifier_matches_scipy_gaussian(shape):
+    # scipy's reflect mode is numpy's "symmetric" pad; sigma 1, radius 4
+    from scipy.ndimage import gaussian_filter
+    x = np.random.default_rng(5).standard_normal(shape)
+    ref = gaussian_filter(x, 1.0)
+    assert np.abs(_mollify(x) - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_mixed_derivative_exact_on_quadratics(oblique_geom):
