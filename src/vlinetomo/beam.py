@@ -4,11 +4,12 @@ Divergent beam transform and its first moment, the signed V-line
 transform of a scalar function and its closed-form inversion.
 
 Every beam integral uses one quadrature: the midpoint rule on the arc-length
-lattice t_k = (k + 1/2) step, k = 0, 1, ..., started at the vertex and shared
+lattice t_k = (k + 1/2) h/2, k = 0, 1, ..., started at the vertex and shared
 by all vertices, with the field sampled bilinearly.  Because the lattice is
 shared, the beam over the whole grid is a correlation of the field with a
 fixed sparse kernel, which ``beam_field`` evaluates with one FFT;
-``beam_values`` sums the same samples directly at arbitrary points.
+``beam_values`` sums the same samples directly at arbitrary points, and
+also at the step of a ``RayQuadrature`` (the tests' direct-sum oracle).
 
 The inversion applies the paper's formula with D_u D_v moved inside the
 integral: the differentiated data D_u D_v T_s h = D_{u-v} h is supported
@@ -35,7 +36,7 @@ from .radon import strip_ring_point
 
 @dataclass(frozen=True)
 class RayQuadrature:
-    """Arc-length sampling of ray integrals; step defaults to h/2."""
+    """Arc-length step of the direct-sum oracle ``beam_values`` (default h/2)."""
 
     step: float
 
@@ -108,17 +109,16 @@ def moment_beam(h: ScalarField, x, d, quad=None) -> float:
                              moment=True)[0])
 
 
-def _beam_kernel(grid, d, quad, moment):
+def _beam_kernel(grid, d, moment):
     """Correlation kernel of X_d (X^1_d with ``moment``) on the shared lattice.
 
     From vertex (i, j) the sample x_ij + t_k d sits at grid coordinates
     (i + t_k d1/h, j + t_k d2/h), so its cell offset and bilinear weights
     depend on k alone: 4 taps per sample, each weighted by step (step t_k
     for the moment).  Returns (kernel, center) for ``correlate``; the
-    kernel always spans offset 0, where ``center`` points, even when a
-    coarse step puts the first sample a cell or more from the vertex.
+    kernel spans offset 0, where ``center`` points.
     """
-    step, t = _ray_lattice(grid, quad, grid.h * np.hypot(grid.nx - 1, grid.ny - 1))
+    step, t = _ray_lattice(grid, None, grid.h * np.hypot(grid.nx - 1, grid.ny - 1))
     gx = t * d[0] / grid.h
     gy = t * d[1] / grid.h
     a = np.floor(gx).astype(np.int64)
@@ -132,8 +132,6 @@ def _beam_kernel(grid, d, quad, moment):
     # taps at offsets of a grid width or more never reach a sample, and
     # zero taps (an axis-aligned ray's second row or column) are left out
     keep = (np.abs(da) < grid.nx) & (np.abs(db) < grid.ny) & (w != 0.0)
-    if not keep.any():
-        return np.zeros((1, 1)), (0, 0)
     da, db, w = da[keep], db[keep], w[keep]
     amin, bmin = min(0, int(da.min())), min(0, int(db.min()))
     amax, bmax = max(0, int(da.max())), max(0, int(db.max()))
@@ -142,7 +140,7 @@ def _beam_kernel(grid, d, quad, moment):
     return kernel, (-amin, -bmin)
 
 
-def beam_field(h: ScalarField, d, quad=None, moment=False, workers=1) -> np.ndarray:
+def beam_field(h: ScalarField, d, moment=False, workers=1) -> np.ndarray:
     """Beam integrals at every grid vertex, as an (nx, ny) array.
 
     The same quadrature as ``beam_values`` (equal to rounding), evaluated
@@ -150,11 +148,11 @@ def beam_field(h: ScalarField, d, quad=None, moment=False, workers=1) -> np.ndar
     ``_beam_kernel`` in O(N^2 log N).  ``workers`` is kept for callers of
     the public function and has no effect.
     """
-    kernel, center = _beam_kernel(h.grid, unit_vector(d), quad, moment)
+    kernel, center = _beam_kernel(h.grid, unit_vector(d), moment)
     return correlate(_supported(h), kernel, center)
 
 
-def ray_sum(terms, quad=None, moment=False) -> np.ndarray:
+def ray_sum(terms, moment=False) -> np.ndarray:
     """sum_i c_i X_{d_i} h_i at every grid vertex, for (h_i, d_i, c_i) terms.
 
     Every V-line and star transform is such a weighted sum of beam fields
@@ -163,17 +161,17 @@ def ray_sum(terms, quad=None, moment=False) -> np.ndarray:
     bit-identical to the written-out expression such as X_u h - X_v h.
     """
     (h, d, c), *rest = terms
-    out = c * beam_field(h, d, quad, moment=moment)
+    out = c * beam_field(h, d, moment=moment)
     for h, d, c in rest:
-        out += c * beam_field(h, d, quad, moment=moment)
+        out += c * beam_field(h, d, moment=moment)
     return out
 
 
-def signed_vline(h: ScalarField, geom: VLineGeometry, quad=None,
+def signed_vline(h: ScalarField, geom: VLineGeometry,
                  workers=1) -> TransformField:
     """T_s h = X_u h - X_v h sampled at every grid vertex."""
     geom.check_grid(h.grid)
-    vals = ray_sum(((h, geom.u, 1.0), (h, geom.v, -1.0)), quad)
+    vals = ray_sum(((h, geom.u, 1.0), (h, geom.v, -1.0)))
     return TransformField(h.grid, vals, "Ts")
 
 
@@ -289,10 +287,8 @@ def invert_signed(ts: TransformField, geom: VLineGeometry,
     (``integrate_w``), and no data beyond the r1 disc, strip extension
     included, is ever read.  Output is supported in the closed r1 disc.
     ``workers`` is kept for callers of the public function and has no
-    effect.  Degenerate geometries raise GeometryError; every grid whose
-    square holds the r2 disc is accepted.
+    effect.  Every grid whose square holds the r2 disc is accepted.
     """
     grid = ts.grid
-    geom.w  # raises on degenerate geometry
     g = mixed_partial(ts.component(0), geom.u, geom.v, grid.h)
     return integrate_w(ScalarField(grid, g), geom)

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .beam import RayQuadrature, invert_signed, signed_vline
+from .beam import invert_signed, signed_vline
 from .errors import ConfigError, VlineError
 from .fields import Grid2D, ScalarField, TransformField, VectorField
 from .io import (_components, _key_values, read_star_geometry,
@@ -176,23 +176,22 @@ def _load_star_geometry(args):
 
 def cmd_forward(args):
     field = read_vlt1(args.field)
-    quad = None if args.step is None else RayQuadrature(step=args.step)
     name = args.transform
     if name == "star":
         sg = _load_star_geometry(args)
         if not isinstance(field, VectorField):
             raise ConfigError("star transform needs a 2-component field")
-        tf = forward_star(field, sg, quad)
+        tf = forward_star(field, sg)
     elif name == "signed":
         if not isinstance(field, ScalarField):
             raise ConfigError("signed transform needs a scalar field")
-        tf = signed_vline(field, _load_vline_geometry(args), quad)
+        tf = signed_vline(field, _load_vline_geometry(args))
     else:
         if not isinstance(field, VectorField):
             raise ConfigError(f"transform {name} needs a 2-component field")
         op = {"L": forward_L, "T": forward_T,
               "I": forward_I, "J": forward_J}[name]
-        tf = op(field, _load_vline_geometry(args), quad)
+        tf = op(field, _load_vline_geometry(args))
     values = _add_noise(tf.values, args.noise_sigma, args.seed)
     return [_save(args, args.out, TransformField(tf.grid, values, tf.kind))]
 
@@ -256,7 +255,9 @@ def cmd_report(args):
     return [_error_report(args, read_vlt1(args.field), read_vlt1(args.oracle))]
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built (and each ``cmd_*`` bound) once per process."""
     # no abbreviated flags: ``_config_tokens`` finds --config by its full name
     parser = argparse.ArgumentParser(prog="vlinetomo", allow_abbrev=False,
                                      description=__doc__.splitlines()[0])
@@ -287,8 +288,6 @@ def build_parser():
     p.add_argument("--field", required=True, help="input VLT1 field")
     p.add_argument("--geometry", help="V-line geometry text file")
     p.add_argument("--star-geometry", help="star geometry text file")
-    p.add_argument("--step", type=float, default=None,
-                   help="ray quadrature step (default h/2)")
     p.add_argument("--noise-sigma", type=float, default=0.0,
                    help="relative Gaussian noise level")
     p.add_argument("--seed", type=int, default=0)

@@ -261,12 +261,9 @@ class VLineGeometry(RayGeometry):
 
     @property
     def w(self):
-        """Unit vector along v - u (inversion ray direction)."""
-        d = self.v - self.u
-        n = float(np.hypot(d[0], d[1]))
-        if n < MIN_DET:
-            raise GeometryError("u = v: degenerate V-line geometry")
-        return d / n
+        """Unit vector along v - u (inversion ray direction); never 0/0:
+        construction rejects |det(v, u)| < MIN_DET, and |det(v, u)| <= |v - u|."""
+        return (self.v - self.u) / self.norm_vu
 
     @property
     def norm_vu(self):

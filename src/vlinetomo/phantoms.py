@@ -1,8 +1,9 @@
 """Analytic test fields with closed-form derivatives.
 
 The bump profile (1 - rho^2)^3 is C^2 at its support boundary, so the
-phantom components are C^2 with compact support, and div, curl and the
-potentials all have closed forms usable as oracles.
+potential and the stream function are C^2 with compact support, the field
+components (their gradients) are C^1, and div and curl are only C^0 at
+the support edge; all of them have closed forms usable as oracles.
 """
 
 from __future__ import annotations

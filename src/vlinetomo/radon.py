@@ -103,11 +103,12 @@ def _chord_integrals(grid, values, psi, s, rmax):
 
     Bilinear interpolation of the grid samples in lerp form.  Chord sample
     coordinates are kept in grid units; offsets go in blocks of at most
-    CHORD_BLOCK samples through one set of work buffers allocated per call,
-    so a block allocates nothing.  Every sample lies inside the rmax disc,
-    so the interpolation cell needs no clipping; grids whose square does
-    not hold that disc clear of its edges raise GeometryError.  Lines that
-    miss the disc (|s| >= rmax) integrate to 0."""
+    CHORD_BLOCK samples, the outer loop, through one set of work buffers
+    allocated per call, so a block allocates nothing and memory beyond the
+    output does not grow with the offset count.  Every sample lies inside
+    the rmax disc, so the interpolation cell needs no clipping; grids whose
+    square does not hold that disc clear of its edges raise GeometryError.
+    Lines that miss the disc (|s| >= rmax) integrate to 0."""
     # a sample's grid coordinates are rounded by ~1e-13 cells at most
     if not grid.holds_disc(rmax + 1e-9 * grid.h):
         raise GeometryError(f"grid square does not hold the chord disc of "
@@ -119,7 +120,6 @@ def _chord_integrals(grid, values, psi, s, rmax):
     n = max(1, int(np.ceil(4.0 * rmax / grid.h)))
     mid = (np.arange(n) + 0.5) / n  # fractions of the chord length
     dt = 2.0 * half / n
-    th = (-half[:, None] + (2.0 * half)[:, None] * mid[None, :]) / grid.h
     sh = s / grid.h
     ox, oy = grid.origin[0] / grid.h, grid.origin[1] / grid.h
     ny, flat = values.shape[1], values.reshape(-1)
@@ -127,16 +127,21 @@ def _chord_integrals(grid, values, psi, s, rmax):
     corners = (flat, flat[ny:], flat[1:], flat[ny + 1:])
     rows = max(1, CHORD_BLOCK // n)
     shape = (min(rows, len(s)), n)
-    gx, gy, fi, fj = (np.empty(shape) for _ in range(4))
+    tb, gx, gy, fi, fj = (np.empty(shape) for _ in range(5))
     k = np.empty(shape, dtype=np.intp)
     v = [np.empty(shape, dtype=values.dtype) for _ in corners]
-    for row, (cos, sin) in zip(out, psi):
-        for a in range(0, len(s), rows):
-            b = min(a + rows, len(s))
-            x, y, i, j, kb, *corner = (w[:b - a] for w in (gx, gy, fi, fj, k, *v))
-            np.multiply(th[a:b], -sin, out=x)
+    for a in range(0, len(s), rows):
+        b = min(a + rows, len(s))
+        th, x, y, i, j, kb, *corner = (w[:b - a]
+                                       for w in (tb, gx, gy, fi, fj, k, *v))
+        # the block's chord coordinates, in grid units, for every angle
+        np.multiply((2.0 * half[a:b])[:, None], mid, out=th)
+        th -= half[a:b, None]
+        th /= grid.h
+        for row, (cos, sin) in zip(out, psi):
+            np.multiply(th, -sin, out=x)
             x += (sh[a:b] * cos - ox)[:, None]
-            np.multiply(th[a:b], cos, out=y)
+            np.multiply(th, cos, out=y)
             y += (sh[a:b] * sin - oy)[:, None]
             np.floor(x, out=i)
             np.floor(y, out=j)

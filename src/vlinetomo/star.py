@@ -78,13 +78,12 @@ class StarGeometry(RayGeometry):
 grid_for_star = grid_for_vline
 
 
-def forward_star(f: VectorField, sg: StarGeometry, quad=None,
-                 workers=1) -> TransformField:
+def forward_star(f: VectorField, sg: StarGeometry, workers=1) -> TransformField:
     """S f sampled at every grid vertex, a 2-component transform field."""
     sg.check_grid(f.grid)
     weighted = tuple(zip(sg.gammas, sg.weights))
-    long_part = ray_sum([(f.dot(g), g, c) for g, c in weighted], quad)
-    trans_part = ray_sum([(f.dot(perp(g)), g, c) for g, c in weighted], quad)
+    long_part = ray_sum([(f.dot(g), g, c) for g, c in weighted])
+    trans_part = ray_sum([(f.dot(perp(g)), g, c) for g, c in weighted])
     return TransformField(f.grid, np.stack([long_part, trans_part]), "S")
 
 
@@ -145,28 +144,16 @@ def classify(sg: StarGeometry):
     """'symmetric' (non-invertible) or 'invertible'.
 
     Symmetric means the rays split into pairs gamma_i = -gamma_j with
-    weights c_i = -c_j; this is exactly the non-invertible case.
+    weights c_i = -c_j; this is exactly the non-invertible case.  Rays
+    never coincide, so each has at most one opposite: the test is that m
+    is even and every ray has an opposite of opposite weight.
     """
-    m = sg.m
-    if m % 2 == 1:
-        return "invertible"
-    used = [False] * m
     wscale = max(abs(c) for c in sg.weights)
-    for i in range(m):
-        if used[i]:
-            continue
-        mate = None
-        for j in range(i + 1, m):
-            if used[j]:
-                continue
-            if (np.hypot(*(sg.gammas[i] + sg.gammas[j])) <= PAIR_TOL
-                    and abs(sg.weights[i] + sg.weights[j]) <= 1e-12 * wscale):
-                mate = j
-                break
-        if mate is None:
-            return "invertible"
-        used[i] = used[mate] = True
-    return "symmetric"
+    rays = tuple(zip(sg.gammas, sg.weights))
+    paired = all(any(np.hypot(*(g + g2)) <= PAIR_TOL
+                     and abs(c + c2) <= 1e-12 * wscale for g2, c2 in rays)
+                 for g, c in rays)
+    return "symmetric" if sg.m % 2 == 0 and paired else "invertible"
 
 
 @dataclass(frozen=True)

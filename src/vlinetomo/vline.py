@@ -40,33 +40,31 @@ def _rotated(f: VectorField) -> VectorField:
     return VectorField(f.grid, f.f2, -f.f1)
 
 
-def _forward(f: VectorField, geom: VLineGeometry, kind, moment,
-             quad=None) -> TransformField:
+def _forward(f: VectorField, geom: VLineGeometry, kind, moment) -> TransformField:
     geom.check_grid(f.grid)
     du, dv = geom.u, geom.v
-    vals = ray_sum(((f.dot(du), du, -1.0), (f.dot(dv), dv, 1.0)), quad,
-                   moment=moment)
+    vals = ray_sum(((f.dot(du), du, -1.0), (f.dot(dv), dv, 1.0)), moment=moment)
     return TransformField(f.grid, vals, kind)
 
 
-def forward_L(f, geom, quad=None, workers=1):
+def forward_L(f, geom, workers=1):
     """Longitudinal transform: -X_u(f.u) + X_v(f.v)."""
-    return _forward(f, geom, "L", moment=False, quad=quad)
+    return _forward(f, geom, "L", moment=False)
 
 
-def forward_T(f, geom, quad=None, workers=1):
+def forward_T(f, geom, workers=1):
     """Transverse transform: -X_u(f.u^perp) + X_v(f.v^perp) = L(R f)."""
-    return _forward(_rotated(f), geom, "T", moment=False, quad=quad)
+    return _forward(_rotated(f), geom, "T", moment=False)
 
 
-def forward_I(f, geom, quad=None, workers=1):
+def forward_I(f, geom, workers=1):
     """First-moment longitudinal transform."""
-    return _forward(f, geom, "I", moment=True, quad=quad)
+    return _forward(f, geom, "I", moment=True)
 
 
-def forward_J(f, geom, quad=None, workers=1):
+def forward_J(f, geom, workers=1):
     """First-moment transverse transform: I(R f)."""
-    return _forward(_rotated(f), geom, "J", moment=True, quad=quad)
+    return _forward(_rotated(f), geom, "J", moment=True)
 
 
 def mixed_derivative(tf: TransformField, geom: VLineGeometry) -> np.ndarray:

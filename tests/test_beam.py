@@ -56,22 +56,21 @@ def test_quadrature_second_order(grid):
 
 @pytest.mark.parametrize("oblique", [False, True])
 @pytest.mark.parametrize("moment", [False, True])
-@pytest.mark.parametrize("step", [None, 0.37, 3.0, 4.5])
+@pytest.mark.parametrize("step", [None])
 def test_beam_field_matches_direct_sum(geom, oblique_geom, oblique, moment,
                                        step):
-    # the FFT evaluation and the direct sum share one lattice per vertex;
-    # coarse steps put the first sample cells away from the vertex, and -u
-    # adds a ray with two negative components in the oblique case
+    # the FFT evaluation and the direct sum at its default step share one
+    # lattice per vertex, of step h/2; -u adds a ray with two negative
+    # components in the oblique case
     from vlinetomo import grid_for_vline
     g = oblique_geom if oblique else geom
     grid = grid_for_vline(48, 1.0, g)
     h = bump_scalar(grid, center=(0.1, -0.15), scale=0.6)
-    quad = None if step is None else RayQuadrature(step * grid.h)
     xx, yy = grid.mesh()
     pts = np.column_stack([xx.ravel(), yy.ravel()])
     for d in (*g.rays, -g.u):
-        ref = beam_values(h, pts, d, quad, moment=moment)
-        vals = beam_field(h, d, quad, moment=moment).ravel()
+        ref = beam_values(h, pts, d, step, moment=moment)
+        vals = beam_field(h, d, moment=moment).ravel()
         assert np.abs(vals - ref).max() <= 1e-12 * np.abs(ref).max()
 
 

@@ -335,6 +335,27 @@ def test_abbreviated_config_flag_is_rejected(tmp_path):
     assert not out.exists()
 
 
+def test_step_flag_exits_2_before_reading_input(tmp_path, geom_file,
+                                                monkeypatch):
+    # the beam step is h/2, fixed by the grid: a caller-set step, however
+    # small, is a usage error and allocates nothing
+    import vlinetomo.cli as cli
+    ph = _phantom(tmp_path, nx=64)
+    monkeypatch.setattr(cli, "read_vlt1",
+                        lambda *a, **k: pytest.fail("an input was read"))
+    out = tmp_path / "fwd"
+    with pytest.raises(SystemExit) as exc:
+        main(["forward", "--transform", "L", "--field", str(ph / "field.vlt"),
+              "--geometry", geom_file, "--step", "1e-9", "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_parser_is_built_once():
+    from vlinetomo.cli import build_parser
+    assert build_parser() is build_parser()
+
+
 def test_config_skips_blank_and_comment_lines(tmp_path):
     plain, noisy = tmp_path / "plain.cfg", tmp_path / "noisy.cfg"
     plain.write_text("kind=solenoidal\nnx=32\nr2=2.0\n")

@@ -192,6 +192,20 @@ def test_chord_disc_reaching_the_grid_edge_is_rejected():
             _chord_integrals(grid, values, psi, s, rmax)
 
 
+def test_radon_forward_memory_is_bounded_by_its_output():
+    # chord coordinates are built per block of offsets, so the work beyond
+    # the output is bounded by CHORD_BLOCK, not by offsets x chord samples
+    import tracemalloc
+    h = bump_scalar(Grid2D.centered(128, 1.0, 1.5))
+    tracemalloc.start()
+    try:
+        sg = radon_forward(h, 16, 32000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * sg.values.nbytes
+
+
 def test_packed_components_match_separate_transforms():
     # both star components in one complex pass against one pass each
     sf, dirs = _star_data(48)
