@@ -12,9 +12,8 @@ __version__ = "0.1.0"
 from .beam import (RayQuadrature, beam_field, divergent_beam, invert_signed,
                    moment_beam, signed_vline)
 from .errors import ConfigError, FileFormatError, GeometryError, VlineError
-from .fields import (Grid2D, ScalarField, TransformField, VectorField,
-                     VLineGeometry, det2, direction, grid_for_vline, perp,
-                     unit_vector)
+from .fields import (Grid2D, ScalarField, VectorField, VLineGeometry, det2,
+                     direction, grid_for_vline, perp, unit_vector)
 from .operators import (HelmholtzParts, curl, directional_derivative,
                         divergence, gradient, helmholtz_decompose,
                         laplacians_from_div_curl)

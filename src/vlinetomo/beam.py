@@ -29,7 +29,7 @@ import numpy as np
 
 from ._blocks import map_blocks
 from .errors import ConfigError
-from .fields import ScalarField, TransformField, VLineGeometry, unit_vector
+from .fields import ScalarField, VLineGeometry, unit_vector
 from .operators import bilinear, correlate, mixed_partial
 from .radon import strip_ring_point
 
@@ -168,11 +168,11 @@ def ray_sum(terms, moment=False) -> np.ndarray:
 
 
 def signed_vline(h: ScalarField, geom: VLineGeometry,
-                 workers=1) -> TransformField:
+                 workers=1) -> ScalarField:
     """T_s h = X_u h - X_v h sampled at every grid vertex."""
     geom.check_grid(h.grid)
     vals = ray_sum(((h, geom.u, 1.0), (h, geom.v, -1.0)))
-    return TransformField(h.grid, vals, "Ts")
+    return ScalarField(h.grid, vals)
 
 
 def sample_with_strips(grid, values, dirs, px, py):
@@ -218,7 +218,7 @@ def _chord(px, py, d, radius):
     return np.where(hit, -b - root, 0.0), np.where(hit, -b + root, 0.0)
 
 
-def transform_beam_values(tf: TransformField, dirs, points, d, workers=1):
+def transform_beam_values(tf: ScalarField, dirs, points, d, workers=1):
     """Beam integrals of strip-extended transform data along direction d.
 
     Direct midpoint-rule sum: the t-integral runs until the ray has left
@@ -233,7 +233,7 @@ def transform_beam_values(tf: TransformField, dirs, points, d, workers=1):
     grid = tf.grid
     d = unit_vector(d)
     step = _step(grid, None)
-    values = tf.component(0)
+    values = tf.values
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     npts = len(pts)
 
@@ -276,7 +276,7 @@ def integrate_w(g: ScalarField, geom: VLineGeometry) -> ScalarField:
     return ScalarField(grid, np.where(grid.disc_mask(grid.r1), vals, 0.0))
 
 
-def invert_signed(ts: TransformField, geom: VLineGeometry,
+def invert_signed(ts: ScalarField, geom: VLineGeometry,
                   workers=1) -> ScalarField:
     """Invert the signed V-line transform.
 
@@ -290,5 +290,5 @@ def invert_signed(ts: TransformField, geom: VLineGeometry,
     effect.  Every grid whose square holds the r2 disc is accepted.
     """
     grid = ts.grid
-    g = mixed_partial(ts.component(0), geom.u, geom.v, grid.h)
+    g = mixed_partial(ts.values, geom.u, geom.v, grid.h)
     return integrate_w(ScalarField(grid, g), geom)

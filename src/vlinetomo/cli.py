@@ -23,9 +23,9 @@ import numpy as np
 
 from . import __version__
 from .beam import invert_signed, signed_vline
-from .errors import ConfigError, VlineError
-from .fields import Grid2D, ScalarField, TransformField, VectorField
-from .io import (_components, _key_values, read_star_geometry,
+from .errors import ConfigError, FileFormatError, VlineError
+from .fields import Grid2D, ScalarField, VectorField
+from .io import (_components, _field, _key_values, read_star_geometry,
                  read_vline_geometry, read_vlt1, write_pgm,
                  write_ppm_direction, write_vls1, write_vlt1)
 from .phantoms import make_phantom
@@ -120,12 +120,15 @@ def _save(args, name, obj, writer=None):
     return path, digest.hexdigest()
 
 
-def _add_noise(values, sigma, seed):
+def _add_noise(field, sigma, seed):
+    """``field`` plus Gaussian noise of standard deviation sigma * max|field|,
+    drawn once over its stacked components."""
     if sigma <= 0:
-        return values
+        return field
+    values = np.stack(_components(field))
     rng = np.random.default_rng(seed)
     scale = sigma * float(np.max(np.abs(values)))
-    return values + scale * rng.standard_normal(values.shape)
+    return _field(field.grid, values + scale * rng.standard_normal(values.shape))
 
 
 def _error_report(args, field, oracle):
@@ -192,31 +195,36 @@ def cmd_forward(args):
         op = {"L": forward_L, "T": forward_T,
               "I": forward_I, "J": forward_J}[name]
         tf = op(field, _load_vline_geometry(args))
-    values = _add_noise(tf.values, args.noise_sigma, args.seed)
-    return [_save(args, args.out, TransformField(tf.grid, values, tf.kind))]
+    return [_save(args, args.out, _add_noise(tf, args.noise_sigma, args.seed))]
 
 
 def cmd_invert(args):
     pipeline = args.pipeline
-    # pipeline -> (reconstruction, [(input argument, transform kind)]), looked
-    # up per call so that rebinding a module-level name reaches the CLI too
+    # pipeline -> (reconstruction, [(input argument, component count)]),
+    # looked up per call so that rebinding a module-level name reaches the
+    # CLI too
     fn, inputs = {
-        "lt": (recover_field_LT, [("lf", "L"), ("tf", "T")]),
-        "li": (recover_field_LI, [("lf", "L"), ("i_f", "I")]),
-        "tj": (recover_field_TJ, [("tf", "T"), ("jf", "J")]),
-        "star": (invert_star, [("sf", "S")]),
-        "curl": (recover_curl, [("lf", "L")]),
-        "div": (recover_div, [("tf", "T")]),
-        "stream": (recover_stream, [("lf", "L")]),
-        "potential": (recover_potential, [("tf", "T")]),
-        "signed": (invert_signed, [("ts", "Ts")]),
+        "lt": (recover_field_LT, [("lf", 1), ("tf", 1)]),
+        "li": (recover_field_LI, [("lf", 1), ("i_f", 1)]),
+        "tj": (recover_field_TJ, [("tf", 1), ("jf", 1)]),
+        "star": (invert_star, [("sf", 2)]),
+        "curl": (recover_curl, [("lf", 1)]),
+        "div": (recover_div, [("tf", 1)]),
+        "stream": (recover_stream, [("lf", 1)]),
+        "potential": (recover_potential, [("tf", 1)]),
+        "signed": (invert_signed, [("ts", 1)]),
     }[pipeline]
     # every input must be named before any is read: a missing one is a
     # usage error (exit 2) even when another file is malformed
     paths = [getattr(args, name) for name, _ in inputs]
     if None in paths:
         raise ConfigError(f"pipeline {pipeline!r} is missing an input file")
-    data = [read_vlt1(path, kind=kind) for path, (_, kind) in zip(paths, inputs)]
+    data = [read_vlt1(path) for path in paths]
+    for path, field, (_, ncomp) in zip(paths, data, inputs):
+        have = len(_components(field))
+        if have != ncomp:
+            raise FileFormatError(f"{path}: pipeline {pipeline!r} needs {ncomp} "
+                                  f"component(s), file has {have}")
     if pipeline == "star":
         result = fn(*data, _load_star_geometry(args), n_angles=args.angles,
                     guard_deg=args.guard_deg)

@@ -124,10 +124,10 @@ class Grid2D:
         )
 
 
-def _check_values(grid, values, ncomp=None):
-    """Validated read-only copy of samples shaped (nx, ny), or (ncomp, nx, ny)."""
+def _check_values(grid, values):
+    """Validated read-only copy of samples shaped (nx, ny)."""
     values = np.array(values, dtype=float)
-    shape = (grid.nx, grid.ny) if ncomp is None else (ncomp, grid.nx, grid.ny)
+    shape = (grid.nx, grid.ny)
     if values.shape != shape:
         raise ConfigError(f"field shape {values.shape} does not match {shape}")
     if not np.all(np.isfinite(values)):
@@ -182,39 +182,6 @@ class VectorField:
             ScalarField(self.grid, self.f1).is_compact()
             and ScalarField(self.grid, self.f2).is_compact()
         )
-
-
-TRANSFORM_KINDS = ("L", "T", "I", "J", "Ts", "S")
-
-
-@dataclass(frozen=True)
-class TransformField:
-    """Sampled transform data over the grid square (covers the r2 disc).
-
-    ``values`` is (nx, ny) for scalar-valued transforms and (2, nx, ny)
-    for the vector-valued star transform.
-    """
-
-    grid: Grid2D
-    values: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in TRANSFORM_KINDS:
-            raise ConfigError(f"unknown transform kind {self.kind!r}")
-        shape = np.shape(self.values)
-        if len(shape) not in (2, 3) or len(shape) == 3 and shape[0] != 2:
-            raise ConfigError(f"transform values have bad shape {shape}")
-        ncomp = shape[0] if len(shape) == 3 else None
-        object.__setattr__(self, "values",
-                           _check_values(self.grid, self.values, ncomp))
-
-    @property
-    def ncomp(self):
-        return 1 if self.values.ndim == 2 else self.values.shape[0]
-
-    def component(self, k):
-        return self.values if self.values.ndim == 2 else self.values[k]
 
 
 class RayGeometry:

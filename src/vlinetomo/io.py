@@ -7,7 +7,7 @@ ncomp x nx x ny f64 values, row-major, component-major.
 VLS1 (sinograms): magic ``VLS1``, u32 n_angles, u32 n_offsets, u32 ncomp,
 f64 ds, f64 angle0, f64 dangle, then values row-major per component.
 
-Plus CSV export, key=value geometry text files, and PGM/PPM renderers.
+Plus key=value geometry text files and PGM/PPM renderers.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ import warnings
 import numpy as np
 
 from .errors import FileFormatError
-from .fields import (Grid2D, ScalarField, TransformField, VectorField,
-                     VLineGeometry)
+from .fields import Grid2D, ScalarField, VectorField, VLineGeometry
 from .radon import Sinogram
 from .star import StarGeometry
 
@@ -32,13 +31,16 @@ def _components(obj):
         return [obj.values]
     if isinstance(obj, VectorField):
         return [obj.f1, obj.f2]
-    if isinstance(obj, TransformField):
-        return [obj.component(k) for k in range(obj.ncomp)]
     raise FileFormatError(f"cannot serialize object of type {type(obj).__name__}")
 
 
+def _field(grid, comps):
+    """The ScalarField (one component) or VectorField (two) of ``comps``."""
+    return ScalarField(grid, comps[0]) if len(comps) == 1 else VectorField(grid, *comps)
+
+
 def write_vlt1(path, obj):
-    """Write a scalar, vector, or transform field in VLT1 format."""
+    """Write a scalar or vector field in VLT1 format."""
     comps = _components(obj)
     grid = obj.grid
     with open(path, "wb") as fh:
@@ -76,12 +78,8 @@ def _read_binary(path, magic, fmt, shape):
     return fields, np.frombuffer(data, "<f8", offset=header).reshape(dims)
 
 
-def read_vlt1(path, kind=None):
-    """Read a VLT1 file.
-
-    Returns a ScalarField (ncomp 1) or VectorField (ncomp 2) by default;
-    pass a transform ``kind`` to get a TransformField instead.
-    """
+def read_vlt1(path):
+    """Read a VLT1 file as a ScalarField (ncomp 1) or VectorField (ncomp 2)."""
     def shape(fields):
         nx, ny, *_, ncomp = fields
         if ncomp not in (1, 2):
@@ -97,16 +95,7 @@ def read_vlt1(path, kind=None):
         grid = Grid2D(nx=nx, ny=ny, h=h, origin=(ox, oy), r1=r1, r2=r2)
     except Exception as exc:
         raise FileFormatError(f"{path}: bad grid header: {exc}") from exc
-    if kind is not None:
-        want = 2 if kind == "S" else 1
-        if ncomp != want:
-            raise FileFormatError(f"{path}: {kind} data needs {want} "
-                                  f"component(s), file has {ncomp}")
-        values = comps[0] if ncomp == 1 else comps
-        return TransformField(grid, values, kind)
-    if ncomp == 1:
-        return ScalarField(grid, comps[0])
-    return VectorField(grid, comps[0], comps[1])
+    return _field(grid, comps)
 
 
 def write_vls1(path, sg: Sinogram):
@@ -124,17 +113,6 @@ def read_vls1(path) -> Sinogram:
         return Sinogram(values, angle0, dangle, ds)
     except Exception as exc:
         raise FileFormatError(f"{path}: bad sinogram header: {exc}") from exc
-
-
-def write_csv(path, obj):
-    """Export samples as ``x,y,v1[,v2]`` rows."""
-    comps = _components(obj)
-    grid = obj.grid
-    xx, yy = grid.mesh()
-    cols = [xx.ravel(), yy.ravel()] + [c.ravel() for c in comps]
-    header = "x,y," + ",".join(f"v{k + 1}" for k in range(len(comps)))
-    np.savetxt(path, np.column_stack(cols), delimiter=",", header=header,
-               comments="")
 
 
 def write_vline_geometry(path, geom: VLineGeometry):

@@ -3,7 +3,7 @@ filtered backprojection.
 
 Convention: the angle parameter is the direction of the line NORMAL
 psi = (cos a, sin a); R h(psi, s) integrates h over the line
-{x : x . psi = s}.  Transform fields (which are constant along ray
+{x : x . psi = s}.  Transform data (which are constant along ray
 directions inside semi-infinite strips outside the r2 disc) are projected
 as a grid-sampled chord part inside the strip ring plus closed-form strip
 tails beyond it; the strip model (``strip_ring_radius``,
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GeometryError
-from .fields import Grid2D, ScalarField, TransformField
+from .fields import Grid2D, ScalarField, VectorField
 from .operators import bilinear
 
 FULL_TURN = 2.0 * np.pi
@@ -243,9 +243,10 @@ def strip_tails(grid, values, dirs, px, py, d, spans, out):
             out += np.where(crossing & (b > a), tail, 0.0)
 
 
-def radon_transform_field(tf: TransformField, dirs, n_angles, n_offsets,
-                          full=True) -> Sinogram:
-    """Radon transform of strip-extended transform data.
+def radon_transform_field(tf: ScalarField | VectorField, dirs, n_angles,
+                          n_offsets, full=True) -> Sinogram:
+    """Radon transform of strip-extended transform data (a ScalarField, or
+    a VectorField for star data), one sinogram component per component.
 
     The line s psi + t psi_perp meets the strip ring |x| = r2 + 2h at
     t = +-half, half = sqrt(ring^2 - s^2) (0 for lines that miss it).  The
@@ -260,7 +261,8 @@ def radon_transform_field(tf: TransformField, dirs, n_angles, n_offsets,
     grid = tf.grid
     dangle, ds, offsets, psi = _lattice(grid, n_angles, n_offsets, full)
     ring = strip_ring_radius(grid)
-    packed = tf.values[0] + 1j * tf.values[1] if tf.ncomp == 2 else tf.values
+    ncomp = 2 if isinstance(tf, VectorField) else 1
+    packed = tf.f1 + 1j * tf.f2 if ncomp == 2 else tf.values
     lines = _chord_integrals(grid, packed, psi, offsets, ring)
     px, py = psi[:, 0, None] * offsets, psi[:, 1, None] * offsets
     psi_perp = np.stack([-psi[:, 1], psi[:, 0]], axis=1)[:, None, :]
@@ -268,8 +270,8 @@ def radon_transform_field(tf: TransformField, dirs, n_angles, n_offsets,
     strip_tails(grid, packed, dirs, px, py, psi_perp,
                 ((-np.inf, -half), (half, np.inf)), lines)
     n = len(psi)
-    out = np.empty((tf.ncomp, n_angles, n_offsets))
-    out[:, :n] = (lines.real, lines.imag)[:tf.ncomp]
+    out = np.empty((ncomp, n_angles, n_offsets))
+    out[:, :n] = (lines.real, lines.imag)[:ncomp]
     out[:, n:] = out[:, :n_angles - n, ::-1]
     return Sinogram(out, 0.0, dangle, ds)
 

@@ -26,8 +26,8 @@ from numpy.polynomial import polynomial as npoly
 
 from .beam import ray_sum
 from .errors import ConfigError, GeometryError
-from .fields import (RayGeometry, TransformField, VectorField, direction,
-                     grid_for_vline, perp, unit_vector)
+from .fields import (RayGeometry, VectorField, direction, grid_for_vline,
+                     perp, unit_vector)
 from .radon import Sinogram, _backproject, radon_transform_field, sinogram_dds
 
 # |psi . gamma_i| below this is a type-1 singular direction
@@ -78,13 +78,14 @@ class StarGeometry(RayGeometry):
 grid_for_star = grid_for_vline
 
 
-def forward_star(f: VectorField, sg: StarGeometry, workers=1) -> TransformField:
-    """S f sampled at every grid vertex, a 2-component transform field."""
+def forward_star(f: VectorField, sg: StarGeometry, workers=1) -> VectorField:
+    """S f sampled at every grid vertex: its longitudinal part as f1 and
+    its transverse part as f2."""
     sg.check_grid(f.grid)
     weighted = tuple(zip(sg.gammas, sg.weights))
     long_part = ray_sum([(f.dot(g), g, c) for g, c in weighted])
     trans_part = ray_sum([(f.dot(perp(g)), g, c) for g, c in weighted])
-    return TransformField(f.grid, np.stack([long_part, trans_part]), "S")
+    return VectorField(f.grid, long_part, trans_part)
 
 
 def gamma_of_psi(sg: StarGeometry, psi):
@@ -249,10 +250,15 @@ def apply_q(dsino: Sinogram, sg: StarGeometry, guard_deg=2.0):
     Angles within the guard band of a singular direction are dropped and
     refilled by linear interpolation in angle (the singularities are
     removable, so the interpolated limit equals R f there); guard_deg must
-    be positive.  Returns a 2-component sinogram holding (R f1, R f2).
+    be positive.  The refill is periodic over the rows, so the sinogram
+    must cover the full circle: on a half circle, row k + n continues as
+    row k reversed in s, not as row k.  Returns a 2-component sinogram
+    holding (R f1, R f2).
     """
     if dsino.ncomp != 2:
         raise ConfigError("star data sinograms must have 2 components")
+    if not dsino.full_range:
+        raise ConfigError("star data sinograms must cover the full circle")
     _check_guard(guard_deg)
     sing = singular_directions(sg)
     if sing.degenerate:
@@ -273,7 +279,7 @@ def apply_q(dsino: Sinogram, sg: StarGeometry, guard_deg=2.0):
                     dsino.ds)
 
 
-def invert_star(sf: TransformField, sg: StarGeometry, n_angles=360,
+def invert_star(sf: VectorField, sg: StarGeometry, n_angles=360,
                 guard_deg=2.0) -> VectorField:
     """Reconstruct f from star data: Q(psi) d/ds R(S f) = R f, then FBP.
 
@@ -287,7 +293,7 @@ def invert_star(sf: TransformField, sg: StarGeometry, n_angles=360,
     """
     if classify(sg) == "symmetric":
         raise GeometryError("symmetric star transform is not invertible")
-    if sf.ncomp != 2:
+    if not isinstance(sf, VectorField):
         raise ConfigError("star data must have 2 components")
     _check_guard(guard_deg)
     grid = sf.grid

@@ -29,7 +29,7 @@ import numpy as np
 
 from .beam import beam_field, integrate_w, ray_sum
 from .errors import ConfigError, GeometryError
-from .fields import ScalarField, TransformField, VectorField, VLineGeometry
+from .fields import ScalarField, VectorField, VLineGeometry
 from .operators import (bilinear, laplacians_from_div_curl, mixed_partial,
                         partial_x, partial_y)
 from .poisson import solve_dirichlet_disc, solve_free_space
@@ -40,56 +40,56 @@ def _rotated(f: VectorField) -> VectorField:
     return VectorField(f.grid, f.f2, -f.f1)
 
 
-def _forward(f: VectorField, geom: VLineGeometry, kind, moment) -> TransformField:
+def _forward(f: VectorField, geom: VLineGeometry, moment) -> ScalarField:
     geom.check_grid(f.grid)
     du, dv = geom.u, geom.v
     vals = ray_sum(((f.dot(du), du, -1.0), (f.dot(dv), dv, 1.0)), moment=moment)
-    return TransformField(f.grid, vals, kind)
+    return ScalarField(f.grid, vals)
 
 
 def forward_L(f, geom, workers=1):
     """Longitudinal transform: -X_u(f.u) + X_v(f.v)."""
-    return _forward(f, geom, "L", moment=False)
+    return _forward(f, geom, moment=False)
 
 
 def forward_T(f, geom, workers=1):
     """Transverse transform: -X_u(f.u^perp) + X_v(f.v^perp) = L(R f)."""
-    return _forward(_rotated(f), geom, "T", moment=False)
+    return _forward(_rotated(f), geom, moment=False)
 
 
 def forward_I(f, geom, workers=1):
     """First-moment longitudinal transform."""
-    return _forward(f, geom, "I", moment=True)
+    return _forward(f, geom, moment=True)
 
 
 def forward_J(f, geom, workers=1):
     """First-moment transverse transform: I(R f)."""
-    return _forward(_rotated(f), geom, "J", moment=True)
+    return _forward(_rotated(f), geom, moment=True)
 
 
-def mixed_derivative(tf: TransformField, geom: VLineGeometry) -> np.ndarray:
+def mixed_derivative(tf: ScalarField, geom: VLineGeometry) -> np.ndarray:
     """D_u D_v of transform data at every grid vertex (``mixed_partial``)."""
-    return mixed_partial(tf.component(0), geom.u, geom.v, tf.grid.h)
+    return mixed_partial(tf.values, geom.u, geom.v, tf.grid.h)
 
 
-def _duv_disc(data: TransformField, geom: VLineGeometry, sign) -> ScalarField:
+def _duv_disc(data: ScalarField, geom: VLineGeometry, sign) -> ScalarField:
     """sign * D_u D_v data / det(v, u), masked to the r1 disc."""
     grid = data.grid
     vals = sign * mixed_derivative(data, geom) / geom.det
     return ScalarField(grid, np.where(grid.disc_mask(grid.r1), vals, 0.0))
 
 
-def recover_curl(lf: TransformField, geom: VLineGeometry) -> ScalarField:
+def recover_curl(lf: ScalarField, geom: VLineGeometry) -> ScalarField:
     """curl f = (1/det(v,u)) D_u D_v L f, masked to the r1 disc."""
     return _duv_disc(lf, geom, 1.0)
 
 
-def recover_div(tf: TransformField, geom: VLineGeometry) -> ScalarField:
+def recover_div(tf: ScalarField, geom: VLineGeometry) -> ScalarField:
     """div f = -curl(R f) = -(1/det(v,u)) D_u D_v T f, masked to the r1 disc."""
     return _duv_disc(tf, geom, -1.0)
 
 
-def recover_field_LT(lf: TransformField, tf: TransformField,
+def recover_field_LT(lf: ScalarField, tf: ScalarField,
                      geom: VLineGeometry) -> VectorField:
     """Reconstruct f from (L f, T f).
 
@@ -109,12 +109,12 @@ def recover_field_LT(lf: TransformField, tf: TransformField,
     return VectorField(grid, *comps)
 
 
-def recover_potential(tf: TransformField, geom: VLineGeometry) -> ScalarField:
+def recover_potential(tf: ScalarField, geom: VLineGeometry) -> ScalarField:
     """Solve Lap V = div f (from T f) with V = 0 on the r1 circle."""
     return solve_dirichlet_disc(recover_div(tf, geom)).field
 
 
-def recover_stream(lf: TransformField, geom: VLineGeometry) -> ScalarField:
+def recover_stream(lf: ScalarField, geom: VLineGeometry) -> ScalarField:
     """Solve Lap W = curl f (from L f) with W = 0 on the r1 circle."""
     return solve_dirichlet_disc(recover_curl(lf, geom)).field
 
@@ -133,7 +133,7 @@ def _mollify(x):
     return sum(w * p[:, k:k + ny] for k, w in enumerate(_GAUSS))
 
 
-def _moment_pipeline(i_f: TransformField, c: ScalarField,
+def _moment_pipeline(i_f: ScalarField, c: ScalarField,
                      geom: VLineGeometry) -> VectorField:
     """Core of the LI reconstruction from I f and the recovered curl c.
 
@@ -170,7 +170,7 @@ def _moment_pipeline(i_f: TransformField, c: ScalarField,
     return VectorField(grid, fields[0], fields[1])
 
 
-def recover_field_LI(lf: TransformField, i_f: TransformField,
+def recover_field_LI(lf: ScalarField, i_f: ScalarField,
                      geom: VLineGeometry, workers=1) -> VectorField:
     """Reconstruct f from (L f, I f) with curl f recovered from L f."""
     if not lf.grid.same_layout(i_f.grid):
@@ -178,7 +178,7 @@ def recover_field_LI(lf: TransformField, i_f: TransformField,
     return _moment_pipeline(i_f, recover_curl(lf, geom), geom)
 
 
-def recover_field_TJ(tf: TransformField, jf: TransformField,
+def recover_field_TJ(tf: ScalarField, jf: ScalarField,
                      geom: VLineGeometry, workers=1) -> VectorField:
     """Reconstruct f from (T f, J f) = (L g, I g), g = R f.
 
@@ -191,7 +191,7 @@ def recover_field_TJ(tf: TransformField, jf: TransformField,
     return VectorField(g.grid, 0.0 - g.f2, g.f1)
 
 
-def rhombus_check(hfield: TransformField, x, delta, geom: VLineGeometry) -> float:
+def rhombus_check(hfield: ScalarField, x, delta, geom: VLineGeometry) -> float:
     """Contour finite difference C/delta^2 at the rhombus with side delta.
 
     C = h(x) - h(x + delta u) - h(x + delta v) + h(x + delta u + delta v);
@@ -209,7 +209,7 @@ def rhombus_check(hfield: TransformField, x, delta, geom: VLineGeometry) -> floa
     for c in corners:
         if not (x0 <= c[0] <= x1 and y0 <= c[1] <= y1):
             raise GeometryError("rhombus vertex falls outside the grid")
-    values = hfield.component(0)
+    values = hfield.values
 
     def at(p):
         return float(bilinear(grid, values, np.array([p[0]]), np.array([p[1]]))[0])

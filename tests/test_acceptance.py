@@ -6,7 +6,7 @@ between criteria; the whole suite targets desk-scale runtimes.
 
 import numpy as np
 
-from vlinetomo import (StarGeometry, TransformField, VLineGeometry,
+from vlinetomo import (ScalarField, StarGeometry, VLineGeometry,
                        classify, direction, forward_I, forward_J,
                        forward_L, forward_star, forward_T, grid_for_star,
                        grid_for_vline, invert_signed, invert_star,
@@ -151,7 +151,7 @@ def test_criterion_5_radon_identity():
     grid = Grid2D.centered(128, 1.0, 2.0)
     h = bump_scalar(grid, center=(0.1, -0.05), scale=0.6)
     gamma = direction(0.4)
-    tf = TransformField(grid, beam_field(h, gamma, workers=WORKERS), "Ts")
+    tf = ScalarField(grid, beam_field(h, gamma, workers=WORKERS))
     dds = sinogram_dds(radon_transform_field(tf, (gamma,), 360, 256,
                                              full=True))
     rh = radon_forward(h, 360, 256, full=True)
@@ -316,6 +316,7 @@ def test_criterion_10_determinism():
 
     def run(workers):
         ts = signed_vline(h, geom, workers=workers)
+        sf = forward_star(sph.field, sg, workers=workers)
         return (
             forward_L(ph.field, geom, workers=workers).values,
             forward_T(ph.field, geom, workers=workers).values,
@@ -323,7 +324,8 @@ def test_criterion_10_determinism():
             forward_J(ph.field, geom, workers=workers).values,
             ts.values,
             invert_signed(ts, geom, workers=workers).values,
-            forward_star(sph.field, sg, workers=workers).values,
+            sf.f1,
+            sf.f2,
         )
 
     base = run(1)

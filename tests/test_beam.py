@@ -156,14 +156,13 @@ def test_invert_signed_round_trip(geom):
 
 
 def test_invert_signed_zero_and_linearity(grid, geom):
-    from vlinetomo import TransformField
-    z = TransformField(grid, np.zeros((grid.nx, grid.ny)), "Ts")
+    z = ScalarField(grid, np.zeros((grid.nx, grid.ny)))
     assert np.all(invert_signed(z, geom).values == 0.0)
     h = bump_scalar(grid, scale=0.7)
     ts = signed_vline(h, geom)
     one = invert_signed(ts, geom).values
     scaled = invert_signed(
-        TransformField(grid, 3.0 * ts.values, "Ts"), geom).values
+        ScalarField(grid, 3.0 * ts.values), geom).values
     assert np.abs(scaled - 3.0 * one).max() <= 1e-10 * np.abs(one).max()
 
 
@@ -200,15 +199,14 @@ def test_invert_signed_second_order_near_straight():
 def test_invert_signed_converges_on_finer_forward_data():
     # T_s h from a 4x finer grid, subsampled: not the inverting grid's
     # quadrature; measured 0.463 / 0.110% at nx = 128 / 256, 3.14 rad
-    from vlinetomo import TransformField, grid_for_vline, make_phantom
+    from vlinetomo import grid_for_vline, make_phantom
     geom = VLineGeometry(direction(0.0), direction(3.14))
     errs = []
     for nx in (128, 256):
         grid = grid_for_vline(nx, 1.0, geom)
         fine = finer_grid(grid)
         f1 = ScalarField(fine, make_phantom("mixed", fine).field.f1)
-        ts = TransformField(grid, signed_vline(f1, geom).values[::4, ::4],
-                            "Ts")
+        ts = ScalarField(grid, signed_vline(f1, geom).values[::4, ::4])
         rec = invert_signed(ts, geom)
         errs.append(rel_l2(rec.values, f1.values[::4, ::4],
                            grid.disc_mask(grid.r1)))

@@ -79,8 +79,8 @@ def test_forward_noise_statistics(tmp_path, geom_file):
                    "--noise-sigma", sigma, "--seed", "11",
                    "--out-dir", str(d)])
         assert rc == 0
-    clean = read_vlt1(clean_dir / "transform.vlt", kind="L").values
-    noisy = read_vlt1(noisy_dir / "transform.vlt", kind="L").values
+    clean = read_vlt1(clean_dir / "transform.vlt").values
+    noisy = read_vlt1(noisy_dir / "transform.vlt").values
     expected = 0.1 * np.abs(clean).max()
     assert np.std(noisy - clean) == pytest.approx(expected, rel=0.05)
 
@@ -167,6 +167,28 @@ def test_invert_star_nonpositive_guard_exit_code(tmp_path):
     assert rc == 2
 
 
+def test_forward_star_noise_is_one_joint_draw(tmp_path):
+    # one standard-normal draw over both stacked components, scaled by the
+    # largest |sample| of either component
+    ph = _phantom(tmp_path)
+    star = StarGeometry(tuple(direction(a) for a in (0.0, 2.1, 4.2)),
+                        (1.0, 1.0, 1.0))
+    data = {}
+    for name, sigma in (("clean", "0"), ("noisy", "0.01")):
+        rc = main(["forward", "--transform", "star",
+                   "--field", str(ph / "field.vlt"),
+                   "--star-geometry", _star_file(tmp_path, star),
+                   "--noise-sigma", sigma, "--seed", "5",
+                   "--out-dir", str(tmp_path / name)])
+        assert rc == 0
+        sf = read_vlt1(tmp_path / name / "transform.vlt")
+        data[name] = np.stack([sf.f1, sf.f2])
+    clean = data["clean"]
+    noise = np.random.default_rng(5).standard_normal(clean.shape)
+    assert np.array_equal(data["noisy"],
+                          clean + 0.01 * np.abs(clean).max() * noise)
+
+
 INVERT_INPUTS = {"lt": ("--lf", "--tf"), "li": ("--lf", "--if"),
                  "tj": ("--tf", "--jf"), "star": ("--sf",),
                  "curl": ("--lf",), "div": ("--tf",), "stream": ("--lf",),
@@ -204,6 +226,18 @@ def test_invert_wrong_component_count_exit_code(tmp_path, geom_file, pipeline,
                "--star-geometry", _star_file(tmp_path, star),
                "--out-dir", str(tmp_path / "x")])
     assert rc == 4
+
+
+def test_invert_wrong_component_count_names_the_file(tmp_path, capsys):
+    ph = _phantom(tmp_path, nx=48)
+    star = StarGeometry(tuple(direction(a) for a in (0.0, 2.1, 4.2)),
+                        (1.0, 1.0, 1.0))
+    one = str(ph / "oracle_div.vlt")
+    rc = main(["invert", "--pipeline", "star", "--sf", one,
+               "--star-geometry", _star_file(tmp_path, star),
+               "--out-dir", str(tmp_path / "x")])
+    assert rc == 4
+    assert one in capsys.readouterr().err
 
 
 def test_radon_command_with_fbp(tmp_path):

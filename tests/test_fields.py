@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vlinetomo import (ConfigError, GeometryError, Grid2D, ScalarField,
-                       StarGeometry, TransformField, VectorField,
+                       StarGeometry, VectorField,
                        VLineGeometry, det2, direction, grid_for_vline, perp,
                        unit_vector)
 
@@ -94,9 +94,8 @@ def test_fields_own_read_only_samples(small_grid):
     src = np.zeros((small_grid.nx, small_grid.ny))
     stacked = np.zeros((2, small_grid.nx, small_grid.ny))
     vf = VectorField(small_grid, src, src)
-    arrays = [ScalarField(small_grid, src).values, vf.f1, vf.f2,
-              TransformField(small_grid, src, "L").values,
-              TransformField(small_grid, stacked, "S").values]
+    sf = VectorField(small_grid, *stacked)
+    arrays = [ScalarField(small_grid, src).values, vf.f1, vf.f2, sf.f1, sf.f2]
     src[0, 0] = 1.0
     stacked[:, 0, 0] = 1.0
     for arr in arrays:
@@ -158,11 +157,3 @@ def test_check_grid_raises_on_small_r2():
     with pytest.raises(GeometryError):
         geom.check_grid(g)
 
-
-def test_transform_field_kinds(small_grid):
-    vals = np.zeros((small_grid.nx, small_grid.ny))
-    assert TransformField(small_grid, vals, "L").ncomp == 1
-    two = np.zeros((2, small_grid.nx, small_grid.ny))
-    assert TransformField(small_grid, two, "S").ncomp == 2
-    with pytest.raises(ConfigError):
-        TransformField(small_grid, vals, "Q")

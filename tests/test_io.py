@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from vlinetomo import (FileFormatError, ScalarField, Sinogram, StarGeometry,
-                       TransformField, VectorField, VLineGeometry)
+                       VectorField, VLineGeometry)
 from vlinetomo.io import (read_star_geometry, read_vline_geometry, read_vls1,
-                          read_vlt1, write_csv, write_pgm, write_ppm_direction,
+                          read_vlt1, write_pgm, write_ppm_direction,
                           write_star_geometry, write_vline_geometry,
                           write_vls1, write_vlt1)
 
@@ -39,16 +39,6 @@ def test_vlt1_vector_round_trip(tmp_path, small_grid):
     back = read_vlt1(path)
     assert isinstance(back, VectorField)
     assert np.array_equal(back.f1, f.f1) and np.array_equal(back.f2, f.f2)
-
-
-def test_vlt1_transform_round_trip(tmp_path, small_grid):
-    tf = TransformField(small_grid, np.ones((64, 64)), "L")
-    path = tmp_path / "t.vlt"
-    write_vlt1(path, tf)
-    back = read_vlt1(path, kind="L")
-    assert isinstance(back, TransformField)
-    assert back.kind == "L"
-    assert np.array_equal(back.values, tf.values)
 
 
 def test_vlt1_header_layout(tmp_path, scalar):
@@ -135,18 +125,6 @@ def test_vls1_rejects_bad_magic_and_truncation(tmp_path):
     path.write_bytes(data[:20])
     with pytest.raises(FileFormatError):
         read_vls1(path)
-
-
-def test_csv_export(tmp_path, small_grid):
-    f = VectorField(small_grid, np.ones((64, 64)), np.zeros((64, 64)))
-    path = tmp_path / "f.csv"
-    write_csv(path, f)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,y,v1,v2"
-    assert len(lines) == 1 + 64 * 64
-    x, y, v1, v2 = (float(t) for t in lines[1].split(","))
-    assert (x, y) == small_grid.origin
-    assert (v1, v2) == (1.0, 0.0)
 
 
 def test_vline_geometry_round_trip(tmp_path):

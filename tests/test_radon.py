@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vlinetomo import (ConfigError, GeometryError, Grid2D, ScalarField,
-                       Sinogram, StarGeometry, TransformField, direction,
+                       Sinogram, StarGeometry, VectorField, direction,
                        fbp_inverse, forward_star, grid_for_star, make_phantom,
                        radon_forward, radon_transform_field, sinogram_dds)
 from vlinetomo.beam import beam_field, sample_with_strips
@@ -153,7 +153,7 @@ def _star_radon_case(n_angles, full):
     sf = forward_star(make_phantom("mixed", grid).field, sg)
     psi = _lattice(grid, n_angles, grid.nx, full)[3]
     offsets = (np.arange(grid.nx) - (grid.nx - 1) / 2.0) * (2.0 * grid.r2 / (grid.nx - 1))
-    return grid, sf.values[0] + 1j * sf.values[1], psi, offsets, strip_ring_radius(grid)
+    return grid, sf.f1 + 1j * sf.f2, psi, offsets, strip_ring_radius(grid)
 
 
 def _off_centre_case(n_angles, full):
@@ -211,7 +211,7 @@ def test_packed_components_match_separate_transforms():
     sf, dirs = _star_data(48)
     packed = radon_transform_field(sf, dirs, 24, 40).values
     for c in range(2):
-        alone = TransformField(sf.grid, sf.component(c), "L")
+        alone = ScalarField(sf.grid, (sf.f1, sf.f2)[c])
         ref = radon_transform_field(alone, dirs, 24, 40).values[0]
         assert np.abs(packed[c] - ref).max() <= 1e-15 * np.abs(ref).max()
 
@@ -266,7 +266,7 @@ def test_radon_transform_field_rejects_grid_without_strip_ring():
     # ring r2 + 2h that the chords read
     h = 2.0 / 23.0
     grid = Grid2D(48, 48, h, (-23.5 * h, -23.5 * h), 1.0, 2.0)
-    tf = TransformField(grid, np.zeros((2, grid.nx, grid.ny)), "S")
+    tf = VectorField(grid, *np.zeros((2, grid.nx, grid.ny)))
     with pytest.raises(GeometryError):
         radon_transform_field(tf, (direction(0.0),), 16, 32)
 

@@ -220,8 +220,8 @@ def test_forward_star_matches_L_and_T(geom):
     lf = forward_L(ph.field, geom)
     tf = forward_T(ph.field, geom)
     scale = max(np.abs(lf.values).max(), np.abs(tf.values).max())
-    assert np.abs(sf.component(0) - lf.values).max() <= 1e-12 * scale
-    assert np.abs(sf.component(1) - tf.values).max() <= 1e-12 * scale
+    assert np.abs(sf.f1 - lf.values).max() <= 1e-12 * scale
+    assert np.abs(sf.f2 - tf.values).max() <= 1e-12 * scale
 
 
 def test_forward_star_zero_field():
@@ -230,7 +230,7 @@ def test_forward_star_zero_field():
     from vlinetomo import VectorField
     z = np.zeros((grid.nx, grid.ny))
     sf = forward_star(VectorField(grid, z, z), sg)
-    assert np.all(sf.values == 0.0)
+    assert np.all(sf.f1 == 0.0) and np.all(sf.f2 == 0.0)
 
 
 def test_invert_star_round_trip():
@@ -247,18 +247,18 @@ def test_invert_star_rejects_symmetric(symmetric_star):
     from vlinetomo import Grid2D
     grid = Grid2D.centered(64, 1.0, 2.0)
     vals = np.zeros((2, grid.nx, grid.ny))
-    from vlinetomo import TransformField
+    from vlinetomo import VectorField
     with pytest.raises(GeometryError):
-        invert_star(TransformField(grid, vals, "S"), symmetric_star)
+        invert_star(VectorField(grid, *vals), symmetric_star)
 
 
 def test_invert_star_rejects_grid_without_strip_ring(corner_star):
     # the grid square reaches half a cell beyond r2, short of the strip
     # ring r2 + 2h that the chords read
-    from vlinetomo import Grid2D, TransformField
+    from vlinetomo import Grid2D, VectorField
     h = 2.0 / 23.0
     grid = Grid2D(48, 48, h, (-23.5 * h, -23.5 * h), 1.0, 2.0)
-    sf = TransformField(grid, np.zeros((2, grid.nx, grid.ny)), "S")
+    sf = VectorField(grid, *np.zeros((2, grid.nx, grid.ny)))
     with pytest.raises(GeometryError):
         invert_star(sf, corner_star)
 
@@ -270,6 +270,16 @@ def test_apply_q_validation(corner_star):
     few = Sinogram(np.zeros((2, 8, 32)), 0.0, 2 * np.pi / 8, 0.1)
     with pytest.raises(ConfigError):
         apply_q(few, corner_star)
+
+
+def test_apply_q_rejects_half_range():
+    # a periodic refill over a half circle would join row n - 1 to row 0,
+    # which continues row n - 1 reversed in s; rays at 90/200/330 degrees
+    # put guarded rows at both ends of the half circle
+    sg = _star((90.0, 200.0, 330.0), (1.0, 1.0, 1.0))
+    half = Sinogram(np.ones((2, 180, 32)), 0.0, np.pi / 180, 0.1)
+    with pytest.raises(ConfigError):
+        apply_q(half, sg)
 
 
 @pytest.mark.parametrize("sg", [
@@ -318,7 +328,7 @@ def test_invert_star_rejects_nonpositive_guard_before_radon(monkeypatch):
     monkeypatch.setattr(star_module, "radon_transform_field", no_radon)
     sg = _star((0.0, 120.0, 240.0), (1.0, 1.0, 1.0))
     grid = grid_for_star(64, 1.0, sg)
-    from vlinetomo import TransformField
-    sf = TransformField(grid, np.zeros((2, grid.nx, grid.ny)), "S")
+    from vlinetomo import VectorField
+    sf = VectorField(grid, *np.zeros((2, grid.nx, grid.ny)))
     with pytest.raises(ConfigError):
         invert_star(sf, sg, guard_deg=0.0)

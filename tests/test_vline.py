@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vlinetomo import (GeometryError, Grid2D, RayQuadrature, TransformField,
+from vlinetomo import (GeometryError, Grid2D, RayQuadrature, ScalarField,
                        VectorField, divergent_beam, forward_I, forward_J,
                        forward_L, forward_T, grid_for_vline, invert_signed,
                        make_phantom, moment_beam, recover_curl, recover_div,
@@ -120,7 +120,7 @@ def test_recover_linearity(grid, geom):
     ph = make_phantom("solenoidal", grid, scale=0.8)
     lf = forward_L(ph.field, geom)
     one = recover_curl(lf, geom).values
-    two = recover_curl(TransformField(grid, 2.5 * lf.values, "L"), geom).values
+    two = recover_curl(ScalarField(grid, 2.5 * lf.values), geom).values
     assert np.allclose(two, 2.5 * one)
 
 
@@ -215,9 +215,8 @@ def test_recover_field_LI_converges_on_finer_forward_data(oblique_geom):
     for nx in (128, 256):
         g = grid_for_vline(nx, 1.0, oblique_geom)
         fine = make_phantom("mixed", finer_grid(g)).field
-        lf, i_f = (TransformField(g, op(fine, oblique_geom).values[::4, ::4],
-                                  kind)
-                   for op, kind in ((forward_L, "L"), (forward_I, "I")))
+        lf, i_f = (ScalarField(g, op(fine, oblique_geom).values[::4, ::4])
+                   for op in (forward_L, forward_I))
         rec = recover_field_LI(lf, i_f, oblique_geom)
         errs.append(_max_component_error(rec, make_phantom("mixed", g).field,
                                          g.disc_mask(g.r1)))
@@ -275,7 +274,7 @@ def test_mixed_derivative_exact_on_quadratics(oblique_geom):
     for nx in (64, 128):
         g = grid_for_vline(nx, 1.0, oblique_geom)
         xx, yy = g.mesh()
-        tf = TransformField(g, xx**2 + 0.5 * yy**2, "L")
+        tf = ScalarField(g, xx**2 + 0.5 * yy**2)
         err = mixed_derivative(tf, oblique_geom) - (2.0 * u[0] * v[0] + u[1] * v[1])
         assert np.abs(err[g.disc_mask(g.r1)]).max() <= 1e-9
 
@@ -293,7 +292,7 @@ def test_rhombus_matches_curl(geom):
 
 
 def test_rhombus_constant_field(grid, geom):
-    tf = TransformField(grid, np.full((grid.nx, grid.ny), 3.7), "L")
+    tf = ScalarField(grid, np.full((grid.nx, grid.ny), 3.7))
     assert rhombus_check(tf, (0.1, -0.2), 4 * grid.h, geom) == 0.0
 
 
@@ -301,7 +300,7 @@ def test_rhombus_agrees_with_composed_derivatives(geom):
     g = grid_for_vline(256, 1.0, geom)
     ph = make_phantom("mixed", g)
     lf = forward_L(ph.field, geom)
-    from vlinetomo import ScalarField, directional_derivative
+    from vlinetomo import directional_derivative
     duv = directional_derivative(
         directional_derivative(ScalarField(g, lf.values), geom.v), geom.u)
     delta = 4 * g.h
@@ -314,5 +313,5 @@ def test_rhombus_agrees_with_composed_derivatives(geom):
 
 def test_rhombus_outside_grid(grid, geom):
     with pytest.raises(GeometryError):
-        rhombus_check(TransformField(grid, np.zeros((grid.nx, grid.ny)), "L"),
+        rhombus_check(ScalarField(grid, np.zeros((grid.nx, grid.ny))),
                       (grid.r2 + 10, 0.0), 4 * grid.h, geom)
