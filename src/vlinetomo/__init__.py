@@ -22,8 +22,8 @@ from .poisson import PoissonResult, solve_dirichlet_disc, solve_free_space
 from .radon import Sinogram, fbp_inverse, radon_forward, radon_transform_field, \
     sinogram_dds
 from .star import (SingularDirections, StarGeometry, classify, forward_star,
-                   gamma_of_psi, grid_for_star, invert_star, p_coefficients,
-                   q_of_psi, singular_directions, symmetric_by_coefficients)
+                   gamma_of_psi, grid_for_star, invert_star, q_of_psi,
+                   singular_directions, symmetric_by_coefficients)
 from .vline import (forward_I, forward_J, forward_L, forward_T, recover_curl,
                     recover_div, recover_field_LI, recover_field_LT,
                     recover_field_TJ, recover_potential, recover_stream,

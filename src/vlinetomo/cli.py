@@ -123,7 +123,7 @@ def _save(args, name, obj, writer=None):
 def _add_noise(field, sigma, seed):
     """``field`` plus Gaussian noise of standard deviation sigma * max|field|,
     drawn once over its stacked components."""
-    if sigma <= 0:
+    if sigma == 0:
         return field
     values = np.stack(_components(field))
     rng = np.random.default_rng(seed)
@@ -178,6 +178,9 @@ def _load_star_geometry(args):
 
 
 def cmd_forward(args):
+    if not 0.0 <= args.noise_sigma < np.inf:
+        raise ConfigError(f"--noise-sigma must be finite and >= 0, "
+                          f"got {args.noise_sigma!r}")
     field = read_vlt1(args.field)
     name = args.transform
     if name == "star":

@@ -38,8 +38,8 @@ def unit_vector(d):
     if d.shape != (2,):
         raise GeometryError(f"direction must be a 2-vector, got shape {d.shape}")
     n = float(np.hypot(d[0], d[1]))
-    if abs(n - 1.0) > 1e-12:
-        raise GeometryError(f"direction must be unit length, |d| = {n!r}")
+    if not abs(n - 1.0) <= 1e-12:  # also rejects non-finite components
+        raise GeometryError(f"non-unit or non-finite direction, |d| = {n!r}")
     d.flags.writeable = False
     return d
 

@@ -143,9 +143,11 @@ def read_vline_geometry(path) -> VLineGeometry:
     try:
         u = np.array([float(t) for t in pairs["u"].split(",")])
         v = np.array([float(t) for t in pairs["v"].split(",")])
-        return VLineGeometry(u, v)
     except (KeyError, ValueError) as exc:
         raise FileFormatError(f"{path}: bad V-line geometry file") from exc
+    if not np.all(np.isfinite(np.concatenate([u, v]))):
+        raise FileFormatError(f"{path}: non-finite V-line geometry value")
+    return VLineGeometry(u, v)
 
 
 def write_star_geometry(path, sg: StarGeometry):

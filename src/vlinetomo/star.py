@@ -13,13 +13,14 @@ gamma_i = -gamma_j with c_i = -c_j); the matrix Q blows up only at the
 singular directions Z1 (some psi . gamma_i = 0) and Z2 (gamma(psi) = 0),
 which are removable and are bridged by angular interpolation here.  Both
 sets come in closed form: Z1 from the ray angles, Z2 as the unit-circle
-roots of one polynomial of degree m-1 in w = e^{2 i theta} built from P
-(``p_coefficients``), found as companion-matrix eigenvalues.
+roots of P written as one polynomial of degree m-1 in w = e^{2 i theta}
+(``_p_of_w``), found as companion-matrix eigenvalues.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -55,9 +56,8 @@ class StarGeometry(RayGeometry):
             raise ConfigError("need one weight per ray direction")
         if len(gammas) < 2:
             raise ConfigError("a star needs at least 2 rays")
-        for c in weights:
-            if c == 0.0:
-                raise ConfigError("star weights must be nonzero")
+        if not all(np.isfinite(c) and c != 0.0 for c in weights):
+            raise ConfigError("star weights must be finite and nonzero")
         for i in range(len(gammas)):
             for j in range(i + 1, len(gammas)):
                 if np.hypot(*(gammas[i] - gammas[j])) < PAIR_TOL:
@@ -89,56 +89,58 @@ def forward_star(f: VectorField, sg: StarGeometry, workers=1) -> VectorField:
 
 
 def gamma_of_psi(sg: StarGeometry, psi):
-    """gamma(psi) = -sum_i c_i gamma_i / (psi . gamma_i)."""
-    psi = unit_vector(psi)
-    out = np.zeros(2)
+    """gamma(psi) = -sum_i c_i gamma_i / (psi . gamma_i), for one unit
+    normal psi or an array of them shaped (..., 2)."""
+    psi = np.asarray(psi, dtype=float)
+    if psi.shape[-1:] != (2,):
+        raise GeometryError(f"psi must have shape (..., 2), got {psi.shape}")
+    if not np.all(np.abs(np.hypot(psi[..., 0], psi[..., 1]) - 1.0) <= 1e-12):
+        raise GeometryError("psi must be unit length")
+    out = np.zeros(psi.shape)
     for i, (g, c) in enumerate(zip(sg.gammas, sg.weights)):
-        dot = float(psi[0] * g[0] + psi[1] * g[1])
-        if abs(dot) < Z1_TOL:
+        dot = psi[..., 0] * g[0] + psi[..., 1] * g[1]
+        if np.any(np.abs(dot) < Z1_TOL):
             raise GeometryError(
                 f"psi is orthogonal to ray {i}: type-1 singular direction")
-        out -= c * g / dot
+        out -= c * g / dot[..., None]
     return out
 
 
 def q_of_psi(sg: StarGeometry, psi):
-    """Q(psi) = [gamma(psi); gamma(psi)^perp]^{-1}, in closed form.
+    """Q(psi) = [gamma(psi); gamma(psi)^perp]^{-1}, in closed form: a 2x2
+    matrix for one unit normal, shape (..., 2, 2) for an array of them.
 
     The pre-inverse has determinant |gamma(psi)|^2, so invertibility is
     exactly gamma(psi) != 0.
     """
     g = gamma_of_psi(sg, psi)
-    det = float(g[0] * g[0] + g[1] * g[1])
-    if det < Z2_TOL * Z2_TOL:
+    g0, g1 = g[..., 0], g[..., 1]
+    det = g0 * g0 + g1 * g1
+    if np.any(det < Z2_TOL * Z2_TOL):
         raise GeometryError("gamma(psi) vanishes: type-2 singular direction")
-    return np.array([[g[0], -g[1]], [g[1], g[0]]]) / det
+    rows = (np.stack([g0, -g1], axis=-1), np.stack([g1, g0], axis=-1))
+    return np.stack(rows, axis=-2) / det[..., None, None]
 
 
-def p_coefficients(sg: StarGeometry):
-    """Coefficients of P(psi) = sum_i c_i gamma_i prod_{j!=i} (psi . gamma_j).
+def _p_of_w(sg: StarGeometry):
+    """Coefficients, lowest degree first, of C(w) = e^{i(m-1)theta}(P1 + i P2)
+    at w = e^{2 i theta}, where P(psi) = sum_i c_i gamma_i prod_{j!=i}
+    (psi . gamma_j).
 
-    Both components are homogeneous polynomials of degree m-1 in
-    (psi_1, psi_2); returns two length-m coefficient arrays over the
-    monomial basis psi_1^{m-1-k} psi_2^k.
+    With g_j = gamma_j1 + i gamma_j2, e^{i theta} (psi . gamma_j) is the
+    linear factor (g_j + w conj(g_j)) / 2, so C(w) = sum_i c_i g_i
+    prod_{j!=i} (g_j + w conj(g_j)) / 2, of degree m-1.
     """
-    m = sg.m
-    c1 = np.zeros(m)
-    c2 = np.zeros(m)
-    for i, (g, c) in enumerate(zip(sg.gammas, sg.weights)):
-        prod = np.array([1.0])
-        for j, gj in enumerate(sg.gammas):
-            if j != i:
-                prod = np.convolve(prod, np.array([gj[0], gj[1]]))
-        c1 += c * g[0] * prod
-        c2 += c * g[1] * prod
-    return c1, c2
+    g = [complex(*gj) for gj in sg.gammas]
+    lin = [np.array([gj, gj.conjugate()]) / 2.0 for gj in g]
+    return sum(c * gi * reduce(npoly.polymul, lin[:i] + lin[i + 1:])
+               for i, (gi, c) in enumerate(zip(g, sg.weights)))
 
 
 def symmetric_by_coefficients(sg: StarGeometry):
     """True when P(psi) is the zero polynomial (coefficient-norm test)."""
-    c1, c2 = p_coefficients(sg)
     scale = max(abs(c) for c in sg.weights) * sg.m
-    return float(np.max(np.abs(np.concatenate([c1, c2])))) <= 1e-10 * scale
+    return float(np.max(np.abs(_p_of_w(sg)))) <= 1e-10 * scale
 
 
 def classify(sg: StarGeometry):
@@ -170,39 +172,27 @@ def singular_directions(sg: StarGeometry) -> SingularDirections:
     """Locate the type-1 and type-2 singular directions in closed form.
 
     Z1 comes from exact orthogonality to each ray.  Z2 holds the common
-    zeros of both components of P on the circle.  With z = e^{i theta} and
-    w = z^2, z^{m-1} (P1 + i P2) is a polynomial of degree m-1 in w, since
-    psi_1 z = (w + 1)/2 and psi_2 z = (w - 1)/(2i); its roots come from one
-    companion-matrix eigenvalue call, and each root w gives the pair
-    theta = arg(w)/2 and theta + pi.  A root is kept only if
-    |gamma(psi)| <= Z2_TOL there, which also drops the roots off the
-    circle; roots within Z2_MERGE_TOL of a kept one are the split copies
-    of a multiple root and are merged into it.
+    zeros of both components of P on the circle: the roots of the
+    polynomial C(w) of ``_p_of_w``, from one companion-matrix eigenvalue
+    call, where each root w gives the pair theta = arg(w)/2 and
+    theta + pi.  A root is kept only if |gamma(psi)| <= Z2_TOL there, which
+    also drops the roots off the circle; roots within Z2_MERGE_TOL of a
+    kept one are the split copies of a multiple root and are merged into it.
     """
-    z1 = []
-    for g in sg.gammas:
-        a = np.arctan2(g[1], g[0])
-        z1.append(a + np.pi / 2.0)
-        z1.append(a - np.pi / 2.0)
-    z1 = _wrap(np.array(z1))
+    gammas = np.array(sg.gammas)
+    a = np.arctan2(gammas[:, 1], gammas[:, 0])
+    z1 = _wrap(np.concatenate([a + np.pi / 2.0, a - np.pi / 2.0]))
 
     if classify(sg) == "symmetric":
         return SingularDirections(z1, np.array([]), True)
 
-    c1, c2 = p_coefficients(sg)
-    m1 = sg.m - 1
-    coef = np.zeros(sg.m, dtype=complex)
-    for k in range(sg.m):
-        basis = npoly.polymul(npoly.polypow([1.0, 1.0], m1 - k),
-                              npoly.polypow([-1.0, 1.0], k))
-        coef += (c1[k] + 1j * c2[k]) * basis / (2.0 ** (m1 - k) * (2j) ** k)
+    roots = npoly.polyroots(_p_of_w(sg))
+    psi = direction(np.angle(roots) / 2.0).T
+    off_z1 = np.abs(psi @ gammas.T).min(axis=1) >= Z1_TOL  # Z1 holds the rest
+    roots, psi = roots[off_z1], psi[off_z1]
     kept = []
-    for w in npoly.polyroots(coef):
-        psi = direction(np.angle(w) / 2.0)
-        if min(abs(float(np.dot(psi, g))) for g in sg.gammas) < Z1_TOL:
-            continue  # already in Z1
-        if (float(np.hypot(*gamma_of_psi(sg, psi))) <= Z2_TOL
-                and all(abs(w - v) > Z2_MERGE_TOL for v in kept)):
+    for w in roots[np.hypot(*gamma_of_psi(sg, psi).T) <= Z2_TOL]:
+        if all(abs(w - v) > Z2_MERGE_TOL for v in kept):
             kept.append(w)
     a = np.angle(np.array(kept, dtype=complex)) / 2.0
     return SingularDirections(z1, _wrap(np.concatenate([a, a + np.pi])),
@@ -222,20 +212,16 @@ def _angular_distance(a, b):
 
 
 def _interpolate_guarded(rows, valid):
-    """Refill invalid angle rows by periodic linear interpolation."""
+    """Refill the invalid angle rows in place, in one gather, by periodic
+    linear interpolation between the nearest valid rows."""
     n = len(valid)
-    idx = np.nonzero(valid)[0]
-    out = rows.copy()
-    for k in range(n):
-        if valid[k]:
-            continue
-        before = idx[idx < k]
-        after = idx[idx > k]
-        k0 = before[-1] if before.size else idx[-1] - n
-        k1 = after[0] if after.size else idx[0] + n
-        t = (k - k0) / (k1 - k0)
-        out[k] = (1.0 - t) * rows[k0 % n] + t * rows[k1 % n]
-    return out
+    idx = np.flatnonzero(valid)
+    bad = np.flatnonzero(~valid)
+    ring = np.concatenate([idx[-1:] - n, idx, idx[:1] + n])
+    pos = np.searchsorted(ring, bad)
+    k0, k1 = ring[pos - 1], ring[pos]
+    t = ((bad - k0) / (k1 - k0))[:, None]
+    rows[bad] = (1.0 - t) * rows[k0 % n] + t * rows[k1 % n]
 
 
 def _check_guard(guard_deg):
@@ -269,12 +255,13 @@ def apply_q(dsino: Sinogram, sg: StarGeometry, guard_deg=2.0):
              >= np.deg2rad(guard_deg))
     if int(valid.sum()) < 16:
         raise ConfigError("too few angles survive the singular guard bands")
-    d = dsino.values[0] + 1j * dsino.values[1]
-    out = np.zeros_like(d)
-    for k in np.flatnonzero(valid):
-        q = q_of_psi(sg, direction(angles[k]))
-        out[k] = complex(q[0, 0], q[1, 0]) * d[k]
-    out = _interpolate_guarded(out, valid)
+    q = q_of_psi(sg, direction(angles[valid]).T)
+    factor = np.zeros(len(angles), dtype=complex)  # guarded rows refilled
+    factor[valid] = q[:, 0, 0] + 1j * q[:, 1, 0]
+    out = dsino.values[0] + 1j * dsino.values[1]
+    # q before d: numpy's SIMD complex multiply may round q*d and d*q apart
+    np.multiply(factor[:, None], out, out=out)
+    _interpolate_guarded(out, valid)
     return Sinogram(np.stack([out.real, out.imag]), dsino.angle0, dsino.dangle,
                     dsino.ds)
 

@@ -305,6 +305,39 @@ def test_exit_code_file_error(tmp_path, geom_file):
     assert rc == 4
 
 
+@pytest.mark.parametrize("flag,text", [
+    ("--geometry", "u=nan,0\nv=0,1\n"),
+    ("--star-geometry", "ray=nan,0,1\nray=0,1,1\n"),
+    ("--star-geometry", "ray=1,0,nan\nray=0,1,1\n")],
+    ids=["vline-u", "star-ray", "star-weight"])
+def test_non_finite_geometry_exit_code(tmp_path, capsys, flag, text):
+    # a malformed geometry file, not the field, is named
+    ph = _phantom(tmp_path, nx=48)
+    bad = tmp_path / "bad_geom.txt"
+    bad.write_text(text)
+    rc = main(["forward", "--transform", "L" if flag == "--geometry" else
+               "star", "--field", str(ph / "field.vlt"), flag, str(bad),
+               "--out-dir", str(tmp_path / "x")])
+    assert rc == 4
+    assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+def test_invalid_noise_sigma_exits_2_before_reading_input(
+        tmp_path, geom_file, capsys, monkeypatch, sigma):
+    import vlinetomo.cli as cli
+    ph = _phantom(tmp_path, nx=48)
+    monkeypatch.setattr(cli, "read_vlt1",
+                        lambda *a, **k: pytest.fail("an input was read"))
+    out = tmp_path / "fwd"
+    rc = main(["forward", "--transform", "L", "--field", str(ph / "field.vlt"),
+               "--geometry", geom_file, "--noise-sigma", sigma,
+               "--out-dir", str(out)])
+    assert rc == 2
+    assert "--noise-sigma" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

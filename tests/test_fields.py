@@ -44,8 +44,9 @@ def test_det2_equals_dot_u_perp_v():
 
 
 def test_unit_vector_rejects_non_unit():
-    with pytest.raises(GeometryError):
-        unit_vector((1.0, 1.0))
+    for d in ((1.0, 1.0), (np.nan, 0.0), (1.0, np.nan), (np.inf, 0.0)):
+        with pytest.raises(GeometryError):
+            unit_vector(d)
 
 
 def test_grid_requires_disc_coverage():

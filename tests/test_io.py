@@ -144,6 +144,9 @@ def test_vline_geometry_bad_file(tmp_path):
     path.write_text("u=1,0\nv=not,numbers\n")
     with pytest.raises(FileFormatError):
         read_vline_geometry(path)
+    path.write_text("u=nan,0\nv=0,1\n")
+    with pytest.raises(FileFormatError, match="geom.txt"):
+        read_vline_geometry(path)
 
 
 def test_star_geometry_round_trip(tmp_path):
@@ -175,6 +178,10 @@ def test_star_geometry_bad_lines(tmp_path):
     path.write_text("ray = 1.0,0.0,1.0\n")  # only one ray
     with pytest.raises(FileFormatError):
         read_star_geometry(path)
+    for ray in ("nan,0.0,1.0", "1.0,0.0,nan"):
+        path.write_text(f"ray = {ray}\nray = 0.0,1.0,1.0\n")
+        with pytest.raises(FileFormatError, match="star.txt"):
+            read_star_geometry(path)
 
 
 def test_pgm_zero_is_mid_gray(tmp_path):

@@ -4,9 +4,9 @@ import pytest
 from vlinetomo import (ConfigError, GeometryError, Sinogram, StarGeometry,
                        classify, direction, forward_L, forward_star, forward_T,
                        gamma_of_psi, grid_for_star, invert_star, make_phantom,
-                       p_coefficients, perp, q_of_psi, singular_directions,
+                       perp, q_of_psi, singular_directions,
                        symmetric_by_coefficients)
-from vlinetomo.star import _angular_distance, apply_q
+from vlinetomo.star import _angular_distance, _p_of_w, apply_q
 
 from conftest import rel_l2
 
@@ -34,10 +34,13 @@ def test_star_geometry_validation():
         StarGeometry((E1, E2), (1.0,))
     with pytest.raises(ConfigError):
         StarGeometry((E1,), (1.0,))
-    with pytest.raises(ConfigError):
-        StarGeometry((E1, E2), (1.0, 0.0))
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            StarGeometry((E1, E2), (1.0, bad))
     with pytest.raises(ConfigError):
         StarGeometry((E1, E1), (1.0, 1.0))
+    with pytest.raises(GeometryError):
+        StarGeometry((np.array([np.nan, 0.0]), E2), (1.0, 1.0))
 
 
 def test_required_r2(corner_star):
@@ -80,18 +83,36 @@ def test_q_of_psi_is_matrix_inverse(corner_star):
         assert np.allclose(q @ m, np.eye(2), atol=1e-12)
 
 
-def test_p_coefficients_homogeneity():
-    sg = _star((10.0, 130.0, 250.0), (1.0, 0.7, -0.4))
-    c1, c2 = p_coefficients(sg)
+def test_gamma_and_q_of_psi_on_arrays():
+    # the array forms equal the stacked one-normal calls bit for bit
+    sg = _star((10.0, 95.0, 200.0, 290.0), (1.0, -0.5, 2.0, 0.7))
+    psi = np.stack([direction(a) for a in (0.3, 1.0, 2.4, 4.0, 5.5)])
+    for fn in (gamma_of_psi, q_of_psi):
+        got = fn(sg, psi.reshape(5, 1, 2))
+        ref = np.stack([fn(sg, p) for p in psi])
+        assert np.array_equal(got.reshape(ref.shape), ref)
+    for fn in (gamma_of_psi, q_of_psi):
+        with pytest.raises(GeometryError, match="unit"):
+            fn(sg, np.vstack([psi, [1.0, 1.0]]))
+        # direction(185 deg) is orthogonal to ray 1 at 95 degrees
+        with pytest.raises(GeometryError, match="ray 1"):
+            fn(sg, np.vstack([psi, direction(np.deg2rad(185.0))]))
 
-    def ev(coef, x, y):
-        m1 = len(coef) - 1
-        return sum(c * x ** (m1 - k) * y**k for k, c in enumerate(coef))
 
-    x, y, t = 0.4, -1.3, 2.7
-    for coef in (c1, c2):
-        assert ev(coef, t * x, t * y) == pytest.approx(
-            t ** (sg.m - 1) * ev(coef, x, y), rel=1e-12)
+def test_p_of_w_identity():
+    # C(e^{2 i theta}) = e^{i(m-1)theta} (P1 + i P2)(psi) with P from its
+    # definition sum_i c_i gamma_i prod_{j!=i} (psi . gamma_j)
+    sg = _star((10.0, 95.0, 200.0, 290.0), (1.0, -0.5, 2.0, 0.7))
+    coef = _p_of_w(sg)
+    assert coef.shape == (sg.m,)
+    for theta in np.random.default_rng(4).uniform(0.0, 2 * np.pi, 8):
+        psi = direction(theta)
+        p = sum(c * g * np.prod([psi @ h for j, h in enumerate(sg.gammas)
+                                 if j != i])
+                for i, (g, c) in enumerate(zip(sg.gammas, sg.weights)))
+        ref = np.exp(1j * (sg.m - 1) * theta) * complex(*p)
+        got = np.polynomial.polynomial.polyval(np.exp(2j * theta), coef)
+        assert abs(got - ref) <= 1e-14 * np.abs(coef).sum()
 
 
 def test_classify_examples(corner_star, symmetric_star):
@@ -282,12 +303,15 @@ def test_apply_q_rejects_half_range():
         apply_q(half, sg)
 
 
-@pytest.mark.parametrize("sg", [
-    _star((0.0, 120.0, 240.0), (1.0, 1.0, 1.0)),
-    _star((10.0, 95.0, 200.0, 290.0), (1.0, -0.5, 2.0, 0.7))])
-def test_apply_q_matches_matrix_form(sg):
+@pytest.mark.parametrize("sg,wraps", [
+    (_star((0.0, 120.0, 240.0), (1.0, 1.0, 1.0)), False),
+    (_star((10.0, 95.0, 200.0, 290.0), (1.0, -0.5, 2.0, 0.7)), False),
+    (_star((90.0, 200.0, 330.0), (1.0, 0.6, -1.3)), True)],
+    ids=["sg0", "sg1", "sg2"])
+def test_apply_q_matches_matrix_form(sg, wraps):
     # unguarded rows are Q(psi) [d1; d2]; guarded rows interpolate linearly,
-    # periodically in angle, between the nearest unguarded rows
+    # periodically in angle, between the nearest unguarded rows; a ray at 90
+    # degrees guards rows 0 and n - 1, so their refill crosses the wrap
     rng = np.random.default_rng(3)
     n = 360
     d = rng.standard_normal((2, n, 40))
@@ -298,6 +322,7 @@ def test_apply_q_matches_matrix_form(sg):
                              np.concatenate([sing.z1, sing.z2])[None, :])
     valid = np.flatnonzero(dist.min(axis=1) >= np.deg2rad(2.0))
     assert 0 < len(valid) < n
+    assert wraps == (0 not in valid and n - 1 not in valid)
     for k in range(n):
         if k in valid:
             ref = q_of_psi(sg, direction(angles[k])) @ d[:, k]
