@@ -18,7 +18,9 @@ V-line stages use the axis-aligned pair u = (1, 0), v = (0, 1).  Each time
 is the best of REPEATS calls on inputs built outside the timed region;
 the error is the relative L2 error over the r1 disc against the phantom's
 analytic field (the larger of the two components for f).  Dirichlet rows
-also carry the solver's iteration count and residual.
+also carry the solver's report: its iteration count (0 for the direct
+solve) and residual (the share of the boundary trace the harmonic
+correction drops).
 
 The library is imported from the Python path:
 

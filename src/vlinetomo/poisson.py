@@ -1,6 +1,6 @@
-"""Elliptic solvers: Dirichlet problem on the r1 disc (conjugate gradients
-on the 5-point Laplacian, preconditioned by the exact fast-Poisson inverse
-on a box around the disc, by real-FFT sine transforms) and free-space
+"""Elliptic solvers: Dirichlet problem on the r1 disc (one fast-Poisson
+solve on a box around the disc, by real-FFT sine transforms, minus the
+harmonic function with the same trace on the r1 circle) and free-space
 recovery of a compactly supported function from its Laplacian (FFT
 convolution over the rhs support).
 """
@@ -11,21 +11,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError
+from .errors import ConfigError
 from .fields import ScalarField
-from .operators import correlate, fast_len
-
-# Dirichlet CG stops once ||r|| <= CG_RTOL * ||b|| and raises GeometryError
-# if that takes more than CG_MAX_ITER iterations (about 30 at nx=256, 40
-# at nx=512)
-CG_RTOL = 1e-12
-CG_MAX_ITER = 200
+from .operators import bilinear, correlate, fast_len
 
 
 @dataclass(frozen=True)
 class PoissonResult:
-    """Solution with its solver report: CG iteration count and relative
-    residual ||b - A x|| / ||b|| (both 0 for the free-space convolution)."""
+    """Solution with its solver report.  Both solvers are direct, so
+    ``iterations`` is 0; ``residual`` is the share ||g_k, k > K|| / ||g||
+    of the Dirichlet solve's boundary trace that its harmonic correction
+    drops (0 for the free-space convolution)."""
 
     field: ScalarField
     iterations: int
@@ -33,30 +29,21 @@ class PoissonResult:
 
 
 def _dst_box(ix, iy):
-    """Corner and shape of the box the preconditioner solves on: the
-    bounding box of the sample indices (ix, iy) plus one cell on each side,
-    each side n grown until n + 1 is 5-smooth (the DST-I runs an FFT of
-    length 2 (n + 1)).  The box may pass the grid's edge; samples there
-    are zero."""
-    lo = (int(ix.min()) - 1, int(iy.min()) - 1)
-    shape = tuple(fast_len(int(i.max() - i.min()) + 4) - 1 for i in (ix, iy))
-    return lo, shape
-
-
-def _neg_laplacian(x, inside, out):
-    """h^2 (-Lap) x by the 5-point stencil for x zero off ``inside`` (1.0 on
-    the disc samples, 0.0 elsewhere), written to ``out`` and zeroed off
-    ``inside`` too.  Both are C-ordered, so the column neighbours are the
-    flat neighbours; where a flat shift wraps from one row to the next it
-    reads the box's border, which is zero."""
-    n = x.shape[1]
-    xf, of = x.reshape(-1), out.reshape(-1)
-    np.multiply(xf, 4.0, out=of)
-    for k in (1, n):
-        of[k:] -= xf[:-k]
-        of[:-k] -= xf[k:]
-    out *= inside
-    return out
+    """Corner and shape of the box the Dirichlet solve inverts the 5-point
+    Laplacian on, centred on the sample indices (ix, iy): per axis their
+    span plus one zero row at each end, n, grown to the least m >= n with
+    m + 1 5-smooth (the DST-I runs an FFT of length 2 (m + 1)) and m - n
+    even, half of the growth at each end.  The box may pass the grid's
+    edge."""
+    lo, shape = [], []
+    for i in (ix, iy):
+        n = int(i.max() - i.min()) + 3
+        m = fast_len(n + 1) - 1
+        while (m - n) % 2:
+            m = fast_len(m + 2) - 1
+        lo.append(int(i.min()) - 1 - (m - n) // 2)
+        shape.append(m)
+    return tuple(lo), tuple(shape)
 
 
 def _half_sine(x, pad, spec):
@@ -95,58 +82,49 @@ def _box_inverse(shape):
 def solve_dirichlet_disc(rhs: ScalarField) -> PoissonResult:
     """Lap V = rhs on the interior of the r1 disc, V = 0 on and outside it.
 
-    The 5-point system on the samples with rr < r1 is solved by conjugate
-    gradients.  The preconditioner applies the exact inverse of the
-    5-point Laplacian on a box around the disc (zero beyond it) by DST-I
-    and keeps the disc samples: the fast-Poisson embedding of the
-    capacitance-matrix method.  CG stops at a relative residual of CG_RTOL
-    and raises GeometryError after CG_MAX_ITER iterations short of it.
-    ``residual`` is recomputed from the solution, so it includes the
-    rounding of V to doubles: that floor grows like nx^2 and reads a few
-    1e-12 at nx=512, above the recursive residual CG stops on.
+    James's method for isolated sources with the disc's Poisson integral:
+    V_box, the exact inverse of the 5-point Laplacian on a box around the
+    disc samples (rr < r1, zero beyond the box) applied once to the rhs
+    there, is sampled bilinearly at M points on the r1 circle, M the least
+    power of two >= 4 pi r1 / h.  With g_k = rfft(trace)_k / M, the
+    harmonic H = Re sum_{k <= K} c_k (z / r1)^k, c_0 = g_0 and c_k = 2 g_k,
+    K = M / 32, matches that trace, and V = V_box - H on the disc samples.
     """
     grid = rhs.grid
     ix, iy = np.nonzero(grid.rr() < grid.r1)
     if ix.size == 0:
         raise ConfigError("no grid samples inside the Dirichlet disc")
+    out = np.zeros((grid.nx, grid.ny))
+    b = -rhs.values[ix, iy] * grid.h * grid.h
+    if not b.any():
+        return PoissonResult(ScalarField(grid, out), 0, 0.0)
     lo, shape = _dst_box(ix, iy)
     at = (ix - lo[0], iy - lo[1])
-    inside = np.zeros(shape)
-    inside[at] = 1.0
-    # solve h^2 (-Lap) V = b = -h^2 rhs so the operator is SPD; r = b - A x
-    b = -rhs.values[ix, iy] * grid.h * grid.h
-    nrm_b = float(np.linalg.norm(b))
-    if nrm_b == 0.0:
-        return PoissonResult(ScalarField(grid, np.zeros_like(rhs.values)), 0, 0.0)
-
-    # the preconditioner keeps the disc samples of the box inverse
-    box_inverse = _box_inverse(shape)
-    x = np.zeros(shape)
     r = np.zeros(shape)
     r[at] = b
-    z = box_inverse(r) * inside
-    p = z.copy()
-    q = np.empty(shape)
-    rz = float(np.vdot(r, z))
-    iterations = 0
-    while float(np.linalg.norm(r)) > CG_RTOL * nrm_b:
-        if iterations == CG_MAX_ITER:
-            raise GeometryError(
-                f"Dirichlet CG stopped at {iterations} iterations with relative "
-                f"residual {float(np.linalg.norm(r)) / nrm_b:.3e} > {CG_RTOL:g}")
-        iterations += 1
-        _neg_laplacian(p, inside, q)
-        alpha = rz / float(np.vdot(p, q))
-        x += alpha * p
-        r -= alpha * q
-        np.multiply(box_inverse(r), inside, out=z)
-        rz, rz_old = float(np.vdot(r, z)), rz
-        p *= rz / rz_old
-        p += z
-    res = float(np.linalg.norm(b - _neg_laplacian(x, inside, q)[at])) / nrm_b
-    out = np.zeros((grid.nx, grid.ny))
-    out[ix, iy] = x[at]
-    return PoissonResult(ScalarField(grid, out), iterations, res)
+    v_box = _box_inverse(shape)(r)
+
+    # the grid-shaped window of V_box holds every corner of a cell the
+    # circle crosses
+    window = np.zeros((grid.nx, grid.ny))
+    win = tuple(slice(max(l, 0), min(l + m, n))
+                for l, m, n in zip(lo, shape, window.shape))
+    window[win] = v_box[tuple(slice(w.start - l, w.stop - l) for w, l in zip(win, lo))]
+    m = 1 << max(0, int(np.ceil(np.log2(4.0 * np.pi * grid.r1 / grid.h))))
+    theta = 2.0 * np.pi * np.arange(m) / m
+    ghat = np.fft.rfft(bilinear(grid, window, grid.r1 * np.cos(theta),
+                                grid.r1 * np.sin(theta))) / m
+    k = m // 32
+    c = ghat[:k + 1] * 2.0
+    c[0] = ghat[0]
+    z = (grid.xs()[ix] + 1j * grid.ys()[iy]) / grid.r1
+    harm = np.full(ix.size, c[-1])
+    for ck in c[-2::-1]:  # Horner's rule
+        harm *= z
+        harm += ck
+    out[ix, iy] = v_box[at] - harm.real
+    res = float(np.linalg.norm(ghat[k + 1:]) / np.linalg.norm(ghat))
+    return PoissonResult(ScalarField(grid, out), 0, res)
 
 
 def log_kernel(h, dx, dy):

@@ -33,8 +33,10 @@ from .radon import Sinogram, _backproject, radon_transform_field, sinogram_dds
 
 # |psi . gamma_i| below this is a type-1 singular direction
 Z1_TOL = 1e-9
-# |gamma(psi)| below this is a type-2 singular direction
+# |gamma(psi)| below this is a type-2 singular direction for q_of_psi
 Z2_TOL = 1e-9
+# a root w of C(w) is type 2 when |C(w/|w|)| / sum_k |C_k| is below this
+Z2_BACKWARD_TOL = 1e-12
 # angular tolerance for the symmetric-pairing test
 PAIR_TOL = 1e-10
 # roots of the Z2 polynomial in w closer than this are one multiple root,
@@ -175,9 +177,11 @@ def singular_directions(sg: StarGeometry) -> SingularDirections:
     zeros of both components of P on the circle: the roots of the
     polynomial C(w) of ``_p_of_w``, from one companion-matrix eigenvalue
     call, where each root w gives the pair theta = arg(w)/2 and
-    theta + pi.  A root is kept only if |gamma(psi)| <= Z2_TOL there, which
-    also drops the roots off the circle; roots within Z2_MERGE_TOL of a
-    kept one are the split copies of a multiple root and are merged into it.
+    theta + pi.  A root is kept when its backward error on the circle,
+    |C(w/|w|)| / sum_k |C_k|, is at most Z2_BACKWARD_TOL: unlike
+    |gamma(psi)|, this stays bounded next to Z1, and it drops the roots off
+    the circle.  Kept roots within Z2_MERGE_TOL of each other are the split
+    copies of a multiple root and are merged into their mean.
     """
     gammas = np.array(sg.gammas)
     a = np.arctan2(gammas[:, 1], gammas[:, 0])
@@ -186,15 +190,22 @@ def singular_directions(sg: StarGeometry) -> SingularDirections:
     if classify(sg) == "symmetric":
         return SingularDirections(z1, np.array([]), True)
 
-    roots = npoly.polyroots(_p_of_w(sg))
-    psi = direction(np.angle(roots) / 2.0).T
-    off_z1 = np.abs(psi @ gammas.T).min(axis=1) >= Z1_TOL  # Z1 holds the rest
-    roots, psi = roots[off_z1], psi[off_z1]
-    kept = []
-    for w in roots[np.hypot(*gamma_of_psi(sg, psi).T) <= Z2_TOL]:
-        if all(abs(w - v) > Z2_MERGE_TOL for v in kept):
-            kept.append(w)
-    a = np.angle(np.array(kept, dtype=complex)) / 2.0
+    coef = _p_of_w(sg)
+    roots = npoly.polyroots(coef)
+    roots = roots[roots != 0.0]  # w = 0 is no direction
+    on_circle = (np.abs(npoly.polyval(roots / np.abs(roots), coef))
+                 <= Z2_BACKWARD_TOL * np.abs(coef).sum())
+    copies = []  # one list per root, of its split copies
+    for w in roots[on_circle]:
+        for c in copies:
+            if abs(w - c[0]) <= Z2_MERGE_TOL:
+                c.append(w)
+                break
+        else:
+            copies.append([w])
+    a = np.angle(np.array([np.mean(c) for c in copies], dtype=complex)) / 2.0
+    off_z1 = np.abs(direction(a).T @ gammas.T).min(axis=1) >= Z1_TOL
+    a = a[off_z1]  # Z1 holds the rest
     return SingularDirections(z1, _wrap(np.concatenate([a, a + np.pi])),
                               False)
 

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from vlinetomo import (ConfigError, GeometryError, Sinogram, StarGeometry,
                        classify, direction, forward_L, forward_star, forward_T,
                        gamma_of_psi, grid_for_star, invert_star, make_phantom,
                        perp, q_of_psi, singular_directions,
                        symmetric_by_coefficients)
-from vlinetomo.star import _angular_distance, _p_of_w, apply_q
+from vlinetomo.star import Z1_TOL, _angular_distance, _p_of_w, apply_q
 
 from conftest import rel_l2
 
@@ -215,8 +216,41 @@ def test_singular_directions_merges_even_order_root():
     sd = singular_directions(sg)
     for root in (theta0, theta0 + np.pi):
         assert np.sum(_angular_distance(sd.z2, root) <= 1e-7) == 1
+        # the mean of the two copies, not either copy (about 4e-9 off)
+        assert np.min(_angular_distance(sd.z2, root)) <= 1e-12
     for a in sd.z2:
         assert np.hypot(*gamma_of_psi(sg, direction(a))) <= 1e-9
+
+
+def test_singular_directions_keeps_roots_next_to_z1():
+    # 6-ray stars with a planted Z2 root: the weights are a random
+    # combination of the null space of the 2x6 system P(psi0) = 0.  Some
+    # roots land within 0.1 degree of Z1, where |gamma| is ill-conditioned
+    def p_of_psi(sg, a):
+        psi, g = direction(a), np.array(sg.gammas)
+        return np.hypot(*sum(c * g[i] * np.prod(np.delete(g @ psi, i))
+                             for i, c in enumerate(sg.weights)))
+
+    rng = np.random.default_rng(2026)
+    for _ in range(200):
+        gam = [direction(a) for a in rng.uniform(0.0, 2.0 * np.pi, 6)]
+        psi0 = direction(rng.uniform(0.0, np.pi))
+        m = np.column_stack([g * np.prod([psi0 @ h for h in gam[:i] + gam[i + 1:]])
+                             for i, g in enumerate(gam)])
+        c = np.linalg.svd(m)[2][2:].T @ rng.standard_normal(4)
+        sg = StarGeometry(tuple(gam), tuple(c / np.max(np.abs(c))))
+        sd = singular_directions(sg)
+        coef = _p_of_w(sg)
+        w = npoly.polyroots(coef)
+        w = w[w != 0.0] / np.abs(w[w != 0.0])
+        a = np.angle(w) / 2.0
+        on_circle = np.abs(npoly.polyval(w, coef)) <= 1e-12 * np.abs(coef).sum()
+        off_z1 = np.abs(direction(a).T @ np.array(gam).T).min(axis=1) >= Z1_TOL
+        for root in a[on_circle & off_z1]:
+            for r in (root, root + np.pi):
+                assert np.min(_angular_distance(sd.z2, r), initial=np.inf) <= 1e-7
+        for z in sd.z2:
+            assert p_of_psi(sg, z) <= 1e-12 * np.sum(np.abs(sg.weights))
 
 
 @pytest.mark.parametrize("root_deg", [20.0, 18.003])
