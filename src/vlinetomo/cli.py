@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .beam import invert_signed, signed_vline
 from .errors import ConfigError, FileFormatError, VlineError
-from .fields import Grid2D, ScalarField, VectorField
+from .fields import Grid2D, ScalarField
 from .io import (_components, _field, _key_values, read_star_geometry,
                  read_vline_geometry, read_vlt1, write_pgm,
                  write_ppm_direction, write_vls1, write_vlt1)
@@ -131,12 +131,31 @@ def _add_noise(field, sigma, seed):
     return _field(field.grid, values + scale * rng.standard_normal(values.shape))
 
 
+def _read(path, ncomp, what):
+    """The VLT1 field at ``path``; a component count other than ``ncomp``
+    raises FileFormatError naming the file and ``what`` needs the count."""
+    field = read_vlt1(path)
+    have = len(_components(field))
+    if have != ncomp:
+        raise FileFormatError(f"{path}: {what} needs {ncomp} component(s), "
+                              f"file has {have}")
+    return field
+
+
+def _geometry(args, flag, reader):
+    """The geometry file that ``flag`` names, read by ``reader``."""
+    path = getattr(args, flag[2:].replace("-", "_"))
+    if path is None:
+        raise ConfigError(f"{args.command} needs {flag}")
+    return reader(path)
+
+
 def _error_report(args, field, oracle):
     """Write report.txt with the relative L1/L2/Linf errors of ``field``
-    against ``oracle`` on the r1 disc and print its lines."""
+    against ``oracle``, of as many components, on the r1 disc; print it."""
+    if not field.grid.same_layout(oracle.grid):
+        raise FileFormatError(f"{args.oracle}: the oracle's grid is not the field's")
     comps, ocomps = _components(field), _components(oracle)
-    if len(comps) != len(ocomps):
-        raise ConfigError("field and oracle component counts differ")
     mask = field.grid.disc_mask(field.grid.r1)
     norms = (("l1", lambda a: np.sum(np.abs(a))), ("l2", np.linalg.norm),
              ("linf", lambda a: np.max(np.abs(a))))
@@ -165,39 +184,20 @@ def cmd_phantom(args):
             if obj is not None]
 
 
-def _load_vline_geometry(args):
-    if args.geometry is None:
-        raise ConfigError("this transform needs --geometry")
-    return read_vline_geometry(args.geometry)
-
-
-def _load_star_geometry(args):
-    if args.star_geometry is None:
-        raise ConfigError("the star transform needs --star-geometry")
-    return read_star_geometry(args.star_geometry)
-
-
 def cmd_forward(args):
     if not 0.0 <= args.noise_sigma < np.inf:
         raise ConfigError(f"--noise-sigma must be finite and >= 0, "
                           f"got {args.noise_sigma!r}")
-    field = read_vlt1(args.field)
-    name = args.transform
-    if name == "star":
-        sg = _load_star_geometry(args)
-        if not isinstance(field, VectorField):
-            raise ConfigError("star transform needs a 2-component field")
-        tf = forward_star(field, sg)
-    elif name == "signed":
-        if not isinstance(field, ScalarField):
-            raise ConfigError("signed transform needs a scalar field")
-        tf = signed_vline(field, _load_vline_geometry(args))
-    else:
-        if not isinstance(field, VectorField):
-            raise ConfigError(f"transform {name} needs a 2-component field")
-        op = {"L": forward_L, "T": forward_T,
-              "I": forward_I, "J": forward_J}[name]
-        tf = op(field, _load_vline_geometry(args))
+    vline = ("--geometry", read_vline_geometry)
+    # transform -> (operator, component count of its field, geometry)
+    op, ncomp, geometry = {
+        "L": (forward_L, 2, vline), "T": (forward_T, 2, vline),
+        "I": (forward_I, 2, vline), "J": (forward_J, 2, vline),
+        "signed": (signed_vline, 1, vline),
+        "star": (forward_star, 2, ("--star-geometry", read_star_geometry)),
+    }[args.transform]
+    field = _read(args.field, ncomp, f"transform {args.transform}")
+    tf = op(field, _geometry(args, *geometry))
     return [_save(args, args.out, _add_noise(tf, args.noise_sigma, args.seed))]
 
 
@@ -222,27 +222,22 @@ def cmd_invert(args):
     paths = [getattr(args, name) for name, _ in inputs]
     if None in paths:
         raise ConfigError(f"pipeline {pipeline!r} is missing an input file")
-    data = [read_vlt1(path) for path in paths]
-    for path, field, (_, ncomp) in zip(paths, data, inputs):
-        have = len(_components(field))
-        if have != ncomp:
-            raise FileFormatError(f"{path}: pipeline {pipeline!r} needs {ncomp} "
-                                  f"component(s), file has {have}")
+    data = [_read(path, ncomp, f"pipeline {pipeline!r}")
+            for path, (_, ncomp) in zip(paths, inputs)]
     if pipeline == "star":
-        result = fn(*data, _load_star_geometry(args), n_angles=args.angles,
-                    guard_deg=args.guard_deg)
+        result = fn(*data, _geometry(args, "--star-geometry", read_star_geometry),
+                    n_angles=args.angles, guard_deg=args.guard_deg)
     else:
-        result = fn(*data, _load_vline_geometry(args))
+        result = fn(*data, _geometry(args, "--geometry", read_vline_geometry))
     outputs = [_save(args, args.out, result)]
     if args.oracle is not None:
-        outputs.append(_error_report(args, result, read_vlt1(args.oracle)))
+        oracle = _read(args.oracle, len(_components(result)), "the oracle")
+        outputs.append(_error_report(args, result, oracle))
     return outputs
 
 
 def cmd_radon(args):
-    field = read_vlt1(args.field)
-    if not isinstance(field, ScalarField):
-        raise ConfigError("radon expects a scalar VLT1 field")
+    field = _read(args.field, 1, "radon")
     sg = radon_forward(field, args.angles, args.offsets, full=args.full)
     if args.dds:
         sg = sinogram_dds(sg)
@@ -263,7 +258,9 @@ def cmd_render(args):
 
 
 def cmd_report(args):
-    return [_error_report(args, read_vlt1(args.field), read_vlt1(args.oracle))]
+    field = read_vlt1(args.field)
+    oracle = _read(args.oracle, len(_components(field)), "the oracle")
+    return [_error_report(args, field, oracle)]
 
 
 @functools.cache

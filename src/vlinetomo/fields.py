@@ -66,6 +66,10 @@ class Grid2D:
             raise ConfigError("grid spacing must be positive")
         if self.nx < 16 or self.ny < 16:
             raise ConfigError("grids need at least 16 samples per axis")
+        far = (self.origin[0] + (self.nx - 1) * self.h,
+               self.origin[1] + (self.ny - 1) * self.h)
+        if not np.all(np.isfinite((self.h, self.r1, self.r2) + self.origin + far)):
+            raise ConfigError("grid spacing, corners and radii must be finite")
         if not 0 < self.r1 < self.r2:
             raise ConfigError("need 0 < r1 < r2")
         if not self.holds_disc(self.r2):

@@ -188,17 +188,19 @@ def _to_bytes_symmetric(values):
     return scaled.astype(np.uint8)
 
 
-def _image_layout(values):
-    """Array [ix, iy] -> image rows top-to-bottom with y increasing upward."""
-    return values.T[::-1]
+def _write_pnm(path, img):
+    """Binary PGM of uint8 samples [ix, iy], or PPM of [ix, iy, rgb], as
+    image rows top-to-bottom with y increasing upward."""
+    magic = "P5" if img.ndim == 2 else "P6"
+    img = img.swapaxes(0, 1)[::-1]
+    with open(path, "wb") as fh:
+        fh.write(f"{magic}\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
+        fh.write(img.tobytes())
 
 
 def write_pgm(path, values):
     """8-bit binary PGM of a 2-D array, zero rendered as mid-gray."""
-    img = _image_layout(_to_bytes_symmetric(values))
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
-        fh.write(img.tobytes())
+    _write_pnm(path, _to_bytes_symmetric(values))
 
 
 def write_ppm_direction(path, f1, f2):
@@ -219,8 +221,4 @@ def write_ppm_direction(path, f1, f2):
     for k, (r, g, b) in enumerate(lut):
         m = i == k
         rgb[m, 0], rgb[m, 1], rgb[m, 2] = r[m], g[m], b[m]
-    img = np.clip(rgb * 255.0, 0, 255).astype(np.uint8)
-    img = img.transpose(1, 0, 2)[::-1]
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
-        fh.write(img.tobytes())
+    _write_pnm(path, np.clip(rgb * 255.0, 0, 255).astype(np.uint8))

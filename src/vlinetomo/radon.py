@@ -54,6 +54,8 @@ class Sinogram:
             raise ConfigError("sinogram contains non-finite samples")
         if not (0 < self.ds < np.inf and 0 < self.dangle < np.inf):
             raise ConfigError("sinogram spacings must be finite and positive")
+        if not np.isfinite(self.angle0):
+            raise ConfigError("sinogram angle0 must be finite")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 

@@ -29,7 +29,8 @@ from .beam import ray_sum
 from .errors import ConfigError, GeometryError
 from .fields import (RayGeometry, VectorField, direction, grid_for_vline,
                      perp, unit_vector)
-from .radon import Sinogram, _backproject, radon_transform_field, sinogram_dds
+from .radon import (FULL_TURN, Sinogram, _backproject,
+                    radon_transform_field, sinogram_dds)
 
 # |psi . gamma_i| below this is a type-1 singular direction
 Z1_TOL = 1e-9
@@ -235,9 +236,22 @@ def _interpolate_guarded(rows, valid):
     rows[bad] = (1.0 - t) * rows[k0 % n] + t * rows[k1 % n]
 
 
-def _check_guard(guard_deg):
+def _unguarded(angles, sg, guard_deg):
+    """Mask of the ``angles`` at least guard_deg from every singular
+    direction of ``sg``.  Raises ConfigError when guard_deg is not positive
+    or fewer than 16 angles survive, GeometryError when sg is symmetric."""
     if not guard_deg > 0:
         raise ConfigError(f"guard_deg must be positive, got {guard_deg!r}")
+    sing = singular_directions(sg)
+    if sing.degenerate:
+        raise GeometryError("symmetric star transform is not invertible")
+    bad = np.concatenate([sing.z1, sing.z2])
+    valid = (_angular_distance(angles[:, None], bad[None, :]).min(axis=1)
+             >= np.deg2rad(guard_deg))
+    if int(valid.sum()) < 16:
+        raise ConfigError(f"{int(valid.sum())} of {len(angles)} angles survive "
+                          f"the singular guard bands, fewer than 16")
+    return valid
 
 
 def apply_q(dsino: Sinogram, sg: StarGeometry, guard_deg=2.0):
@@ -256,16 +270,8 @@ def apply_q(dsino: Sinogram, sg: StarGeometry, guard_deg=2.0):
         raise ConfigError("star data sinograms must have 2 components")
     if not dsino.full_range:
         raise ConfigError("star data sinograms must cover the full circle")
-    _check_guard(guard_deg)
-    sing = singular_directions(sg)
-    if sing.degenerate:
-        raise GeometryError("symmetric star transform is not invertible")
-    bad = np.concatenate([sing.z1, sing.z2])
     angles = dsino.angles()
-    valid = (_angular_distance(angles[:, None], bad[None, :]).min(axis=1)
-             >= np.deg2rad(guard_deg))
-    if int(valid.sum()) < 16:
-        raise ConfigError("too few angles survive the singular guard bands")
+    valid = _unguarded(angles, sg, guard_deg)
     q = q_of_psi(sg, direction(angles[valid]).T)
     factor = np.zeros(len(angles), dtype=complex)  # guarded rows refilled
     factor[valid] = q[:, 0, 0] + 1j * q[:, 1, 0]
@@ -286,14 +292,15 @@ def invert_star(sf: VectorField, sg: StarGeometry, n_angles=360,
     contributions; guard-banded singular angles are interpolated over
     before the Ram-Lak backprojection.  Grids whose square does not hold
     the strip ring r2 + 2h clear of its edges raise GeometryError (the
-    chord-disc check of ``radon_transform_field``, before any chord work),
-    and guard_deg <= 0 raises ConfigError before any work.
+    chord-disc check of ``radon_transform_field``, before any chord work).
+    A symmetric star, and a guard_deg or n_angles that leaves fewer than
+    16 unguarded angles, raise before any work.
     """
-    if classify(sg) == "symmetric":
-        raise GeometryError("symmetric star transform is not invertible")
+    # the angles 2 pi k / n_angles of the sinogram radon_transform_field makes
+    _unguarded(np.arange(n_angles) * (FULL_TURN / max(n_angles, 1)), sg,
+               guard_deg)
     if not isinstance(sf, VectorField):
         raise ConfigError("star data must have 2 components")
-    _check_guard(guard_deg)
     grid = sf.grid
     sino = radon_transform_field(sf, sg.gammas, n_angles, grid.nx, full=True)
     rf = apply_q(sinogram_dds(sino), sg, guard_deg=guard_deg)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -522,3 +524,69 @@ def test_module_exit_status(tmp_path, geom_file):
              "--out-dir", str(tmp_path / "out")],
             env=env, capture_output=True, text=True)
         assert proc.returncode == code, proc.stderr
+
+
+@pytest.mark.parametrize("command,flag,name", [
+    (["forward", "--transform", "L"], "--field", "oracle_div.vlt"),
+    (["forward", "--transform", "signed"], "--field", "field.vlt"),
+    (["forward", "--transform", "star"], "--field", "oracle_div.vlt"),
+    (["radon"], "--field", "field.vlt"),
+    (["report", "--field", "FIELD"], "--oracle", "oracle_div.vlt"),
+    (["invert", "--pipeline", "curl", "--lf", "DIV"], "--oracle", "field.vlt")],
+    ids=["forward-L", "forward-signed", "forward-star", "radon", "report",
+         "invert-oracle"])
+def test_wrong_component_count_exits_4_naming_the_file(
+        tmp_path, geom_file, capsys, command, flag, name):
+    # every command reads its fields through one rule: a field with another
+    # component count than the command needs is a malformed input file
+    ph = _phantom(tmp_path, nx=48)
+    star = StarGeometry(tuple(direction(a) for a in (0.0, 2.1, 4.2)),
+                        (1.0, 1.0, 1.0))
+    subst = {"FIELD": str(ph / "field.vlt"), "DIV": str(ph / "oracle_div.vlt")}
+    bad = str(ph / name)
+    argv = [subst.get(tok, tok) for tok in command] + [flag, bad]
+    if command[0] == "forward":
+        argv += ["--geometry", geom_file,
+                 "--star-geometry", _star_file(tmp_path, star)]
+    elif command[0] == "invert":
+        argv += ["--geometry", geom_file]
+    out = tmp_path / "x"
+    assert main(argv + ["--out-dir", str(out)]) == 4
+    assert bad in capsys.readouterr().err
+    assert not (out / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["invert", "--pipeline", "curl", "--lf"], ["render", "--field"]],
+    ids=["invert", "render"])
+def test_non_finite_grid_header_exits_4_naming_the_file(
+        tmp_path, geom_file, capsys, command):
+    # h = inf, nx = ny = 32, origin (-1, -1), r1 0.5, r2 0.9, zero samples
+    path = tmp_path / "inf.vlt"
+    header = struct.pack("<4sII5dI", b"VLT1", 32, 32, np.inf, -1.0, -1.0,
+                         0.5, 0.9, 1)
+    path.write_bytes(header + bytes(8 * 32 * 32))
+    argv = command + [str(path), "--out-dir", str(tmp_path / "x")]
+    if command[0] == "invert":
+        argv += ["--geometry", geom_file]
+    assert main(argv) == 4
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["report", "--field", "FIELD"],
+    ["invert", "--pipeline", "curl", "--lf", "DIV", "--geometry", "GEOM"]],
+    ids=["report", "invert"])
+def test_oracle_on_another_grid_exits_4_naming_the_file(
+        tmp_path, geom_file, capsys, command):
+    ph = _phantom(tmp_path, nx=48)
+    other = tmp_path / "other"
+    assert main(["phantom", "--kind", "solenoidal", "--nx", "40", "--r1",
+                 "1.0", "--r2", "1.4142135623730951", "--out-dir",
+                 str(other)]) == 0
+    subst = {"FIELD": str(ph / "oracle_curl.vlt"),
+             "DIV": str(ph / "oracle_div.vlt"), "GEOM": geom_file}
+    bad = str(other / "oracle_curl.vlt")
+    argv = [subst.get(tok, tok) for tok in command]
+    assert main(argv + ["--oracle", bad, "--out-dir", str(tmp_path / "x")]) == 4
+    assert bad in capsys.readouterr().err

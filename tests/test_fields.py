@@ -158,3 +158,9 @@ def test_check_grid_raises_on_small_r2():
     with pytest.raises(GeometryError):
         geom.check_grid(g)
 
+
+@pytest.mark.parametrize("h", [np.inf, np.nan, 1e308])
+def test_grid_rejects_non_finite_spacing_and_far_corner(h):
+    # h = 1e308 is finite, but the far corner origin + 15 h overflows
+    with pytest.raises(ConfigError):
+        Grid2D(nx=16, ny=16, h=h, origin=(-1.0, -1.0), r1=0.5, r2=0.9)

@@ -228,3 +228,13 @@ def test_geometry_files_skip_blank_and_comment_lines(tmp_path, write, read,
     assert all(np.array_equal(x, y) for x, y in zip(a.rays, b.rays))
     assert len(a.rays) == len(b.rays) == len(geom.rays)
     assert getattr(a, "weights", None) == getattr(b, "weights", None)
+
+
+def test_vls1_rejects_non_finite_angle0(tmp_path):
+    path = tmp_path / "s.vls"
+    write_vls1(path, Sinogram(np.zeros((1, 8, 9)), 0.0, np.pi / 8, 0.25))
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<d", data, 24, np.nan)  # magic, 3 x u32, ds, angle0
+    path.write_bytes(bytes(data))
+    with pytest.raises(FileFormatError, match="angle0"):
+        read_vls1(path)

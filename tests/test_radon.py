@@ -352,3 +352,8 @@ def test_fbp_rejects_two_components(grid):
     with pytest.raises(ConfigError):
         fbp_inverse(sg, grid)
 
+
+@pytest.mark.parametrize("angle0", [np.nan, np.inf, -np.inf])
+def test_sinogram_rejects_non_finite_angle0(angle0):
+    with pytest.raises(ConfigError, match="angle0"):
+        Sinogram(np.zeros((1, 32, 64)), angle0, np.pi / 32, 0.1)

@@ -391,3 +391,22 @@ def test_invert_star_rejects_nonpositive_guard_before_radon(monkeypatch):
     sf = VectorField(grid, *np.zeros((2, grid.nx, grid.ny)))
     with pytest.raises(ConfigError):
         invert_star(sf, sg, guard_deg=0.0)
+
+
+@pytest.mark.parametrize("kwargs", [{"n_angles": 8}, {"guard_deg": 60.0}])
+def test_invert_star_rejects_too_few_unguarded_angles_before_radon(
+        monkeypatch, kwargs):
+    # 8 angles are fewer than 16; a 60 degree guard about the six Z1
+    # directions of this star, 60 degrees apart, leaves no angle
+    import vlinetomo.star as star_module
+
+    def no_radon(*args, **kwargs):
+        raise AssertionError("the Radon transform ran before the guard check")
+
+    monkeypatch.setattr(star_module, "radon_transform_field", no_radon)
+    sg = _star((0.0, 120.0, 240.0), (1.0, 1.0, 1.0))
+    grid = grid_for_star(64, 1.0, sg)
+    from vlinetomo import VectorField
+    sf = VectorField(grid, *np.zeros((2, grid.nx, grid.ny)))
+    with pytest.raises(ConfigError, match="fewer than 16"):
+        invert_star(sf, sg, **kwargs)
