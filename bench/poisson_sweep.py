@@ -6,15 +6,19 @@ Stages, on the mixed phantom (r1 = 1) at each requested nx:
   solve_dirichlet_disc   Lap V = div f on the r1 disc     error of V
   recover_potential      T f -> div f -> V                error of V
   solve_free_space       both components of f from their  error of f
-                         masked Laplacians (the LT solve)
-  recover_field_LT       (L f, T f) -> f                  error of f
+                         masked analytic Laplacians by
+                         free-space convolution
+  recover_field_LT       (L f, T f) -> f, one row per     error of f
+                         LT_GEOMETRIES entry              per component
   radon_transform_field  the Radon stage of invert_star   error of f
                          on the 3-ray equiangular star,   (invert_star's)
                          360 angles
   star_fbp               its FBP stage                    error of f
   invert_star            the whole star inversion         error of f
 
-V-line stages use the axis-aligned pair u = (1, 0), v = (0, 1).  Each time
+V-line stages use the axis-aligned pair u = (1, 0), v = (0, 1) on
+grid_for_vline, except the recover_field_LT rows, whose "geometry" names
+their LT_GEOMETRIES entry.  Each time
 is the best of REPEATS calls on inputs built outside the timed region;
 the error is the relative L2 error over the r1 disc against the phantom's
 analytic field (the larger of the two components for f).  Dirichlet rows
@@ -48,6 +52,13 @@ from vlinetomo import radon, star
 R1 = 1.0
 STAR_ANGLES = (0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0)
 N_ANGLES = 360
+# name: (u angle, v angle, r2 of Grid2D.centered, or None for grid_for_vline)
+LT_GEOMETRIES = {
+    "axis": (0.0, np.pi / 2.0, None),
+    "axis-r2-1.5": (0.0, np.pi / 2.0, 1.5),  # the grid of perfbench's lt-cli
+    "oblique": (0.35, 2.1, None),
+    "rotated": (0.35, 0.35 + np.pi / 2.0, None),
+}
 REPEATS = 3
 
 
@@ -61,10 +72,31 @@ def best_of(fn, *args):
     return out, best
 
 
+def rel_l2s(recon, oracle, mask):
+    """Relative L2 error over the mask of each component."""
+    return [float(np.linalg.norm((r - o)[mask]) / np.linalg.norm(o[mask]))
+            for r, o in zip(recon, oracle)]
+
+
 def rel_l2(recon, oracle, mask):
     """Largest relative L2 error over the mask among the components."""
-    return max(float(np.linalg.norm((r - o)[mask]) / np.linalg.norm(o[mask]))
-               for r, o in zip(recon, oracle))
+    return max(rel_l2s(recon, oracle, mask))
+
+
+def lt_rows(nx, row):
+    """One recover_field_LT row per LT_GEOMETRIES entry, with the error of
+    each component beside the larger one."""
+    for name, (a, b, r2) in LT_GEOMETRIES.items():
+        geom = vt.VLineGeometry(vt.direction(a), vt.direction(b))
+        grid = (vt.grid_for_vline(nx, R1, geom) if r2 is None
+                else vt.Grid2D.centered(nx, R1, r2))
+        ph = vt.make_phantom("mixed", grid)
+        f = [ph.field.f1, ph.field.f2]
+        rec, t = best_of(vt.recover_field_LT, vt.forward_L(ph.field, geom),
+                         vt.forward_T(ph.field, geom), geom)
+        errs = rel_l2s([rec.f1, rec.f2], f, grid.disc_mask(grid.r1))
+        row("recover_field_LT", t, max(errs), geometry=name, rel_l2_f1=errs[0],
+            rel_l2_f2=errs[1])
 
 
 def sweep_nx(nx):
@@ -90,9 +122,7 @@ def sweep_nx(nx):
            for lap in vt.laplacians_from_div_curl(ph.div, ph.curl)]
     comps, t = best_of(lambda: [vt.solve_free_space(r).field.values for r in rhs])
     row("solve_free_space", t, rel_l2(comps, f, disc))
-    lf = vt.forward_L(ph.field, geom)
-    rec, t = best_of(vt.recover_field_LT, lf, tf, geom)
-    row("recover_field_LT", t, rel_l2([rec.f1, rec.f2], f, disc))
+    lt_rows(nx, row)
 
     sg = vt.StarGeometry(tuple(vt.direction(a) for a in STAR_ANGLES), (1.0, 1.0, 1.0))
     sgrid = vt.grid_for_star(nx, R1, sg)
@@ -126,7 +156,8 @@ def main(argv=None):
         done = sweep_nx(nx)
         rows += done
         for r in done:
-            print(f"{r['stage']:22s} nx={nx:4d}  {r['best_s']:8.4f} s  rel_l2 {r['rel_l2']:.4e}")
+            print(f"{r['stage']:22s} nx={nx:4d}  {r['best_s']:8.4f} s  "
+                  f"rel_l2 {r['rel_l2']:.4e}  {r.get('geometry', '')}")
 
     doc = {"bench": "bench/poisson_sweep.py", "runs": {}}
     if os.path.exists(args.out):

@@ -45,7 +45,20 @@ class Sinogram:
     ds: float
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
+        self._seal(np.array(self.values, dtype=float))
+
+    @classmethod
+    def _adopt(cls, values, angle0, dangle, ds):
+        """The constructor without its copy, for a float array the caller
+        built and writes no more: the same checks, and ``values`` itself
+        becomes read-only."""
+        sg = object.__new__(cls)
+        for name, v in (("angle0", angle0), ("dangle", dangle), ("ds", ds)):
+            object.__setattr__(sg, name, v)
+        sg._seal(np.asarray(values, dtype=float))
+        return sg
+
+    def _seal(self, values):
         if values.ndim == 2:
             values = values[None]
         if values.ndim != 3 or values.shape[0] not in (1, 2):
@@ -98,10 +111,12 @@ def _lattice(grid, n_angles, n_offsets, full):
     return dangle, ds, offsets, np.stack([np.cos(a), np.sin(a)], axis=1)
 
 
-def _chord_integrals(grid, values, psi, s, rmax):
+def _chord_integrals(grid, values, psi, s, rmax, out=None):
     """Midpoint-rule integrals over the chords |x| <= rmax, a row per normal
     psi[k], with n = ceil(4 rmax / h) samples on every chord (step <= h/2,
     finer on short chords); complex values give both parts in one pass.
+    The rows are written into ``out`` (len(psi), len(s)) of the values'
+    dtype when given, else into a new array, and returned.
 
     Bilinear interpolation of the grid samples in lerp form.  Chord sample
     coordinates are kept in grid units; offsets go in blocks of at most
@@ -115,7 +130,9 @@ def _chord_integrals(grid, values, psi, s, rmax):
     if not grid.holds_disc(rmax + 1e-9 * grid.h):
         raise GeometryError(f"grid square does not hold the chord disc of "
                             f"radius {rmax:.6g} clear of its edges")
-    out = np.zeros((len(psi), len(s)), dtype=values.dtype)
+    if out is None:
+        out = np.empty((len(psi), len(s)), dtype=values.dtype)
+    out[...] = 0.0
     live = np.flatnonzero(np.abs(s) < rmax)
     s = s[live]
     half = np.sqrt(rmax * rmax - s * s)
@@ -174,9 +191,9 @@ def radon_forward(h: ScalarField, n_angles, n_offsets, full=False) -> Sinogram:
     grid = h.grid
     dangle, ds, offsets, psi = _lattice(grid, n_angles, n_offsets, full)
     out = np.empty((1, n_angles, n_offsets))
-    out[0, :len(psi)] = _chord_integrals(grid, h.values, psi, offsets, grid.r1)
+    _chord_integrals(grid, h.values, psi, offsets, grid.r1, out[0, :len(psi)])
     out[:, len(psi):] = out[:, :n_angles - len(psi), ::-1]
-    return Sinogram(out, 0.0, dangle, ds)
+    return Sinogram._adopt(out, 0.0, dangle, ds)
 
 
 def strip_ring_radius(grid):
@@ -275,13 +292,13 @@ def radon_transform_field(tf: ScalarField | VectorField, dirs, n_angles,
     out = np.empty((ncomp, n_angles, n_offsets))
     out[:, :n] = (lines.real, lines.imag)[:ncomp]
     out[:, n:] = out[:, :n_angles - n, ::-1]
-    return Sinogram(out, 0.0, dangle, ds)
+    return Sinogram._adopt(out, 0.0, dangle, ds)
 
 
 def sinogram_dds(sg: Sinogram) -> Sinogram:
     """Central-difference d/ds per angle."""
     vals = np.gradient(sg.values, sg.ds, axis=2)
-    return Sinogram(vals, sg.angle0, sg.dangle, sg.ds)
+    return Sinogram._adopt(vals, sg.angle0, sg.dangle, sg.ds)
 
 
 def _ramp_filter(rows, ds):

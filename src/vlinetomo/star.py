@@ -279,8 +279,8 @@ def apply_q(dsino: Sinogram, sg: StarGeometry, guard_deg=2.0):
     # q before d: numpy's SIMD complex multiply may round q*d and d*q apart
     np.multiply(factor[:, None], out, out=out)
     _interpolate_guarded(out, valid)
-    return Sinogram(np.stack([out.real, out.imag]), dsino.angle0, dsino.dangle,
-                    dsino.ds)
+    return Sinogram._adopt(np.stack([out.real, out.imag]), dsino.angle0,
+                           dsino.dangle, dsino.ds)
 
 
 def invert_star(sf: VectorField, sg: StarGeometry, n_angles=360,

@@ -14,8 +14,8 @@ field R f = (f2, -f1) = -perp(f), since (R f).d = f.perp(d):
 Reconstructions: curl f = D_u D_v L f / det(v, u) and div f from T f in
 the same way, where D_u D_v is ``operators.mixed_partial``, the chain rule
 sum_ij u_i v_j d_i d_j on the grid samples; the full field through either
-Poisson recovery of both components (LT), or the first-moment pipeline
-(LI).  LI applies the paper's signed inversion to each component with
+the Dirichlet disc solve of both components (LT), or the first-moment
+pipeline (LI).  LI applies the paper's signed inversion to each component with
 D_u D_v moved inside the integral: D_u D_v of the component's signed
 V-line data is built from D_u D_v I f and the plain beams of the recovered
 curl, is supported in the r1 disc, and is integrated along u - v
@@ -32,7 +32,7 @@ from .errors import ConfigError, GeometryError
 from .fields import ScalarField, VectorField, VLineGeometry
 from .operators import (bilinear, laplacians_from_div_curl, mixed_partial,
                         partial_x, partial_y)
-from .poisson import solve_dirichlet_disc, solve_free_space
+from .poisson import solve_dirichlet_disc
 
 
 def _rotated(f: VectorField) -> VectorField:
@@ -94,19 +94,16 @@ def recover_field_LT(lf: ScalarField, tf: ScalarField,
     """Reconstruct f from (L f, T f).
 
     div f and curl f give the componentwise Laplacians
-    (Lap f1, Lap f2) = (d1 div - d2 curl, d2 div + d1 curl), and each
-    component is recovered by convolution with the free-space Green
-    function of the Laplacian.
+    (Lap f1, Lap f2) = (d1 div - d2 curl, d2 div + d1 curl).  f is
+    supported in the r1 disc, so each component vanishes on the r1 circle
+    and is the solution of that Dirichlet problem on the disc
+    (``solve_dirichlet_disc``); the output is 0 wherever rr >= r1.
     """
     if not lf.grid.same_layout(tf.grid):
         raise ConfigError("L f and T f must share a grid")
-    c = recover_curl(lf, geom)
-    d = recover_div(tf, geom)
-    grid = lf.grid
-    mask = grid.disc_mask(grid.r1)
-    comps = [solve_free_space(ScalarField(grid, np.where(mask, lap.values, 0.0)))
-             .field.values for lap in laplacians_from_div_curl(d, c)]
-    return VectorField(grid, *comps)
+    laps = laplacians_from_div_curl(recover_div(tf, geom), recover_curl(lf, geom))
+    return VectorField(lf.grid, *(solve_dirichlet_disc(lap).field.values
+                                  for lap in laps))
 
 
 def recover_potential(tf: ScalarField, geom: VLineGeometry) -> ScalarField:

@@ -27,6 +27,19 @@ def test_sinogram_owns_read_only_values():
             sg.values[0, 0, 0] = 2.0
 
 
+def test_sinogram_adopt_keeps_checks_and_seals_the_array():
+    # the library's private path: no copy, the same checks, read-only
+    own = np.zeros((1, 8, 8))
+    sg = Sinogram._adopt(own, 0.0, 0.1, 0.1)
+    assert sg.values is own and not own.flags.writeable
+    for values, dangle in ((np.full((1, 8, 8), np.nan), 0.1),
+                           (np.zeros((3, 8, 8)), 0.1), (np.zeros((1, 8, 8)), 0.0)):
+        with pytest.raises(ConfigError):
+            Sinogram._adopt(values, 0.0, dangle, 0.1)
+    assert not radon_forward(bump_scalar(Grid2D.centered(32, 1.0, 1.5)), 8,
+                             17).values.flags.writeable
+
+
 def test_sinogram_validation():
     with pytest.raises(ConfigError):
         Sinogram(np.zeros((3, 8, 8)), 0.0, 0.1, 0.1)
@@ -194,7 +207,9 @@ def test_chord_disc_reaching_the_grid_edge_is_rejected():
 
 def test_radon_forward_memory_is_bounded_by_its_output():
     # chord coordinates are built per block of offsets, so the work beyond
-    # the output is bounded by CHORD_BLOCK, not by offsets x chord samples
+    # the output is bounded by CHORD_BLOCK, not by offsets x chord samples;
+    # the rows are written into the output, which the Sinogram adopts
+    # without a copy (measured 1.47x; 2.47x with the copy and a row array)
     import tracemalloc
     h = bump_scalar(Grid2D.centered(128, 1.0, 1.5))
     tracemalloc.start()
@@ -203,7 +218,7 @@ def test_radon_forward_memory_is_bounded_by_its_output():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * sg.values.nbytes
+    assert peak <= 1.6 * sg.values.nbytes
 
 
 def test_packed_components_match_separate_transforms():

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from vlinetomo import (GeometryError, Grid2D, RayQuadrature, ScalarField,
-                       VectorField, divergent_beam, forward_I, forward_J,
-                       forward_L, forward_T, grid_for_vline, invert_signed,
+                       VectorField, VLineGeometry, direction, divergent_beam,
+                       forward_I, forward_J, forward_L, forward_T,
+                       grid_for_vline, invert_signed, laplacians_from_div_curl,
                        make_phantom, moment_beam, recover_curl, recover_div,
                        recover_field_LI, recover_field_LT, recover_field_TJ,
                        recover_potential, recover_stream, rhombus_check,
-                       signed_vline)
+                       signed_vline, solve_free_space)
 from vlinetomo.operators import bilinear
 from vlinetomo.phantoms import bump_scalar
 from vlinetomo.vline import _mollify, mixed_derivative
@@ -132,6 +133,43 @@ def test_recover_field_LT_round_trip(geom):
     mask = g.disc_mask(g.r1)
     assert rel_l2(rec.f1, ph.field.f1, mask) <= 0.05
     assert rel_l2(rec.f2, ph.field.f2, mask) <= 0.05
+
+
+def _free_space_LT(lf, tf, geom):
+    """The LT reconstruction by free-space convolution of each component's
+    Laplacian, masked to the r1 disc: the route the disc solve replaced."""
+    g = lf.grid
+    mask = g.disc_mask(g.r1)
+    laps = laplacians_from_div_curl(recover_div(tf, geom), recover_curl(lf, geom))
+    return [solve_free_space(ScalarField(g, np.where(mask, lap.values, 0.0)))
+            .field.values for lap in laps]
+
+
+@pytest.mark.parametrize("nx", [128, 256])
+@pytest.mark.parametrize("angles, r2", [((0.0, np.pi / 2), 1.5), ((0.35, 2.1), None)],
+                         ids=["axis-r2-1.5", "oblique"])
+def test_recover_field_LT_beats_free_space_route(nx, angles, r2):
+    # the Dirichlet disc solve of each component against free-space
+    # convolution of the same Laplacians; measured ratios 0.72-0.86
+    geom = VLineGeometry(*(direction(a) for a in angles))
+    g = grid_for_vline(nx, 1.0, geom) if r2 is None else Grid2D.centered(nx, 1.0, r2)
+    f = make_phantom("mixed", g).field
+    lf, tf = forward_L(f, geom), forward_T(f, geom)
+    rec = recover_field_LT(lf, tf, geom)
+    mask = g.disc_mask(g.r1)
+    for got, ref, exact in zip((rec.f1, rec.f2), _free_space_LT(lf, tf, geom),
+                               (f.f1, f.f2)):
+        assert rel_l2(got, exact, mask) <= 0.9 * rel_l2(ref, exact, mask)
+
+
+def test_recover_field_LT_is_zero_outside_r1(oblique_geom):
+    g = grid_for_vline(96, 1.0, oblique_geom)
+    f = make_phantom("mixed", g).field
+    rec = recover_field_LT(forward_L(f, oblique_geom), forward_T(f, oblique_geom),
+                           oblique_geom)
+    outside = g.rr() >= g.r1
+    assert outside.any() and rec.f1[~outside].any()
+    assert np.all(rec.f1[outside] == 0.0) and np.all(rec.f2[outside] == 0.0)
 
 
 def test_recover_field_LT_zero(grid, geom):
