@@ -9,21 +9,18 @@ star inversion.
 
 __version__ = "0.1.0"
 
-from .beam import (RayQuadrature, beam_field, divergent_beam, invert_signed,
-                   moment_beam, signed_vline)
+from .beam import beam_field, invert_signed, signed_vline
 from .errors import ConfigError, FileFormatError, GeometryError, VlineError
 from .fields import (Grid2D, ScalarField, VectorField, VLineGeometry, det2,
                      direction, grid_for_vline, perp, unit_vector)
-from .operators import (HelmholtzParts, curl, directional_derivative,
-                        divergence, gradient, helmholtz_decompose,
-                        laplacians_from_div_curl)
+from .operators import laplacians_from_div_curl
 from .phantoms import Phantom, bump_scalar, make_phantom, random_phantom
 from .poisson import PoissonResult, solve_dirichlet_disc, solve_free_space
 from .radon import Sinogram, fbp_inverse, radon_forward, radon_transform_field, \
     sinogram_dds
 from .star import (SingularDirections, StarGeometry, classify, forward_star,
                    gamma_of_psi, grid_for_star, invert_star, q_of_psi,
-                   singular_directions, symmetric_by_coefficients)
+                   singular_directions)
 from .vline import (forward_I, forward_J, forward_L, forward_T, recover_curl,
                     recover_div, recover_field_LI, recover_field_LT,
                     recover_field_TJ, recover_potential, recover_stream,

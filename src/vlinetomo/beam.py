@@ -7,9 +7,8 @@ Every beam integral uses one quadrature: the midpoint rule on the arc-length
 lattice t_k = (k + 1/2) h/2, k = 0, 1, ..., started at the vertex and shared
 by all vertices, with the field sampled bilinearly.  Because the lattice is
 shared, the beam over the whole grid is a correlation of the field with a
-fixed sparse kernel, which ``beam_field`` evaluates with one FFT;
-``beam_values`` sums the same samples directly at arbitrary points, and
-also at the step of a ``RayQuadrature`` (the tests' direct-sum oracle).
+fixed sparse kernel, which ``beam_field`` evaluates with one FFT.  The
+step h/2 is set in ``_ray_lattice`` alone.
 
 The inversion applies the paper's formula with D_u D_v moved inside the
 integral: the differentiated data D_u D_v T_s h = D_{u-v} h is supported
@@ -23,39 +22,18 @@ directly; no output path calls either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._blocks import map_blocks
-from .errors import ConfigError
 from .fields import ScalarField, VLineGeometry, unit_vector
 from .operators import bilinear, correlate, mixed_partial
 from .radon import strip_ring_point
 
 
-@dataclass(frozen=True)
-class RayQuadrature:
-    """Arc-length step of the direct-sum oracle ``beam_values`` (default h/2)."""
-
-    step: float
-
-    def __post_init__(self):
-        if self.step <= 0:
-            raise ConfigError("quadrature step must be positive")
-
-
-def _step(grid, quad):
-    return grid.h / 2.0 if quad is None else quad.step
-
-
-def _ray_lattice(grid, quad, reach):
-    """The arc-length lattice t_k = (k + 1/2) step shared by every vertex.
-
-    Returns (step, t) with enough samples to pass ``reach``; step is h/2
-    unless ``quad`` sets it.
-    """
-    step = _step(grid, quad)
+def _ray_lattice(grid, reach):
+    """The arc-length lattice t_k = (k + 1/2) h/2 shared by every vertex, as
+    (step, t) with enough samples to pass ``reach``."""
+    step = grid.h / 2.0
     n = max(1, int(np.ceil(reach / step)))
     return step, (np.arange(n) + 0.5) * step
 
@@ -70,45 +48,6 @@ def _supported(h: ScalarField):
     return np.where(h.grid.disc_mask(h.grid.r1), h.values, 0.0)
 
 
-def beam_values(h: ScalarField, points, d, quad=None, moment=False):
-    """Beam integrals of a scalar field at many points.
-
-    Midpoint rule on the shared lattice: sum_k step * h(x + t_k d) (times
-    t_k for the first moment), with h sampled bilinearly from its samples
-    in the r1 disc (``_supported``) and zero off the grid square.  The
-    lattice runs from the point until every ray has left the grid, so rays
-    missing the support give 0.  This is the reference that ``beam_field``
-    evaluates at all vertices at once.
-    """
-    grid = h.grid
-    d = unit_vector(d)
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    x0, y0 = grid.origin
-    cx = np.array([x0, x0 + (grid.nx - 1) * grid.h])
-    cy = np.array([y0, y0 + (grid.ny - 1) * grid.h])
-    # farthest grid corner from any point: no sample beyond it is inside
-    reach = np.sqrt(np.max(np.abs(pts[:, 0, None] - cx) ** 2, axis=1)
-                    + np.max(np.abs(pts[:, 1, None] - cy) ** 2, axis=1))
-    step, t = _ray_lattice(grid, quad, float(reach.max(initial=0.0)))
-    px = pts[:, 0, None] + t * d[0]
-    py = pts[:, 1, None] + t * d[1]
-    vals = bilinear(grid, _supported(h), px, py)
-    if moment:
-        vals = vals * t
-    return vals.sum(axis=1) * step
-
-
-def divergent_beam(h: ScalarField, x, d, quad=None) -> float:
-    """X_d h(x) = integral of h(x + t d) over t >= 0."""
-    return float(beam_values(h, np.asarray(x, dtype=float)[None, :], d, quad)[0])
-
-
-def moment_beam(h: ScalarField, x, d, quad=None) -> float:
-    """First moment X^1_d h(x): integrand weighted by arc length t."""
-    return float(beam_values(h, np.asarray(x, dtype=float)[None, :], d, quad,
-                             moment=True)[0])
-
-
 def _beam_kernel(grid, d, moment):
     """Correlation kernel of X_d (X^1_d with ``moment``) on the shared lattice.
 
@@ -118,7 +57,7 @@ def _beam_kernel(grid, d, moment):
     for the moment).  Returns (kernel, center) for ``correlate``; the
     kernel spans offset 0, where ``center`` points.
     """
-    step, t = _ray_lattice(grid, None, grid.h * np.hypot(grid.nx - 1, grid.ny - 1))
+    step, t = _ray_lattice(grid, grid.h * np.hypot(grid.nx - 1, grid.ny - 1))
     gx = t * d[0] / grid.h
     gy = t * d[1] / grid.h
     a = np.floor(gx).astype(np.int64)
@@ -143,7 +82,7 @@ def _beam_kernel(grid, d, moment):
 def beam_field(h: ScalarField, d, moment=False, workers=1) -> np.ndarray:
     """Beam integrals at every grid vertex, as an (nx, ny) array.
 
-    The same quadrature as ``beam_values`` (equal to rounding), evaluated
+    The midpoint rule on the ``_ray_lattice`` samples x + t_k d, evaluated
     as one FFT correlation of h's samples in the r1 disc with the kernel of
     ``_beam_kernel`` in O(N^2 log N).  ``workers`` is kept for callers of
     the public function and has no effect.
@@ -232,7 +171,7 @@ def transform_beam_values(tf: ScalarField, dirs, points, d, workers=1):
     """
     grid = tf.grid
     d = unit_vector(d)
-    step = _step(grid, None)
+    step, _ = _ray_lattice(grid, 0.0)
     values = tf.values
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     npts = len(pts)

@@ -150,11 +150,18 @@ def _geometry(args, flag, reader):
     return reader(path)
 
 
-def _error_report(args, field, oracle):
-    """Write report.txt with the relative L1/L2/Linf errors of ``field``
-    against ``oracle``, of as many components, on the r1 disc; print it."""
+def _oracle(args, field):
+    """The --oracle field; one with another component count or grid than
+    ``field`` raises FileFormatError naming the file."""
+    oracle = _read(args.oracle, len(_components(field)), "the oracle")
     if not field.grid.same_layout(oracle.grid):
         raise FileFormatError(f"{args.oracle}: the oracle's grid is not the field's")
+    return oracle
+
+
+def _error_report(args, field, oracle):
+    """Write report.txt with the relative L1/L2/Linf errors of ``field``
+    against ``oracle`` (``_oracle``) on the r1 disc; print it."""
     comps, ocomps = _components(field), _components(oracle)
     mask = field.grid.disc_mask(field.grid.r1)
     norms = (("l1", lambda a: np.sum(np.abs(a))), ("l2", np.linalg.norm),
@@ -229,9 +236,10 @@ def cmd_invert(args):
                     n_angles=args.angles, guard_deg=args.guard_deg)
     else:
         result = fn(*data, _geometry(args, "--geometry", read_vline_geometry))
+    # every check and computation runs before the first file is written
+    oracle = None if args.oracle is None else _oracle(args, result)
     outputs = [_save(args, args.out, result)]
-    if args.oracle is not None:
-        oracle = _read(args.oracle, len(_components(result)), "the oracle")
+    if oracle is not None:
         outputs.append(_error_report(args, result, oracle))
     return outputs
 
@@ -241,9 +249,11 @@ def cmd_radon(args):
     sg = radon_forward(field, args.angles, args.offsets, full=args.full)
     if args.dds:
         sg = sinogram_dds(sg)
+    # the FBP runs before the first file is written, so its failure leaves none
+    fbp = fbp_inverse(sg, field.grid) if args.fbp else None
     outputs = [_save(args, args.out, sg, write_vls1)]
-    if args.fbp:
-        outputs.append(_save(args, "fbp.vlt", fbp_inverse(sg, field.grid)))
+    if fbp is not None:
+        outputs.append(_save(args, "fbp.vlt", fbp))
     return outputs
 
 
@@ -259,8 +269,7 @@ def cmd_render(args):
 
 def cmd_report(args):
     field = read_vlt1(args.field)
-    oracle = _read(args.oracle, len(_components(field)), "the oracle")
-    return [_error_report(args, field, oracle)]
+    return [_error_report(args, field, _oracle(args, field))]
 
 
 @functools.cache

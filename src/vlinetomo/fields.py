@@ -120,12 +120,12 @@ class Grid2D:
         return self.rr() <= radius
 
     def same_layout(self, other):
-        return (
-            self.nx == other.nx
-            and self.ny == other.ny
-            and np.isclose(self.h, other.h)
-            and np.allclose(self.origin, other.origin)
-        )
+        """Same sample counts, and spacing, origin and radii equal to a
+        relative 1e-9 (none is 0: the square holds the r2 disc about 0)."""
+        mine = (self.h, self.r1, self.r2) + self.origin
+        theirs = (other.h, other.r1, other.r2) + other.origin
+        return (self.nx == other.nx and self.ny == other.ny
+                and np.allclose(mine, theirs, rtol=1e-9, atol=0.0))
 
 
 def _check_values(grid, values):

@@ -1,5 +1,6 @@
-"""Discrete vector-calculus operators, bilinear field sampling and
-FFT correlation with a shift-invariant kernel.
+"""Grid derivatives (the D_u D_v stencil and the Laplacians from div and
+curl), bilinear field sampling and FFT correlation with a shift-invariant
+kernel.
 
 Derivatives use 2nd-order central differences in the interior and
 2nd-order one-sided stencils at grid edges (the np.gradient stencils).
@@ -7,13 +8,11 @@ Derivatives use 2nd-order central differences in the interior and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.fft import irfftn, rfftn
 
 from .errors import ConfigError
-from .fields import Grid2D, ScalarField, VectorField, unit_vector
+from .fields import Grid2D, ScalarField
 
 
 def bilinear(grid: Grid2D, values: np.ndarray, px, py):
@@ -95,30 +94,6 @@ def mixed_partial(values, u, v, h):
     return u[0] * partial_x(dv, h) + u[1] * partial_y(dv, h)
 
 
-def directional_derivative(hfield: ScalarField, d) -> ScalarField:
-    """D_d h = d . grad h."""
-    d = unit_vector(d)
-    g = hfield.grid
-    vals = d[0] * partial_x(hfield.values, g.h) + d[1] * partial_y(hfield.values, g.h)
-    return ScalarField(g, vals)
-
-
-def divergence(f: VectorField) -> ScalarField:
-    g = f.grid
-    return ScalarField(g, partial_x(f.f1, g.h) + partial_y(f.f2, g.h))
-
-
-def curl(f: VectorField) -> ScalarField:
-    """Planar curl: d(f2)/dx1 - d(f1)/dx2."""
-    g = f.grid
-    return ScalarField(g, partial_x(f.f2, g.h) - partial_y(f.f1, g.h))
-
-
-def gradient(hfield: ScalarField) -> VectorField:
-    g = hfield.grid
-    return VectorField(g, partial_x(hfield.values, g.h), partial_y(hfield.values, g.h))
-
-
 def laplacians_from_div_curl(d: ScalarField, c: ScalarField):
     """(Lap f1, Lap f2) = (d1 div - d2 curl, d2 div + d1 curl).
 
@@ -131,21 +106,3 @@ def laplacians_from_div_curl(d: ScalarField, c: ScalarField):
     lap1 = partial_x(d.values, g.h) - partial_y(c.values, g.h)
     lap2 = partial_y(d.values, g.h) + partial_x(c.values, g.h)
     return ScalarField(g, lap1), ScalarField(g, lap2)
-
-
-@dataclass(frozen=True)
-class HelmholtzParts:
-    """Unique split f = solenoidal + grad(potential_V), V = 0 on the r1 circle."""
-
-    solenoidal: VectorField
-    potential_V: ScalarField
-
-
-def helmholtz_decompose(f: VectorField) -> HelmholtzParts:
-    """Solve Lap V = div f with V = 0 on the r1 disc boundary; f_s = f - grad V."""
-    from .poisson import solve_dirichlet_disc
-
-    res = solve_dirichlet_disc(divergence(f))
-    gv = gradient(res.field)
-    fs = VectorField(f.grid, f.f1 - gv.f1, f.f2 - gv.f2)
-    return HelmholtzParts(solenoidal=fs, potential_V=res.field)

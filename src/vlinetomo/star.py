@@ -140,12 +140,6 @@ def _p_of_w(sg: StarGeometry):
                for i, (gi, c) in enumerate(zip(g, sg.weights)))
 
 
-def symmetric_by_coefficients(sg: StarGeometry):
-    """True when P(psi) is the zero polynomial (coefficient-norm test)."""
-    scale = max(abs(c) for c in sg.weights) * sg.m
-    return float(np.max(np.abs(_p_of_w(sg)))) <= 1e-10 * scale
-
-
 def classify(sg: StarGeometry):
     """'symmetric' (non-invertible) or 'invertible'.
 

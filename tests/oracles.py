@@ -1,0 +1,131 @@
+"""Reference implementations the tests compare the library against.
+
+None of these is called by library code, the CLI or the benchmark:
+
+- ``beam_values`` (with ``divergent_beam`` and ``moment_beam``) sums beam
+  integrals directly, sample by sample, at arbitrary points and at any
+  ``RayQuadrature`` step; ``beam.beam_field`` evaluates the same
+  quadrature at every vertex with one FFT.
+- ``directional_derivative``, ``divergence``, ``curl``, ``gradient`` and
+  ``helmholtz_decompose`` are the plain finite-difference calculus the
+  phantoms and pipelines are checked with.
+- ``symmetric_by_coefficients`` is a second symmetry test for stars,
+  checked against ``star.classify``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from vlinetomo.beam import _ray_lattice, _supported
+from vlinetomo.errors import ConfigError
+from vlinetomo.fields import ScalarField, VectorField, unit_vector
+from vlinetomo.operators import bilinear, partial_x, partial_y
+from vlinetomo.poisson import solve_dirichlet_disc
+from vlinetomo.star import StarGeometry, _p_of_w
+
+
+@dataclass(frozen=True)
+class RayQuadrature:
+    """Arc-length step of the direct-sum oracle ``beam_values``."""
+
+    step: float
+
+    def __post_init__(self):
+        if self.step <= 0:
+            raise ConfigError("quadrature step must be positive")
+
+
+def _step(grid, quad):
+    """The arc-length step: the library's (``_ray_lattice``) unless ``quad``
+    sets one."""
+    return _ray_lattice(grid, 0.0)[0] if quad is None else quad.step
+
+
+def beam_values(h: ScalarField, points, d, quad=None, moment=False):
+    """Beam integrals of a scalar field at many points.
+
+    Midpoint rule on the shared lattice: sum_k step * h(x + t_k d) (times
+    t_k for the first moment), with h sampled bilinearly from its samples
+    in the r1 disc (``_supported``) and zero off the grid square.  The
+    lattice runs from the point until every ray has left the grid, so rays
+    missing the support give 0.  At the default step this is the
+    quadrature that ``beam_field`` evaluates at all vertices at once.
+    """
+    grid = h.grid
+    d = unit_vector(d)
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    x0, y0 = grid.origin
+    cx = np.array([x0, x0 + (grid.nx - 1) * grid.h])
+    cy = np.array([y0, y0 + (grid.ny - 1) * grid.h])
+    # farthest grid corner from any point: no sample beyond it is inside
+    reach = np.sqrt(np.max(np.abs(pts[:, 0, None] - cx) ** 2, axis=1)
+                    + np.max(np.abs(pts[:, 1, None] - cy) ** 2, axis=1))
+    step = _step(grid, quad)
+    n = max(1, int(np.ceil(float(reach.max(initial=0.0)) / step)))
+    t = (np.arange(n) + 0.5) * step
+    px = pts[:, 0, None] + t * d[0]
+    py = pts[:, 1, None] + t * d[1]
+    vals = bilinear(grid, _supported(h), px, py)
+    if moment:
+        vals = vals * t
+    return vals.sum(axis=1) * step
+
+
+def divergent_beam(h: ScalarField, x, d, quad=None) -> float:
+    """X_d h(x) = integral of h(x + t d) over t >= 0."""
+    return float(beam_values(h, np.asarray(x, dtype=float)[None, :], d, quad)[0])
+
+
+def moment_beam(h: ScalarField, x, d, quad=None) -> float:
+    """First moment X^1_d h(x): integrand weighted by arc length t."""
+    return float(beam_values(h, np.asarray(x, dtype=float)[None, :], d, quad,
+                             moment=True)[0])
+
+
+def directional_derivative(hfield: ScalarField, d) -> ScalarField:
+    """D_d h = d . grad h."""
+    d = unit_vector(d)
+    g = hfield.grid
+    vals = d[0] * partial_x(hfield.values, g.h) + d[1] * partial_y(hfield.values, g.h)
+    return ScalarField(g, vals)
+
+
+def divergence(f: VectorField) -> ScalarField:
+    g = f.grid
+    return ScalarField(g, partial_x(f.f1, g.h) + partial_y(f.f2, g.h))
+
+
+def curl(f: VectorField) -> ScalarField:
+    """Planar curl: d(f2)/dx1 - d(f1)/dx2."""
+    g = f.grid
+    return ScalarField(g, partial_x(f.f2, g.h) - partial_y(f.f1, g.h))
+
+
+def gradient(hfield: ScalarField) -> VectorField:
+    g = hfield.grid
+    return VectorField(g, partial_x(hfield.values, g.h), partial_y(hfield.values, g.h))
+
+
+@dataclass(frozen=True)
+class HelmholtzParts:
+    """Unique split f = solenoidal + grad(potential_V), V = 0 on the r1 circle."""
+
+    solenoidal: VectorField
+    potential_V: ScalarField
+
+
+def helmholtz_decompose(f: VectorField) -> HelmholtzParts:
+    """Solve Lap V = div f with V = 0 on the r1 disc boundary; f_s = f - grad V."""
+    res = solve_dirichlet_disc(divergence(f))
+    gv = gradient(res.field)
+    fs = VectorField(f.grid, f.f1 - gv.f1, f.f2 - gv.f2)
+    return HelmholtzParts(solenoidal=fs, potential_V=res.field)
+
+
+def symmetric_by_coefficients(sg: StarGeometry):
+    """True when P(psi) is the zero polynomial (coefficient-norm test)."""
+    scale = max(abs(c) for c in sg.weights) * sg.m
+    return float(np.max(np.abs(_p_of_w(sg)))) <= 1e-10 * scale

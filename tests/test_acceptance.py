@@ -14,13 +14,14 @@ from vlinetomo import (ScalarField, StarGeometry, VLineGeometry,
                        random_phantom, recover_curl, recover_div,
                        recover_field_LI, recover_field_LT, recover_field_TJ,
                        rhombus_check, signed_vline, singular_directions,
-                       sinogram_dds, symmetric_by_coefficients)
+                       sinogram_dds)
 from vlinetomo.beam import beam_field
 from vlinetomo.operators import bilinear
 from vlinetomo.phantoms import bump_scalar
 from vlinetomo.star import _angular_distance, apply_q
 
 from conftest import ACCEPTANCE_LINES, rel_l2
+from oracles import symmetric_by_coefficients
 
 GEOM = VLineGeometry(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 WORKERS = 8

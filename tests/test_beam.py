@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from vlinetomo import (ConfigError, RayQuadrature, ScalarField,
-                       VLineGeometry, direction, divergent_beam,
-                       directional_derivative, invert_signed, moment_beam,
-                       signed_vline)
-from vlinetomo.beam import beam_field, beam_values, sample_with_strips
+from vlinetomo import (ConfigError, ScalarField, VLineGeometry, direction,
+                       invert_signed, signed_vline)
+from vlinetomo.beam import beam_field, sample_with_strips
 from vlinetomo.radon import strip_ring_radius
 from vlinetomo.phantoms import bump_scalar
 
 from conftest import finer_grid, rel_l2
+from oracles import (RayQuadrature, beam_values, directional_derivative,
+                     divergent_beam, moment_beam)
 
 D = np.array([1.0, 0.0])
 

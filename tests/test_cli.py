@@ -573,16 +573,21 @@ def test_non_finite_grid_header_exits_4_naming_the_file(
     assert str(path) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [
-    ["report", "--field", "FIELD"],
-    ["invert", "--pipeline", "curl", "--lf", "DIV", "--geometry", "GEOM"]],
-    ids=["report", "invert"])
+REPORT = ["report", "--field", "FIELD"]
+INVERT = ["invert", "--pipeline", "curl", "--lf", "DIV", "--geometry", "GEOM"]
+
+
+# the other grid has another nx, or only another r1
+@pytest.mark.parametrize("command,nx,r1", [
+    (REPORT, "40", "1.0"), (INVERT, "40", "1.0"),
+    (REPORT, "48", "0.8"), (INVERT, "48", "0.8")],
+    ids=["report", "invert", "report-r1", "invert-r1"])
 def test_oracle_on_another_grid_exits_4_naming_the_file(
-        tmp_path, geom_file, capsys, command):
+        tmp_path, geom_file, capsys, command, nx, r1):
     ph = _phantom(tmp_path, nx=48)
     other = tmp_path / "other"
-    assert main(["phantom", "--kind", "solenoidal", "--nx", "40", "--r1",
-                 "1.0", "--r2", "1.4142135623730951", "--out-dir",
+    assert main(["phantom", "--kind", "solenoidal", "--nx", nx, "--r1",
+                 r1, "--r2", "1.4142135623730951", "--out-dir",
                  str(other)]) == 0
     subst = {"FIELD": str(ph / "oracle_curl.vlt"),
              "DIV": str(ph / "oracle_div.vlt"), "GEOM": geom_file}
@@ -590,3 +595,22 @@ def test_oracle_on_another_grid_exits_4_naming_the_file(
     argv = [subst.get(tok, tok) for tok in command]
     assert main(argv + ["--oracle", bad, "--out-dir", str(tmp_path / "x")]) == 4
     assert bad in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["radon", "--field", "DIV", "--angles", "8", "--fbp"], 2),
+    (["invert", "--pipeline", "curl", "--lf", "DIV", "--geometry", "GEOM",
+      "--oracle", "MISSING"], 4),
+    (["invert", "--pipeline", "curl", "--lf", "DIV", "--geometry", "GEOM",
+      "--oracle", "FIELD"], 4)],
+    ids=["radon-fbp", "invert-missing-oracle", "invert-2-component-oracle"])
+def test_failing_command_writes_no_file(tmp_path, geom_file, argv, code):
+    # a command checks and computes everything before its first write, so
+    # a failure leaves no output without a manifest
+    ph = _phantom(tmp_path, nx=32)
+    subst = {"DIV": str(ph / "oracle_div.vlt"), "FIELD": str(ph / "field.vlt"),
+             "GEOM": geom_file, "MISSING": str(tmp_path / "missing.vlt")}
+    out = tmp_path / "out"
+    assert main([subst.get(tok, tok) for tok in argv]
+                + ["--out-dir", str(out)]) == code
+    assert list(out.iterdir()) == []

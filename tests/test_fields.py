@@ -164,3 +164,14 @@ def test_grid_rejects_non_finite_spacing_and_far_corner(h):
     # h = 1e308 is finite, but the far corner origin + 15 h overflows
     with pytest.raises(ConfigError):
         Grid2D(nx=16, ny=16, h=h, origin=(-1.0, -1.0), r1=0.5, r2=0.9)
+
+
+def test_same_layout_compares_radii_and_relative_spacing():
+    g = Grid2D.centered(32, 1.0, 1.5)
+    assert g.same_layout(Grid2D.centered(32, 1.0, 1.5))
+    assert not g.same_layout(Grid2D(32, 32, g.h, g.origin, 0.8, 1.5))
+    assert not g.same_layout(Grid2D(32, 32, g.h, g.origin, 1.0, 1.4))
+    # spacings 1e-10 and 2e-10 are within any absolute tolerance, not equal
+    tiny = Grid2D(16, 16, 1e-10, (-8e-10, -8e-10), 1e-10, 2e-10)
+    assert not tiny.same_layout(Grid2D(16, 16, 2e-10, (-8e-10, -8e-10),
+                                       1e-10, 2e-10))

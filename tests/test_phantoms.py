@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from vlinetomo import ConfigError, curl, divergence, gradient, make_phantom, \
-    random_phantom
+from vlinetomo import ConfigError, make_phantom, random_phantom
 from vlinetomo.phantoms import bump_scalar
 
 from conftest import rel_l2
+from oracles import curl, divergence, gradient
 
 
 def _origin_index(grid):

@@ -5,11 +5,11 @@ from numpy.polynomial import polynomial as npoly
 from vlinetomo import (ConfigError, GeometryError, Sinogram, StarGeometry,
                        classify, direction, forward_L, forward_star, forward_T,
                        gamma_of_psi, grid_for_star, invert_star, make_phantom,
-                       perp, q_of_psi, singular_directions,
-                       symmetric_by_coefficients)
+                       perp, q_of_psi, singular_directions)
 from vlinetomo.star import Z1_TOL, _angular_distance, _p_of_w, apply_q
 
 from conftest import rel_l2
+from oracles import symmetric_by_coefficients
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])

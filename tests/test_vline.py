@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from vlinetomo import (GeometryError, Grid2D, RayQuadrature, ScalarField,
-                       VectorField, VLineGeometry, direction, divergent_beam,
+from vlinetomo import (ConfigError, GeometryError, Grid2D, ScalarField,
+                       VectorField, VLineGeometry, direction,
                        forward_I, forward_J, forward_L, forward_T,
                        grid_for_vline, invert_signed, laplacians_from_div_curl,
-                       make_phantom, moment_beam, recover_curl, recover_div,
+                       make_phantom, recover_curl, recover_div,
                        recover_field_LI, recover_field_LT, recover_field_TJ,
                        recover_potential, recover_stream, rhombus_check,
                        signed_vline, solve_free_space)
@@ -14,6 +14,7 @@ from vlinetomo.phantoms import bump_scalar
 from vlinetomo.vline import _mollify, mixed_derivative
 
 from conftest import finer_grid, rel_l2
+from oracles import RayQuadrature, divergent_beam, moment_beam
 
 
 def _zero_field(grid):
@@ -183,9 +184,20 @@ def test_recover_field_LT_potential_input(geom):
     ph = make_phantom("potential", g, scale=0.8)
     rec = recover_field_LT(forward_L(ph.field, geom),
                            forward_T(ph.field, geom), geom)
-    from vlinetomo import helmholtz_decompose
+    from oracles import helmholtz_decompose
     parts = helmholtz_decompose(rec)
     assert parts.solenoidal.max_norm() <= 0.05 * ph.field.max_norm()
+
+
+@pytest.mark.parametrize("recover", [recover_field_LT, recover_field_LI,
+                                     recover_field_TJ])
+def test_recover_field_rejects_inputs_on_other_radii(geom, recover):
+    # same samples and spacing, another r1: the inputs disagree on the disc
+    g = Grid2D.centered(48, 1.0, 1.5)
+    other = Grid2D(g.nx, g.ny, g.h, g.origin, 0.8, g.r2)
+    zeros = np.zeros((g.nx, g.ny))
+    with pytest.raises(ConfigError, match="share a grid"):
+        recover(ScalarField(g, zeros), ScalarField(other, zeros), geom)
 
 
 def test_recover_potential_round_trip(geom):
@@ -338,7 +350,7 @@ def test_rhombus_agrees_with_composed_derivatives(geom):
     g = grid_for_vline(256, 1.0, geom)
     ph = make_phantom("mixed", g)
     lf = forward_L(ph.field, geom)
-    from vlinetomo import directional_derivative
+    from oracles import directional_derivative
     duv = directional_derivative(
         directional_derivative(ScalarField(g, lf.values), geom.v), geom.u)
     delta = 4 * g.h
