@@ -12,7 +12,9 @@ Stages, on the mixed phantom (r1 = 1) at each requested nx:
                          LT_GEOMETRIES entry              per component
   radon_transform_field  the Radon stage of invert_star   error of f
                          on the 3-ray equiangular star,   (invert_star's)
-                         360 angles
+                         360 angles; also its tracemalloc
+                         peak over one untimed call, as a
+                         multiple of its output's bytes
   star_fbp               its FBP stage                    error of f
   invert_star            the whole star inversion         error of f
 
@@ -42,6 +44,7 @@ import json
 import os
 import platform
 import time
+import tracemalloc
 
 import numpy as np
 import scipy
@@ -70,6 +73,18 @@ def best_of(fn, *args):
         out = fn(*args)
         best = min(best, time.perf_counter() - t0)
     return out, best
+
+
+def peak_over_output(fn, *args):
+    """tracemalloc's peak over one call of ``fn``, as a multiple of the
+    bytes of the values of its result."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / out.values.nbytes
 
 
 def rel_l2s(recon, oracle, mask):
@@ -129,12 +144,14 @@ def sweep_nx(nx):
     sph = vt.make_phantom("mixed", sgrid)
     sf = vt.forward_star(sph.field, sg)
     sf_oracle, sdisc = [sph.field.f1, sph.field.f2], sgrid.disc_mask(sgrid.r1)
-    sino, t_radon = best_of(radon.radon_transform_field, sf, sg.gammas, N_ANGLES,
-                            sgrid.nx, True)
+    radon_args = (sf, sg.gammas, N_ANGLES, sgrid.nx, True)
+    sino, t_radon = best_of(radon.radon_transform_field, *radon_args)
+    peak = peak_over_output(radon.radon_transform_field, *radon_args)
     rf = star.apply_q(radon.sinogram_dds(sino), sg)
     out, t = best_of(radon._backproject, rf, sgrid)
     err = rel_l2(out, sf_oracle, sdisc)
-    row("radon_transform_field", t_radon, err, n_angles=N_ANGLES)
+    row("radon_transform_field", t_radon, err, n_angles=N_ANGLES,
+        peak_over_output=peak)
     row("star_fbp", t, err, n_angles=N_ANGLES)
     rec, t = best_of(vt.invert_star, sf, sg, N_ANGLES)
     row("invert_star", t, rel_l2([rec.f1, rec.f2], sf_oracle, sdisc),

@@ -9,6 +9,8 @@ star inversion.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .beam import beam_field, invert_signed, signed_vline
 from .errors import ConfigError, FileFormatError, GeometryError, VlineError
 from .fields import (Grid2D, ScalarField, VectorField, VLineGeometry, det2,
@@ -26,4 +28,5 @@ from .vline import (forward_I, forward_J, forward_L, forward_T, recover_curl,
                     recover_field_TJ, recover_potential, recover_stream,
                     rhombus_check)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in list(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -150,11 +150,11 @@ def _geometry(args, flag, reader):
     return reader(path)
 
 
-def _oracle(args, field):
-    """The --oracle field; one with another component count or grid than
-    ``field`` raises FileFormatError naming the file."""
-    oracle = _read(args.oracle, len(_components(field)), "the oracle")
-    if not field.grid.same_layout(oracle.grid):
+def _oracle(args, ncomp, grid):
+    """The --oracle field; one with another component count than ``ncomp``
+    or another grid than ``grid`` raises FileFormatError naming the file."""
+    oracle = _read(args.oracle, ncomp, "the oracle")
+    if not grid.same_layout(oracle.grid):
         raise FileFormatError(f"{args.oracle}: the oracle's grid is not the field's")
     return oracle
 
@@ -210,19 +210,19 @@ def cmd_forward(args):
 
 def cmd_invert(args):
     pipeline = args.pipeline
-    # pipeline -> (reconstruction, [(input argument, component count)]),
-    # looked up per call so that rebinding a module-level name reaches the
-    # CLI too
-    fn, inputs = {
-        "lt": (recover_field_LT, [("lf", 1), ("tf", 1)]),
-        "li": (recover_field_LI, [("lf", 1), ("i_f", 1)]),
-        "tj": (recover_field_TJ, [("tf", 1), ("jf", 1)]),
-        "star": (invert_star, [("sf", 2)]),
-        "curl": (recover_curl, [("lf", 1)]),
-        "div": (recover_div, [("tf", 1)]),
-        "stream": (recover_stream, [("lf", 1)]),
-        "potential": (recover_potential, [("tf", 1)]),
-        "signed": (invert_signed, [("ts", 1)]),
+    # pipeline -> (reconstruction, [(input argument, component count)],
+    # output component count), looked up per call so that rebinding a
+    # module-level name reaches the CLI too
+    fn, inputs, n_out = {
+        "lt": (recover_field_LT, [("lf", 1), ("tf", 1)], 2),
+        "li": (recover_field_LI, [("lf", 1), ("i_f", 1)], 2),
+        "tj": (recover_field_TJ, [("tf", 1), ("jf", 1)], 2),
+        "star": (invert_star, [("sf", 2)], 2),
+        "curl": (recover_curl, [("lf", 1)], 1),
+        "div": (recover_div, [("tf", 1)], 1),
+        "stream": (recover_stream, [("lf", 1)], 1),
+        "potential": (recover_potential, [("tf", 1)], 1),
+        "signed": (invert_signed, [("ts", 1)], 1),
     }[pipeline]
     # every input must be named before any is read: a missing one is a
     # usage error (exit 2) even when another file is malformed
@@ -231,13 +231,13 @@ def cmd_invert(args):
         raise ConfigError(f"pipeline {pipeline!r} is missing an input file")
     data = [_read(path, ncomp, f"pipeline {pipeline!r}")
             for path, (_, ncomp) in zip(paths, inputs)]
+    # checked before the reconstruction (on the inputs' grid) and any write
+    oracle = None if args.oracle is None else _oracle(args, n_out, data[0].grid)
     if pipeline == "star":
         result = fn(*data, _geometry(args, "--star-geometry", read_star_geometry),
                     n_angles=args.angles, guard_deg=args.guard_deg)
     else:
         result = fn(*data, _geometry(args, "--geometry", read_vline_geometry))
-    # every check and computation runs before the first file is written
-    oracle = None if args.oracle is None else _oracle(args, result)
     outputs = [_save(args, args.out, result)]
     if oracle is not None:
         outputs.append(_error_report(args, result, oracle))
@@ -269,7 +269,8 @@ def cmd_render(args):
 
 def cmd_report(args):
     field = read_vlt1(args.field)
-    return [_error_report(args, field, _oracle(args, field))]
+    oracle = _oracle(args, len(_components(field)), field.grid)
+    return [_error_report(args, field, oracle)]
 
 
 @functools.cache

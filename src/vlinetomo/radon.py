@@ -3,11 +3,11 @@ filtered backprojection.
 
 Convention: the angle parameter is the direction of the line NORMAL
 psi = (cos a, sin a); R h(psi, s) integrates h over the line
-{x : x . psi = s}.  Transform data (which are constant along ray
-directions inside semi-infinite strips outside the r2 disc) are projected
-as a grid-sampled chord part inside the strip ring plus closed-form strip
-tails beyond it; the strip model (``strip_ring_radius``,
-``strip_ring_point``, ``strip_tails``) lives here, next to its one caller.
+{x : x . psi = s}.  One builder (``_sinogram``) projects both data on
+the r1 disc and transform data (constant along ray directions inside
+semi-infinite strips outside the r2 disc), the latter as chords inside
+the strip ring plus closed-form strip tails beyond it; the strip model
+(``strip_ring_radius``, ``strip_ring_point``, ``strip_tails``) is here.
 The chords are sampled by their own bilinear kernel, which works in grid
 units in buffers reused across blocks.  A full circle of even count
 integrates its half circle and mirrors it, and FBP folds it back onto the
@@ -186,14 +186,26 @@ def _lerp_into(hi, lo, frac):
     hi += lo
 
 
+def _sinogram(grid, values, n_angles, n_offsets, full, rmax, dirs=()):
+    """The sinogram of grid samples (complex f1 + i f2: two components):
+    chords over |x| <= rmax plus the tails of the strips along ``dirs``,
+    on the lines ``_lattice`` integrates, mirrored to the rest; real rows
+    go straight into the output, which the Sinogram adopts."""
+    dangle, ds, offsets, psi = _lattice(grid, n_angles, n_offsets, full)
+    n, ncomp = len(psi), 2 if np.iscomplexobj(values) else 1
+    out = np.empty((ncomp, n_angles, n_offsets))
+    lines = _chord_integrals(grid, values, psi, offsets, rmax,
+                             None if ncomp == 2 else out[0, :n])
+    strip_tails(grid, values, dirs, psi, offsets, lines)
+    if ncomp == 2:
+        out[0, :n], out[1, :n] = lines.real, lines.imag
+    out[:, n:] = out[:, :n_angles - n, ::-1]
+    return Sinogram._adopt(out, 0.0, dangle, ds)
+
+
 def radon_forward(h: ScalarField, n_angles, n_offsets, full=False) -> Sinogram:
     """Radon transform of a scalar field compactly supported in the r1 disc."""
-    grid = h.grid
-    dangle, ds, offsets, psi = _lattice(grid, n_angles, n_offsets, full)
-    out = np.empty((1, n_angles, n_offsets))
-    _chord_integrals(grid, h.values, psi, offsets, grid.r1, out[0, :len(psi)])
-    out[:, len(psi):] = out[:, :n_angles - len(psi), ::-1]
-    return Sinogram._adopt(out, 0.0, dangle, ds)
+    return _sinogram(h.grid, h.values, n_angles, n_offsets, full, h.grid.r1)
 
 
 def strip_ring_radius(grid):
@@ -213,23 +225,23 @@ def strip_ring_point(grid, sigma, d):
     return -sigma * d[1] - back * d[0], sigma * d[0] - back * d[1]
 
 
-def strip_tails(grid, values, dirs, px, py, d, spans, out):
-    """Add the integrals of strip data along the rays x + t d over t-spans.
+def strip_tails(grid, values, dirs, psi, s, out):
+    """Add to ``out`` (len(psi), len(s)) the integrals of strip data over
+    |t| > sqrt(ring^2 - s^2) along the lines x = s psi + t perp(psi).
 
-    Beyond the r2 disc the data along strip s is its ring profile
-    g_s(sigma), sigma = x . perp(s), read (``strip_ring_point``) at the
+    Where x . d < 0 beyond the r2 disc, strip d holds its ring profile
+    g_d(sigma), sigma = x . perp(d), read (``strip_ring_point``) at the
     midpoints of equal cells of width dsig across the strip's width 2 r1.
-    Over the t where a ray is in the strip the integral is
-    (G_s(sigma(b)) - G_s(sigma(a))) / c with c = d . perp(s) and G_s the
-    cumulative integral of g_s, exact for the cellwise-constant profile.
-    The strips are disjoint outside the r2 disc, so for spans (t_a, t_b)
-    outside it their integrals add.  A ray within 1e-9 of parallel to a
+    On a line sigma = c t - e s and x . d = c s + e t (c = psi . d,
+    e = perp(psi) . d), so a t-span where x . d < 0 adds
+    (G_d(sigma(b)) - G_d(sigma(a))) / c, G_d the cumulative integral of
+    g_d: exact for the cellwise-constant profile, and flat beyond
+    |sigma| = r1, so no span is clipped to the strip's edges.  The strips
+    are disjoint outside the r2 disc; a line within 1e-9 of parallel to a
     strip gets nothing from it.  Complex values give both parts at once.
-
-    px, py, d[..., 0], d[..., 1] and the span ends broadcast to the shape
-    of ``out``, which receives the integrals strip by strip, span by span.
+    The normals go in blocks of at most CHORD_BLOCK samples.
     """
-    # G_s leaves an error of O(dsig^2) that repeats every cell; the one
+    # G_d leaves an error of O(dsig^2) that repeats every cell; the one
     # caller, the star Radon transform, is then differentiated twice in s
     # (d/ds, then the ramp filter of the FBP), which divides it by h^2, so
     # dsig shrinks like h^2: nx * max(16, nx/8) cells across the strip
@@ -237,29 +249,28 @@ def strip_tails(grid, values, dirs, px, py, d, spans, out):
     sigma = -grid.r1 + 2.0 * grid.r1 * ((np.arange(n_sigma) + 0.5) / n_sigma)
     dsig = 2.0 * grid.r1 / n_sigma
     edges = -grid.r1 + dsig * np.arange(n_sigma + 1)
-    dx, dy = d[..., 0], d[..., 1]
-    for s in dirs:
-        prof = bilinear(grid, values, *strip_ring_point(grid, sigma, s))
+    half = np.sqrt(np.maximum(strip_ring_radius(grid) ** 2 - s * s, 0.0))
+    rows = max(1, CHORD_BLOCK // len(s))
+    for d in dirs:
+        prof = bilinear(grid, values, *strip_ring_point(grid, sigma, d))
         cum = np.concatenate([[0.0], np.cumsum(prof) * dsig])
-        c = -dx * s[1] + dy * s[0]              # d . perp(s)
-        e = dx * s[0] + dy * s[1]               # d . s
-        crossing = np.abs(c) >= 1e-9
-        c = np.where(crossing, c, 1.0)
-        sigma0 = -px * s[1] + py * s[0]         # x . perp(s)
-        along0 = px * s[0] + py * s[1]          # x . s
-        # in the strip: |sigma0 + t c| < r1 and along0 + t e < 0
-        lo = np.minimum((-grid.r1 - sigma0) / c, (grid.r1 - sigma0) / c)
-        hi = np.maximum((-grid.r1 - sigma0) / c, (grid.r1 - sigma0) / c)
-        cut = np.divide(-along0, e, out=np.zeros(np.broadcast(along0, e).shape),
-                        where=e != 0.0)
-        hi = np.where(e > 0.0, np.minimum(hi, cut), hi)
-        lo = np.where(e < 0.0, np.maximum(lo, cut), lo)
-        hi = np.where((e == 0.0) & (along0 >= 0.0), lo, hi)
-        for t_a, t_b in spans:
-            a, b = np.maximum(lo, t_a), np.minimum(hi, t_b)
-            tail = (np.interp(sigma0 + c * b, edges, cum)
-                    - np.interp(sigma0 + c * a, edges, cum)) / c
-            out += np.where(crossing & (b > a), tail, 0.0)
+        c_all = psi[:, 0] * d[0] + psi[:, 1] * d[1]     # psi . d
+        e_all = psi[:, 0] * d[1] - psi[:, 1] * d[0]     # perp(psi) . d
+        for k in range(0, len(psi), rows):
+            c, e = c_all[k:k + rows, None], e_all[k:k + rows, None]
+            crossing = np.abs(c) >= 1e-9
+            c = np.where(crossing, c, 1.0)
+            # x . d < 0 for t < cut when e > 0, t > cut when e < 0, and
+            # for every t (cut = inf) or none (cut = -inf) when e = 0
+            cut = np.where(c * s < 0.0, np.inf, -np.inf)
+            np.divide(-c * s, e, out=cut, where=e != 0.0)
+            lower = np.where(e < 0.0, cut, -np.inf)
+            upper = np.where(e < 0.0, np.inf, cut)
+            for a, b in ((lower, np.minimum(upper, -half)),
+                         (np.maximum(lower, half), upper)):
+                tail = (np.interp(c * b - e * s, edges, cum)
+                        - np.interp(c * a - e * s, edges, cum)) / c
+                out[k:k + rows] += np.where(crossing & (b > a), tail, 0.0)
 
 
 def radon_transform_field(tf: ScalarField | VectorField, dirs, n_angles,
@@ -267,32 +278,16 @@ def radon_transform_field(tf: ScalarField | VectorField, dirs, n_angles,
     """Radon transform of strip-extended transform data (a ScalarField, or
     a VectorField for star data), one sinogram component per component.
 
-    The line s psi + t psi_perp meets the strip ring |x| = r2 + 2h at
-    t = +-half, half = sqrt(ring^2 - s^2) (0 for lines that miss it).  The
-    chord |t| < half integrates the grid samples and the tails beyond come
-    in closed form from ``strip_tails``, both in one pass over f1 + i f2
-    for two components.  Both are taken on the lines ``_lattice``
-    integrates and mirrored to the rest.  Lines within 1e-9 of parallel to
-    a strip get no tail from it; those angles are singular downstream and
-    discarded there.  Grids whose square does not hold the strip ring
-    clear of its edges raise GeometryError before any chord work
-    (``_chord_integrals``)."""
-    grid = tf.grid
-    dangle, ds, offsets, psi = _lattice(grid, n_angles, n_offsets, full)
-    ring = strip_ring_radius(grid)
-    ncomp = 2 if isinstance(tf, VectorField) else 1
-    packed = tf.f1 + 1j * tf.f2 if ncomp == 2 else tf.values
-    lines = _chord_integrals(grid, packed, psi, offsets, ring)
-    px, py = psi[:, 0, None] * offsets, psi[:, 1, None] * offsets
-    psi_perp = np.stack([-psi[:, 1], psi[:, 0]], axis=1)[:, None, :]
-    half = np.sqrt(np.maximum(ring * ring - offsets * offsets, 0.0))
-    strip_tails(grid, packed, dirs, px, py, psi_perp,
-                ((-np.inf, -half), (half, np.inf)), lines)
-    n = len(psi)
-    out = np.empty((ncomp, n_angles, n_offsets))
-    out[:, :n] = (lines.real, lines.imag)[:ncomp]
-    out[:, n:] = out[:, :n_angles - n, ::-1]
-    return Sinogram._adopt(out, 0.0, dangle, ds)
+    Each line integrates the grid samples over its chord inside the strip
+    ring |x| = r2 + 2h and takes its tails beyond in closed form
+    (``strip_tails``), in one pass over f1 + i f2 for two components
+    (``_sinogram``).  Lines within 1e-9 of parallel to a strip get no tail
+    from it; those angles are singular downstream and discarded there.
+    Grids whose square does not hold the strip ring clear of its edges
+    raise GeometryError before any chord work (``_chord_integrals``)."""
+    packed = tf.f1 + 1j * tf.f2 if isinstance(tf, VectorField) else tf.values
+    return _sinogram(tf.grid, packed, n_angles, n_offsets, full,
+                     strip_ring_radius(tf.grid), dirs)
 
 
 def sinogram_dds(sg: Sinogram) -> Sinogram:

@@ -10,18 +10,17 @@ import vlinetomo
 PUBLIC = [
     "ConfigError", "FileFormatError", "GeometryError", "Grid2D", "Phantom",
     "PoissonResult", "ScalarField", "SingularDirections", "Sinogram",
-    "StarGeometry", "VLineGeometry", "VectorField", "VlineError", "beam",
-    "beam_field", "bump_scalar", "classify", "det2", "direction", "errors",
-    "fbp_inverse", "fields", "forward_I", "forward_J", "forward_L",
-    "forward_T", "forward_star", "gamma_of_psi", "grid_for_star",
-    "grid_for_vline", "invert_signed", "invert_star",
-    "laplacians_from_div_curl", "make_phantom", "operators", "perp",
-    "phantoms", "poisson", "q_of_psi", "radon", "radon_forward",
+    "StarGeometry", "VLineGeometry", "VectorField", "VlineError",
+    "beam_field", "bump_scalar", "classify", "det2", "direction",
+    "fbp_inverse", "forward_I", "forward_J", "forward_L", "forward_T",
+    "forward_star", "gamma_of_psi", "grid_for_star", "grid_for_vline",
+    "invert_signed", "invert_star", "laplacians_from_div_curl",
+    "make_phantom", "perp", "q_of_psi", "radon_forward",
     "radon_transform_field", "random_phantom", "recover_curl", "recover_div",
     "recover_field_LI", "recover_field_LT", "recover_field_TJ",
     "recover_potential", "recover_stream", "rhombus_check", "signed_vline",
     "singular_directions", "sinogram_dds", "solve_dirichlet_disc",
-    "solve_free_space", "star", "unit_vector", "vline",
+    "solve_free_space", "unit_vector",
 ]
 
 # the reference implementations the tests keep in tests/oracles.py

@@ -614,3 +614,40 @@ def test_failing_command_writes_no_file(tmp_path, geom_file, argv, code):
     assert main([subst.get(tok, tok) for tok in argv]
                 + ["--out-dir", str(out)]) == code
     assert list(out.iterdir()) == []
+
+
+# pipeline -> (its reconstruction in the CLI, input flag, input file, an
+# oracle file with the wrong component count, one with the right count)
+ORACLE_CASES = {
+    "curl": ("recover_curl", "--lf", "oracle_div.vlt", "field.vlt",
+             "oracle_curl.vlt"),
+    "star": ("invert_star", "--sf", "field.vlt", "oracle_curl.vlt",
+             "field.vlt"),
+}
+
+
+@pytest.mark.parametrize("pipeline", sorted(ORACLE_CASES))
+@pytest.mark.parametrize("oracle", ["missing", "components", "grid"])
+def test_invert_checks_the_oracle_before_the_reconstruction(
+        tmp_path, geom_file, capsys, monkeypatch, pipeline, oracle):
+    # a missing oracle, or one on which the reconstruction could not be
+    # scored, exits 4 before the reconstruction runs
+    import vlinetomo.cli as cli
+    name, flag, data, wrong, right = ORACLE_CASES[pipeline]
+    monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("it ran"))
+    ph = _phantom(tmp_path, nx=32)
+    other = tmp_path / "other"
+    assert main(["phantom", "--kind", "solenoidal", "--nx", "40", "--r1",
+                 "1.0", "--r2", "1.4142135623730951", "--out-dir",
+                 str(other)]) == 0
+    star = StarGeometry(tuple(direction(a) for a in (0.0, 2.1, 4.2)),
+                        (1.0, 1.0, 1.0))
+    bad = {"missing": str(tmp_path / "missing.vlt"),
+           "components": str(ph / wrong), "grid": str(other / right)}[oracle]
+    out = tmp_path / "out"
+    assert main(["invert", "--pipeline", pipeline, flag, str(ph / data),
+                 "--geometry", geom_file,
+                 "--star-geometry", _star_file(tmp_path, star),
+                 "--oracle", bad, "--out-dir", str(out)]) == 4
+    assert bad in capsys.readouterr().err
+    assert list(out.iterdir()) == []
