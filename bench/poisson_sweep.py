@@ -24,9 +24,8 @@ their LT_GEOMETRIES entry.  Each time
 is the best of REPEATS calls on inputs built outside the timed region;
 the error is the relative L2 error over the r1 disc against the phantom's
 analytic field (the larger of the two components for f).  Dirichlet rows
-also carry the solver's report: its iteration count (0 for the direct
-solve) and residual (the share of the boundary trace the harmonic
-correction drops).
+also carry the solver's residual (the share of the boundary trace the
+harmonic correction drops).
 
 The library is imported from the Python path:
 
@@ -128,7 +127,7 @@ def sweep_nx(nx):
 
     res, t = best_of(vt.solve_dirichlet_disc, ph.div)
     row("solve_dirichlet_disc", t, rel_l2([res.field.values], [ph.potential.values], disc),
-        iterations=res.iterations, residual=res.residual)
+        residual=res.residual)
     tf = vt.forward_T(ph.field, geom)
     pot, t = best_of(vt.recover_potential, tf, geom)
     row("recover_potential", t, rel_l2([pot.values], [ph.potential.values], disc))

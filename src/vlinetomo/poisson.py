@@ -56,12 +56,12 @@ def _half_sine(x, pad, spec):
     return spec.imag[:, 1:n + 1]
 
 
-def _box_inverse(shape):
-    """The exact inverse of h^2 (-Lap), the 5-point stencil on a box of this
-    shape with zeros beyond it, as a function of the rhs: four ``_half_sine``
-    passes over rows of the box or of its transpose (the signs cancel) with
-    the scaled inverse eigenvalues in between.  The function returns a view
-    of a buffer that its next call overwrites."""
+def _box_solve(r):
+    """The exact inverse of h^2 (-Lap), the 5-point stencil on the box of
+    r's shape with zeros beyond it, applied to r: four ``_half_sine`` passes
+    over rows of the box or of its transpose (the signs cancel) with the
+    scaled inverse eigenvalues in between."""
+    shape = r.shape
     n0, n1 = shape
     lam = [2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1)) for n in shape]
     # in the transposed layout of the coefficients after two passes
@@ -70,13 +70,8 @@ def _box_inverse(shape):
                  np.empty((mn[0], mn[1] + 2), dtype=complex))
             for mn in (shape, shape[::-1])}  # one set for a square box
     box, box_t = bufs[shape], bufs[shape[::-1]]
-    coef_t = np.empty(shape[::-1])
-
-    def solve(r):
-        np.multiply(_half_sine(_half_sine(r, *box).T, *box_t), inv_lam_t, out=coef_t)
-        return _half_sine(_half_sine(coef_t, *box_t).T, *box)
-
-    return solve
+    coef_t = _half_sine(_half_sine(r, *box).T, *box_t) * inv_lam_t
+    return _half_sine(_half_sine(coef_t, *box_t).T, *box)
 
 
 def solve_dirichlet_disc(rhs: ScalarField) -> PoissonResult:
@@ -102,7 +97,7 @@ def solve_dirichlet_disc(rhs: ScalarField) -> PoissonResult:
     at = (ix - lo[0], iy - lo[1])
     r = np.zeros(shape)
     r[at] = b
-    v_box = _box_inverse(shape)(r)
+    v_box = _box_solve(r)
 
     # the grid-shaped window of V_box holds every corner of a cell the
     # circle crosses

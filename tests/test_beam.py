@@ -1,8 +1,11 @@
+import threading
+
 import numpy as np
 import pytest
 
 from vlinetomo import (ConfigError, ScalarField, VLineGeometry, direction,
                        invert_signed, signed_vline)
+from vlinetomo._blocks import BLOCK, map_blocks
 from vlinetomo.beam import beam_field, sample_with_strips
 from vlinetomo.radon import strip_ring_radius
 from vlinetomo.phantoms import bump_scalar
@@ -243,3 +246,17 @@ def test_invert_signed_cost_bounded_near_straight(monkeypatch):
         (shapes[angle],) = calls[0]
     assert all(max(shape) <= 2 * nx for shape in shapes.values())
     assert shapes[3.14] == shapes[3.1]
+
+
+def test_map_blocks_runs_in_order_in_the_calling_thread():
+    # workers is accepted and ignored: every block runs here, in order
+    seen = []
+
+    def block(s, e):
+        seen.append((s, threading.get_ident()))
+        return (s, e)
+
+    n = 3 * BLOCK + 5
+    spans = [(s, min(s + BLOCK, n)) for s in range(0, n, BLOCK)]
+    assert map_blocks(block, n, workers=4) == spans
+    assert seen == [(s, threading.get_ident()) for s, _ in spans]
