@@ -147,8 +147,8 @@ def sweep_nx(nx):
     sino, t_radon = best_of(radon.radon_transform_field, *radon_args)
     peak = peak_over_output(radon.radon_transform_field, *radon_args)
     rf = star.apply_q(radon.sinogram_dds(sino), sg)
-    out, t = best_of(radon._backproject, rf, sgrid)
-    err = rel_l2(out, sf_oracle, sdisc)
+    out, t = best_of(radon.fbp_inverse, rf, sgrid)
+    err = rel_l2([out.f1, out.f2], sf_oracle, sdisc)
     row("radon_transform_field", t_radon, err, n_angles=N_ANGLES,
         peak_over_output=peak)
     row("star_fbp", t, err, n_angles=N_ANGLES)

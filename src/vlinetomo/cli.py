@@ -170,9 +170,9 @@ def _error_report(args, field, oracle):
     for k, (rec, ora) in enumerate(zip(comps, ocomps)):
         diff, ref = (rec - ora)[mask], ora[mask]
         for name, norm in norms:
-            nref = float(norm(ref))
-            lines.append(f"component{k + 1}.rel_{name}="
-                         f"{norm(diff) / nref if nref else 0.0:.6e}")
+            nd, nr = float(norm(diff)), float(norm(ref))
+            rel = nd / nr if nr else np.inf if nd else 0.0
+            lines.append(f"component{k + 1}.rel_{name}={rel:.6e}")
     saved = _save(args, "report.txt", "\n".join(lines) + "\n",
                   lambda p, text: pathlib.Path(p).write_text(text))
     print(*lines, sep="\n")

@@ -93,8 +93,8 @@ class Sinogram:
 
     @property
     def full_range(self):
-        """True when the angle lattice covers the full circle."""
-        return self.n_angles * self.dangle > np.pi * 1.5
+        """True when n_angles * dangle is 2 pi to a relative 1e-9."""
+        return abs(self.n_angles * self.dangle - FULL_TURN) <= 1e-9 * FULL_TURN
 
 
 def _lattice(grid, n_angles, n_offsets, full):
@@ -304,9 +304,9 @@ def _ramp_filter(rows, ds):
     return np.fft.irfft(spec, n=npad, axis=-1)[..., :n]
 
 
-def _backproject(sg: Sinogram, grid: Grid2D) -> np.ndarray:
-    """Filtered backprojection of every component of ``sg``, shaped
-    (ncomp, nx, ny).
+def fbp_inverse(sg: Sinogram, grid: Grid2D) -> ScalarField | VectorField:
+    """Filtered backprojection of ``sg`` onto a grid: a ScalarField for one
+    component, a VectorField for two.
 
     Ramp (Ram-Lak) filter in the frequency domain with zero-padding to the
     next power of two, all rows at once; backprojection by linear
@@ -315,10 +315,12 @@ def _backproject(sg: Sinogram, grid: Grid2D) -> np.ndarray:
     count is folded first: row k + n/2, at angle a + pi, is read at -s, so
     it adds to row k reversed (the offset lattice is symmetric and the
     ramp filter commutes with the reversal), and only the half circle is
-    filtered and backprojected.
+    filtered and backprojected.  Lattices short of 2 pi must span <= pi.
     """
     if sg.n_angles < 16:
         raise ConfigError("filtered backprojection needs at least 16 angles")
+    if not sg.full_range and sg.n_angles * sg.dangle > np.pi * (1 + 1e-9):
+        raise ConfigError("angle lattice spans more than pi, less than 2 pi")
     values, angles = sg.values, sg.angles()
     if sg.full_range and sg.n_angles % 2 == 0:
         m = sg.n_angles // 2
@@ -332,12 +334,5 @@ def _backproject(sg: Sinogram, grid: Grid2D) -> np.ndarray:
         s = xx * np.cos(a) + yy * np.sin(a)
         acc += np.interp(s, offsets, packed[k], left=0.0, right=0.0)
     acc *= sg.dangle * (0.5 if sg.full_range else 1.0)
-    return np.stack([acc.real, acc.imag]) if sg.ncomp == 2 else acc[None]
-
-
-def fbp_inverse(sg: Sinogram, grid: Grid2D) -> ScalarField:
-    """Filtered backprojection of a single-component sinogram onto a grid
-    (``_backproject``)."""
-    if sg.ncomp != 1:
-        raise ConfigError("fbp_inverse needs a single-component sinogram")
-    return ScalarField(grid, _backproject(sg, grid)[0])
+    return (VectorField(grid, acc.real, acc.imag) if sg.ncomp == 2
+            else ScalarField(grid, acc))

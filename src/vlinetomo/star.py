@@ -29,8 +29,8 @@ from .beam import ray_sum
 from .errors import ConfigError, GeometryError
 from .fields import (RayGeometry, VectorField, direction, grid_for_vline,
                      perp, unit_vector)
-from .radon import (FULL_TURN, Sinogram, _backproject,
-                    radon_transform_field, sinogram_dds)
+from .radon import (FULL_TURN, Sinogram, fbp_inverse, radon_transform_field,
+                    sinogram_dds)
 
 # |psi . gamma_i| below this is a type-1 singular direction
 Z1_TOL = 1e-9
@@ -295,7 +295,6 @@ def invert_star(sf: VectorField, sg: StarGeometry, n_angles=360,
                guard_deg)
     if not isinstance(sf, VectorField):
         raise ConfigError("star data must have 2 components")
-    grid = sf.grid
-    sino = radon_transform_field(sf, sg.gammas, n_angles, grid.nx, full=True)
+    sino = radon_transform_field(sf, sg.gammas, n_angles, sf.grid.nx)
     rf = apply_q(sinogram_dds(sino), sg, guard_deg=guard_deg)
-    return VectorField(grid, *_backproject(rf, grid))
+    return fbp_inverse(rf, sf.grid)

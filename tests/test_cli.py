@@ -282,6 +282,29 @@ def test_report_command(tmp_path, capsys):
     assert "component2.rel_l2=0.000000e+00" in text
 
 
+def test_report_against_a_zero_oracle(tmp_path, geom_file):
+    # a solenoidal field has div 0: the reconstruction's error against that
+    # oracle is infinite unless the reconstruction is 0 too
+    ph = _phantom(tmp_path, nx=64)
+    fwd, inv = tmp_path / "fwd", tmp_path / "inv"
+    assert main(["forward", "--transform", "T", "--field",
+                 str(ph / "field.vlt"), "--geometry", geom_file,
+                 "--out-dir", str(fwd)]) == 0
+    assert main(["invert", "--pipeline", "div", "--tf",
+                 str(fwd / "transform.vlt"), "--geometry", geom_file,
+                 "--oracle", str(ph / "oracle_div.vlt"),
+                 "--out-dir", str(inv)]) == 0
+    assert np.abs(read_vlt1(ph / "oracle_div.vlt").values).max() == 0.0
+    assert np.abs(read_vlt1(inv / "reconstruction.vlt").values).max() > 0.0
+    report = (inv / "report.txt").read_text()
+    for name in ("l1", "l2", "linf"):
+        assert f"component1.rel_{name}=inf\n" in report
+    out = tmp_path / "zero"
+    assert main(["report", "--field", str(ph / "oracle_div.vlt"), "--oracle",
+                 str(ph / "oracle_div.vlt"), "--out-dir", str(out)]) == 0
+    assert "component1.rel_l2=0.000000e+00" in (out / "report.txt").read_text()
+
+
 def test_exit_code_config_error(tmp_path):
     ph = _phantom(tmp_path, nx=48)
     rc = main(["forward", "--transform", "L", "--field",

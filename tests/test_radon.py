@@ -8,9 +8,8 @@ from vlinetomo import (ConfigError, GeometryError, Grid2D, ScalarField,
 from vlinetomo.beam import beam_field, sample_with_strips
 from vlinetomo.operators import bilinear
 from vlinetomo.phantoms import bump_scalar
-from vlinetomo.radon import (CHORD_BLOCK, _backproject, _chord_integrals,
-                             _lattice, _ramp_filter, strip_ring_radius,
-                             strip_tails)
+from vlinetomo.radon import (CHORD_BLOCK, _chord_integrals, _lattice,
+                             _ramp_filter, strip_ring_radius, strip_tails)
 
 from conftest import rel_l2
 
@@ -395,7 +394,8 @@ def test_backprojection_folds_the_full_circle(small_grid, n_angles):
     sg = Sinogram(rng.standard_normal((2, n_angles, 40)), 0.3,
                   2 * np.pi / n_angles, 0.11)
     assert sg.full_range
-    got = _backproject(sg, small_grid)
+    rec = fbp_inverse(sg, small_grid)
+    got = np.stack([rec.f1, rec.f2])
     ref = unfolded_backprojection(sg, small_grid)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -411,10 +411,31 @@ def test_fbp_rejects_few_angles(grid):
         fbp_inverse(sg, grid)
 
 
-def test_fbp_rejects_two_components(grid):
-    sg = Sinogram(np.zeros((2, 32, 64)), 0.0, np.pi / 32, 0.1)
-    with pytest.raises(ConfigError):
-        fbp_inverse(sg, grid)
+@pytest.mark.parametrize("n_angles,span", [(32, np.pi), (64, 2 * np.pi),
+                                           (33, 2 * np.pi)])
+def test_fbp_of_two_components_matches_each_alone(grid, n_angles, span):
+    # one interpolation of f1 + i f2 per angle rounds apart from two real
+    # ones, so the match is to rounding, not bitwise
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((2, n_angles, 64))
+    rec = fbp_inverse(Sinogram(values, 0.2, span / n_angles, 0.1), grid)
+    assert isinstance(rec, VectorField)
+    for got, rows in zip((rec.f1, rec.f2), values):
+        one = fbp_inverse(Sinogram(rows, 0.2, span / n_angles, 0.1), grid)
+        assert isinstance(one, ScalarField)
+        assert np.abs(got - one.values).max() <= 1e-12 * np.abs(one.values).max()
+
+
+@pytest.mark.parametrize("n_rows", [300, 250])
+def test_fbp_rejects_a_lattice_between_half_and_full_circle(n_rows):
+    # the first rows of a 360-angle full circle span 5.24 or 4.36 rad: the
+    # fold and the 1/2 weight of the full circle would read them as 2 pi
+    g = Grid2D.centered(128, 1.0, 3.0)
+    sg = radon_forward(bump_scalar(g, scale=0.5), 360, 128, full=True)
+    cut = Sinogram(sg.values[:, :n_rows], sg.angle0, sg.dangle, sg.ds)
+    assert sg.full_range and not cut.full_range
+    with pytest.raises(ConfigError, match="pi"):
+        fbp_inverse(cut, g)
 
 
 @pytest.mark.parametrize("angle0", [np.nan, np.inf, -np.inf])

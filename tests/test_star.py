@@ -337,6 +337,13 @@ def test_apply_q_rejects_half_range():
         apply_q(half, sg)
 
 
+def test_apply_q_rejects_a_partial_circle(corner_star):
+    # 300 of 360 rows span 5.24 rad: not the circle the refill wraps around
+    part = Sinogram(np.ones((2, 300, 32)), 0.0, 2 * np.pi / 360, 0.1)
+    with pytest.raises(ConfigError):
+        apply_q(part, corner_star)
+
+
 @pytest.mark.parametrize("sg,wraps", [
     (_star((0.0, 120.0, 240.0), (1.0, 1.0, 1.0)), False),
     (_star((10.0, 95.0, 200.0, 290.0), (1.0, -0.5, 2.0, 0.7)), False),

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 
 import vlinetomo.star
-from vlinetomo import Sinogram, StarGeometry, direction
+from vlinetomo import (Sinogram, StarGeometry, direction, forward_star,
+                       grid_for_star, make_phantom)
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -41,3 +42,20 @@ def test_tracer_installs_on_the_library():
     finally:
         tr.uninstall()
     assert vlinetomo.star.apply_q is plain
+
+
+def test_tracer_times_the_star_backprojection():
+    # invert_star ends in fbp_inverse, so the tracer's radon.fbp_s sees it
+    tracer = _load_tracer()
+    sg = StarGeometry(tuple(direction(a) for a in (0.0, 2.1, 4.2)),
+                      (1.0, 1.0, 1.0))
+    grid = grid_for_star(48, 1.0, sg)
+    sf = forward_star(make_phantom("mixed", grid).field, sg)
+    tr = tracer.Tracer()
+    try:
+        tr.install()
+        vlinetomo.star.invert_star(sf, sg, n_angles=64)
+    finally:
+        tr.uninstall()
+    names = [s.name for s in tr.spans.values()]
+    assert "star.invert_star" in names and "radon.fbp_inverse" in names
