@@ -17,6 +17,10 @@ Stages, on the mixed phantom (r1 = 1) at each requested nx:
                          multiple of its output's bytes
   star_fbp               its FBP stage                    error of f
   invert_star            the whole star inversion         error of f
+  forward_vline          forward_L, _T, _I and _J at      LI's error of f
+                         u@0.35/v@2.1
+  forward_star           the 3-ray star's forward_star    error of f
+                                                          (invert_star's)
 
 V-line stages use the axis-aligned pair u = (1, 0), v = (0, 1) on
 grid_for_vline, except the recover_field_LT rows, whose "geometry" names
@@ -153,9 +157,27 @@ def sweep_nx(nx):
         peak_over_output=peak)
     row("star_fbp", t, err, n_angles=N_ANGLES)
     rec, t = best_of(vt.invert_star, sf, sg, N_ANGLES)
-    row("invert_star", t, rel_l2([rec.f1, rec.f2], sf_oracle, sdisc),
-        n_angles=N_ANGLES)
+    err = rel_l2([rec.f1, rec.f2], sf_oracle, sdisc)
+    row("invert_star", t, err, n_angles=N_ANGLES)
+    _, t = best_of(vt.forward_star, sph.field, sg)
+    row("forward_star", t, err)
+    forward_rows(nx, row)
     return rows
+
+
+def forward_rows(nx, row):
+    """The forward_vline row: L, T, I and J at u@0.35/v@2.1, with the LI
+    error beside them."""
+    a, b, _ = LT_GEOMETRIES["oblique"]
+    geom = vt.VLineGeometry(vt.direction(a), vt.direction(b))
+    grid = vt.grid_for_vline(nx, R1, geom)
+    ph = vt.make_phantom("mixed", grid)
+    fns = (vt.forward_L, vt.forward_T, vt.forward_I, vt.forward_J)
+    (lf, _, i_f, _), t = best_of(lambda: [fn(ph.field, geom) for fn in fns])
+    rec = vt.recover_field_LI(lf, i_f, geom)
+    row("forward_vline", t, rel_l2([rec.f1, rec.f2], [ph.field.f1, ph.field.f2],
+                                   grid.disc_mask(grid.r1)),
+        geometry="oblique")
 
 
 def main(argv=None):

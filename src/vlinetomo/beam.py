@@ -23,10 +23,11 @@ directly; no output path calls either.
 from __future__ import annotations
 
 import numpy as np
+from numpy.fft import fft, ifft, irfft, rfft
 
 from ._blocks import map_blocks
 from .fields import ScalarField, VLineGeometry, unit_vector
-from .operators import bilinear, correlate, mixed_partial
+from .operators import bilinear, fast_len, mixed_partial
 from .radon import strip_ring_point
 
 
@@ -48,15 +49,13 @@ def _supported(h: ScalarField):
     return np.where(h.grid.disc_mask(h.grid.r1), h.values, 0.0)
 
 
-def _beam_kernel(grid, d, moment):
-    """Correlation kernel of X_d (X^1_d with ``moment``) on the shared lattice.
-
-    From vertex (i, j) the sample x_ij + t_k d sits at grid coordinates
-    (i + t_k d1/h, j + t_k d2/h), so its cell offset and bilinear weights
-    depend on k alone: 4 taps per sample, each weighted by step (step t_k
-    for the moment).  Returns (kernel, center) for ``correlate``; the
-    kernel spans offset 0, where ``center`` points.
-    """
+def _beam_taps(grid, d, moment, lo, hi):
+    """Cell offsets (da, db) and weights w of X_d (X^1_d with ``moment``):
+    out[i, j] = sum w * values[i + da, j + db], for values zero outside
+    rows lo[0]..hi[0] and columns lo[1]..hi[1].  The sample x_ij + t_k d
+    sits at grid coordinates (i + t_k d1/h, j + t_k d2/h), so its offset
+    and bilinear weights depend on k alone: 4 taps per sample, each
+    weighted by step (step t_k for the moment)."""
     step, t = _ray_lattice(grid, grid.h * np.hypot(grid.nx - 1, grid.ny - 1))
     gx = t * d[0] / grid.h
     gy = t * d[1] / grid.h
@@ -68,27 +67,57 @@ def _beam_kernel(grid, d, moment):
     db = np.concatenate([b, b, b + 1, b + 1])
     w = np.concatenate([(1.0 - fx) * (1.0 - fy), fx * (1.0 - fy),
                         (1.0 - fx) * fy, fx * fy]) * np.tile(wt, 4)
-    # taps at offsets of a grid width or more never reach a sample, and
-    # zero taps (an axis-aligned ray's second row or column) are left out
-    keep = (np.abs(da) < grid.nx) & (np.abs(db) < grid.ny) & (w != 0.0)
-    da, db, w = da[keep], db[keep], w[keep]
-    amin, bmin = min(0, int(da.min())), min(0, int(db.min()))
-    amax, bmax = max(0, int(da.max())), max(0, int(db.max()))
-    kernel = np.zeros((amax - amin + 1, bmax - bmin + 1))
-    np.add.at(kernel, (da - amin, db - bmin), w)
-    return kernel, (-amin, -bmin)
+    # only taps that reach the support from some vertex are kept, and zero
+    # taps (an axis-aligned ray's second row or column) are left out
+    keep = w != 0.0
+    for off, n, first, last in zip((da, db), (grid.nx, grid.ny), lo, hi):
+        keep &= (off > first - n) & (off <= last)
+    return (da[keep], db[keep]), w[keep]
+
+
+def _rfft2(x, shape, axes):
+    """rfftn(x, shape, axes) for one or two axes, as an rfft along the last
+    axis and an fft along the first (numpy's rfftn takes longer)."""
+    spec = rfft(x, shape[-1], axes[-1])
+    return fft(spec, shape[0], axes[0]) if len(axes) == 2 else spec
 
 
 def beam_field(h: ScalarField, d, moment=False, workers=1) -> np.ndarray:
     """Beam integrals at every grid vertex, as an (nx, ny) array.
 
-    The midpoint rule on the ``_ray_lattice`` samples x + t_k d, evaluated
-    as one FFT correlation of h's samples in the r1 disc with the kernel of
-    ``_beam_kernel`` in O(N^2 log N).  ``workers`` is kept for callers of
-    the public function and has no effect.
+    The midpoint rule on the ``_ray_lattice`` samples x + t_k d: h's
+    samples in the r1 disc correlated by FFT with the taps of
+    ``_beam_taps``.  Only the box of rows and columns lo..hi holding the
+    disc is transformed, only the outputs its taps reach are computed (the
+    rest are 0), and per axis the FFT period is the least ``fast_len``
+    that keeps the wrap-around off them.  ``workers`` is kept for callers
+    of the public function and has no effect.
     """
-    kernel, center = _beam_kernel(h.grid, unit_vector(d), moment)
-    return correlate(_supported(h), kernel, center)
+    grid = h.grid
+    disc = grid.disc_mask(grid.r1)
+    lo, hi = zip(*(np.flatnonzero(disc.any(1 - a))[[0, -1]] for a in (0, 1)))
+    offsets, w = _beam_taps(grid, unit_vector(d), moment, lo, hi)
+    box = _supported(h)[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1]
+    # the kernel, flipped: conv(box, kernel)[m] = out[m + lo - max(offset)]
+    top = [o.max() for o in offsets]
+    index = tuple(t - o for t, o in zip(top, offsets))
+    kernel = np.zeros([i.max() + 1 for i in index])
+    np.add.at(kernel, index, w)
+    # per axis, the output rows (columns) that the taps reach from the box,
+    # start..stop, and where they sit in conv(box, kernel)
+    start = [max(0, a - t) for a, t in zip(lo, top)]
+    stop = [min(m, b + 1 - o.min()) for m, b, o in zip(disc.shape, hi, offsets)]
+    keep = [slice(s - a + t, e - a + t) for s, e, a, t in zip(start, stop, lo, top)]
+    axes = [a for a in (0, 1) if kernel.shape[a] > 1]
+    shape = [fast_len(max(keep[a].stop, box.shape[a] + kernel.shape[a] - 1 - keep[a].start))
+             for a in axes]
+    spec = _rfft2(box, shape, axes) * _rfft2(kernel, shape, axes)
+    if len(axes) == 2:  # invert axis 0 first, then only the rows kept
+        spec = ifft(spec, shape[0], 0)[keep[0]]
+        keep[0] = slice(None)
+    out = np.zeros(disc.shape)
+    out[start[0]:stop[0], start[1]:stop[1]] = irfft(spec, shape[-1], axes[-1])[tuple(keep)]
+    return out
 
 
 def ray_sum(terms, moment=False) -> np.ndarray:
@@ -147,16 +176,6 @@ def sample_with_strips(grid, values, dirs, px, py):
     return out
 
 
-def _chord(px, py, d, radius):
-    """Entry and exit t of the rays x + t d through the disc of ``radius``;
-    both 0 for a ray that misses it (for ``transform_beam_values`` only)."""
-    b = px * d[0] + py * d[1]
-    disc = b * b - (px * px + py * py - radius * radius)
-    root = np.sqrt(np.maximum(disc, 0.0))
-    hit = disc > 0.0
-    return np.where(hit, -b - root, 0.0), np.where(hit, -b + root, 0.0)
-
-
 def transform_beam_values(tf: ScalarField, dirs, points, d, workers=1):
     """Beam integrals of strip-extended transform data along direction d.
 
@@ -176,7 +195,10 @@ def transform_beam_values(tf: ScalarField, dirs, points, d, workers=1):
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     npts = len(pts)
 
-    t_max = np.maximum(_chord(pts[:, 0], pts[:, 1], d, grid.r2)[1], 0.0)
+    # each ray's exit t from the r2 disc, 0 for a ray that misses it
+    b = pts[:, 0] * d[0] + pts[:, 1] * d[1]
+    disc = b * b - (pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1] - grid.r2 * grid.r2)
+    t_max = np.where(disc > 0.0, np.maximum(np.sqrt(np.maximum(disc, 0.0)) - b, 0.0), 0.0)
     for sd in dirs:
         cross = -d[0] * sd[1] + d[1] * sd[0]    # d . perp(sd)
         if abs(cross) < 1e-12:

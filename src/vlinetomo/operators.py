@@ -54,23 +54,19 @@ def correlate(values, kernel, center):
     ``center`` = (ca, cb) is the kernel index of the zero offset and must
     lie inside the kernel.
 
-    Evaluated as one zero-padded real FFT product, O(N^2 log N), over the
-    axes where the kernel has more than one tap.  Per axis it wraps with
-    period fast_len(n + max(c, k - 1 - c)), which keeps the wrap-around
-    off every output sample, so a centred kernel pads less than a
-    one-sided one; a longer kernel is cut to that period, which drops only
-    taps that reach no sample.
+    Evaluated as one zero-padded real FFT product, O(N^2 log N).  Per axis
+    it wraps with period fast_len(n + max(c, k - 1 - c)), which keeps the
+    wrap-around off every output sample, so a centred kernel pads less
+    than a one-sided one; a longer kernel is cut to that period, which
+    drops only taps that reach no sample.
     """
     if not all(0 <= c < k for c, k in zip(center, kernel.shape)):
         raise ValueError(f"kernel center {center} outside kernel of shape {kernel.shape}")
-    axes = [a for a in (0, 1) if kernel.shape[a] > 1]
-    if not axes:
-        return kernel[0, 0] * values
-    shape = [fast_len(values.shape[a] + max(center[a], kernel.shape[a] - 1 - center[a]))
-             for a in axes]
+    shape = [fast_len(n + max(c, k - 1 - c))
+             for n, k, c in zip(values.shape, kernel.shape, center)]
     # correlating with the kernel is convolving with its mirror image
-    spec = rfftn(values, shape, axes) * rfftn(kernel[::-1, ::-1], shape, axes)
-    full = irfftn(spec, shape, axes)
+    spec = rfftn(values, shape, (0, 1)) * rfftn(kernel[::-1, ::-1], shape, (0, 1))
+    full = irfftn(spec, shape, (0, 1))
     i0, j0 = (k - 1 - c for k, c in zip(kernel.shape, center))
     return full[i0:i0 + values.shape[0], j0:j0 + values.shape[1]]
 

@@ -316,6 +316,7 @@ def fbp_inverse(sg: Sinogram, grid: Grid2D) -> ScalarField | VectorField:
     it adds to row k reversed (the offset lattice is symmetric and the
     ramp filter commutes with the reversal), and only the half circle is
     filtered and backprojected.  Lattices short of 2 pi must span <= pi.
+    Only the r1 disc is backprojected; the output is 0 beyond it.
     """
     if sg.n_angles < 16:
         raise ConfigError("filtered backprojection needs at least 16 angles")
@@ -328,11 +329,12 @@ def fbp_inverse(sg: Sinogram, grid: Grid2D) -> ScalarField | VectorField:
     rows = _ramp_filter(values, sg.ds)
     packed = rows[0] + 1j * rows[1] if sg.ncomp == 2 else rows[0]
     offsets = sg.offsets()
-    xx, yy = grid.mesh()
-    acc = np.zeros((grid.nx, grid.ny), dtype=packed.dtype)
-    for k, a in enumerate(angles):
-        s = xx * np.cos(a) + yy * np.sin(a)
-        acc += np.interp(s, offsets, packed[k], left=0.0, right=0.0)
-    acc *= sg.dangle * (0.5 if sg.full_range else 1.0)
-    return (VectorField(grid, acc.real, acc.imag) if sg.ncomp == 2
-            else ScalarField(grid, acc))
+    disc = grid.disc_mask(grid.r1)
+    xx, yy = (c[disc] for c in grid.mesh())
+    out = np.zeros(disc.shape, dtype=packed.dtype)
+    out[disc] = sum(np.interp(xx * np.cos(a) + yy * np.sin(a), offsets, row,
+                              left=0.0, right=0.0)
+                    for a, row in zip(angles, packed)) * (
+        sg.dangle * (0.5 if sg.full_range else 1.0))
+    return (VectorField(grid, out.real, out.imag) if sg.ncomp == 2
+            else ScalarField(grid, out))

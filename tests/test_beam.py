@@ -219,33 +219,53 @@ def test_invert_signed_converges_on_finer_forward_data():
 def test_invert_signed_cost_bounded_near_straight(monkeypatch):
     # one beam FFT along u - v whatever the opening: its padded shape stays
     # within (2 nx)^2 and does not grow as the opening nears pi
-    from vlinetomo import beam, grid_for_vline, operators
+    from vlinetomo import beam, grid_for_vline
     nx = 48
-    correlate, rfftn = operators.correlate, operators.rfftn
+    beam_field, rfft2 = beam.beam_field, beam._rfft2
     shapes = {}
     for angle in (np.pi / 2, 3.1, 3.14):
         geom = VLineGeometry(direction(0.0), direction(angle))
         grid = grid_for_vline(nx, 1.0, geom)
         ts = signed_vline(bump_scalar(grid, scale=0.8), geom)
-        calls = []
+        calls, ffts = [], set()
 
-        def counting(values, kernel, center):
-            calls.append(set())
-            return correlate(values, kernel, center)
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return beam_field(*args, **kwargs)
 
-        def recording(x, s, axes):
-            calls[-1].add(tuple(s))
-            return rfftn(x, s, axes)
+        def recording(x, shape, axes):
+            ffts.add(tuple(shape))
+            return rfft2(x, shape, axes)
 
-        monkeypatch.setattr(beam, "correlate", counting)
-        monkeypatch.setattr(operators, "rfftn", recording)
+        monkeypatch.setattr(beam, "beam_field", counting)
+        monkeypatch.setattr(beam, "_rfft2", recording)
         rec = invert_signed(ts, geom)
         monkeypatch.undo()
         assert np.all(np.isfinite(rec.values))
         assert len(calls) == 1
-        (shapes[angle],) = calls[0]
+        (shapes[angle],) = ffts
     assert all(max(shape) <= 2 * nx for shape in shapes.values())
     assert shapes[3.14] == shapes[3.1]
+
+
+@pytest.mark.parametrize("r2", [1.05, 1.5, 3.0])
+def test_beam_field_of_a_full_disc_matches_direct_sum(r2):
+    # random samples fill the r1 disc, so a wrap-around of the cut FFT
+    # periods, or an output row or column left out, would show: near-axis,
+    # axis and oblique rays, plain and moment, on grids of small and large
+    # margin
+    from vlinetomo import Grid2D
+    grid = Grid2D.centered(33, 1.0, r2)
+    rng = np.random.default_rng(5)
+    h = ScalarField(grid, np.where(grid.disc_mask(grid.r1),
+                                   rng.standard_normal((33, 33)), 0.0))
+    xx, yy = grid.mesh()
+    pts = np.column_stack([xx.ravel(), yy.ravel()])
+    for angle in (0.0, 1e-3, 0.35, np.pi / 2, 2.1, np.pi - 1e-3, 4.0, 5.5):
+        for moment in (False, True):
+            ref = beam_values(h, pts, direction(angle), moment=moment)
+            vals = beam_field(h, direction(angle), moment=moment).ravel()
+            assert np.abs(vals - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_map_blocks_runs_in_order_in_the_calling_thread():

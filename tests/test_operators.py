@@ -36,8 +36,7 @@ def test_correlate_matches_direct_sum(kshape, center):
     ((6, 1), (2, 0)), ((1, 6), (0, 5)), ((11, 1), (0, 0)), ((1, 1), (0, 0)),
 ])
 def test_correlate_one_axis_kernels_match_direct_sum(kshape, center):
-    # a kernel with one tap along an axis is transformed along the other
-    # axis only; a one-tap kernel is a plain scaling
+    # a kernel with one tap along an axis, or one tap in all
     rng = np.random.default_rng(8)
     values, kernel = rng.standard_normal((7, 9)), rng.standard_normal(kshape)
     ref = np.zeros_like(values)
