@@ -7,8 +7,8 @@ Every beam integral uses one quadrature: the midpoint rule on the arc-length
 lattice t_k = (k + 1/2) h/2, k = 0, 1, ..., started at the vertex and shared
 by all vertices, with the field sampled bilinearly.  Because the lattice is
 shared, the beam over the whole grid is a correlation of the field with a
-fixed sparse kernel, which ``beam_field`` evaluates with one FFT.  The
-step h/2 is set in ``_ray_lattice`` alone.
+fixed sparse kernel, which ``beam_field`` evaluates with one FFT
+(``operators.correlate``).  The step h/2 is set in ``_ray_lattice`` alone.
 
 The inversion applies the paper's formula with D_u D_v moved inside the
 integral: the differentiated data D_u D_v T_s h = D_{u-v} h is supported
@@ -23,11 +23,10 @@ directly; no output path calls either.
 from __future__ import annotations
 
 import numpy as np
-from numpy.fft import fft, ifft, irfft, rfft
 
 from ._blocks import map_blocks
 from .fields import ScalarField, VLineGeometry, unit_vector
-from .operators import bilinear, fast_len, mixed_partial
+from .operators import bilinear, correlate, mixed_partial
 from .radon import strip_ring_point
 
 
@@ -75,49 +74,23 @@ def _beam_taps(grid, d, moment, lo, hi):
     return (da[keep], db[keep]), w[keep]
 
 
-def _rfft2(x, shape, axes):
-    """rfftn(x, shape, axes) for one or two axes, as an rfft along the last
-    axis and an fft along the first (numpy's rfftn takes longer)."""
-    spec = rfft(x, shape[-1], axes[-1])
-    return fft(spec, shape[0], axes[0]) if len(axes) == 2 else spec
-
-
 def beam_field(h: ScalarField, d, moment=False, workers=1) -> np.ndarray:
     """Beam integrals at every grid vertex, as an (nx, ny) array.
 
     The midpoint rule on the ``_ray_lattice`` samples x + t_k d: h's
-    samples in the r1 disc correlated by FFT with the taps of
-    ``_beam_taps``.  Only the box of rows and columns lo..hi holding the
-    disc is transformed, only the outputs its taps reach are computed (the
-    rest are 0), and per axis the FFT period is the least ``fast_len``
-    that keeps the wrap-around off them.  ``workers`` is kept for callers
-    of the public function and has no effect.
+    samples in the r1 disc correlated (``operators.correlate``) with the
+    taps of ``_beam_taps`` that reach the box of rows and columns lo..hi
+    holding the disc, read in that box only.  ``workers`` is kept for
+    callers of the public function and has no effect.
     """
     grid = h.grid
     disc = grid.disc_mask(grid.r1)
     lo, hi = zip(*(np.flatnonzero(disc.any(1 - a))[[0, -1]] for a in (0, 1)))
     offsets, w = _beam_taps(grid, unit_vector(d), moment, lo, hi)
-    box = _supported(h)[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1]
-    # the kernel, flipped: conv(box, kernel)[m] = out[m + lo - max(offset)]
-    top = [o.max() for o in offsets]
-    index = tuple(t - o for t, o in zip(top, offsets))
-    kernel = np.zeros([i.max() + 1 for i in index])
-    np.add.at(kernel, index, w)
-    # per axis, the output rows (columns) that the taps reach from the box,
-    # start..stop, and where they sit in conv(box, kernel)
-    start = [max(0, a - t) for a, t in zip(lo, top)]
-    stop = [min(m, b + 1 - o.min()) for m, b, o in zip(disc.shape, hi, offsets)]
-    keep = [slice(s - a + t, e - a + t) for s, e, a, t in zip(start, stop, lo, top)]
-    axes = [a for a in (0, 1) if kernel.shape[a] > 1]
-    shape = [fast_len(max(keep[a].stop, box.shape[a] + kernel.shape[a] - 1 - keep[a].start))
-             for a in axes]
-    spec = _rfft2(box, shape, axes) * _rfft2(kernel, shape, axes)
-    if len(axes) == 2:  # invert axis 0 first, then only the rows kept
-        spec = ifft(spec, shape[0], 0)[keep[0]]
-        keep[0] = slice(None)
-    out = np.zeros(disc.shape)
-    out[start[0]:stop[0], start[1]:stop[1]] = irfft(spec, shape[-1], axes[-1])[tuple(keep)]
-    return out
+    center = [-o.min() for o in offsets]
+    kernel = np.zeros([o.max() + c + 1 for o, c in zip(offsets, center)])
+    np.add.at(kernel, tuple(o + c for o, c in zip(offsets, center)), w)
+    return correlate(_supported(h), kernel, center, (lo, hi))
 
 
 def ray_sum(terms, moment=False) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Grid derivatives (the D_u D_v stencil and the Laplacians from div and
 curl), bilinear field sampling and FFT correlation with a shift-invariant
-kernel.
+kernel (``correlate``, which every beam and the free-space solve run).
 
 Derivatives use 2nd-order central differences in the interior and
 2nd-order one-sided stencils at grid edges (the np.gradient stencils).
@@ -9,7 +9,7 @@ Derivatives use 2nd-order central differences in the interior and
 from __future__ import annotations
 
 import numpy as np
-from numpy.fft import irfftn, rfftn
+from numpy.fft import fft, ifft, irfft, rfft
 
 from .errors import ConfigError
 from .fields import Grid2D, ScalarField
@@ -48,27 +48,50 @@ def fast_len(n):
         n += 1
 
 
-def correlate(values, kernel, center):
-    """out[i, j] = sum_{a, b} kernel[a, b] * values[i + a - ca, j + b - cb]
-    at every sample of ``values``, which counts as zero beyond the array;
-    ``center`` = (ca, cb) is the kernel index of the zero offset and must
-    lie inside the kernel.
+def _rfft2(x, shape, axes):
+    """rfftn(x, shape, axes) for one or two axes, as an rfft along the last
+    axis and an fft along the first (numpy's rfftn takes longer)."""
+    spec = rfft(x, shape[-1], axes[-1])
+    return fft(spec, shape[0], axes[0]) if len(axes) == 2 else spec
 
-    Evaluated as one zero-padded real FFT product, O(N^2 log N).  Per axis
-    it wraps with period fast_len(n + max(c, k - 1 - c)), which keeps the
-    wrap-around off every output sample, so a centred kernel pads less
-    than a one-sided one; a longer kernel is cut to that period, which
-    drops only taps that reach no sample.
+
+def correlate(values, kernel, center, box=None):
+    """out[i, j] = sum_{a, b} kernel[a, b] * values[i + a - ca, j + b - cb]
+    at every sample of ``values``, which counts as zero beyond the array
+    and outside ``box`` = ((first row, first col), (last row, last col)),
+    the whole array by default; ``center`` = (ca, cb) is the kernel index
+    of the zero offset and must lie inside the kernel.
+
+    Evaluated as one zero-padded FFT product of the box with the mirrored
+    kernel, O(N^2 log N).  Only the output rows and columns the kernel
+    reaches from the box are computed (the rest are 0), and per axis the
+    period is the least ``fast_len`` that keeps the wrap-around off them.
+    An axis along which the kernel has one tap is not transformed (a 1 x 1
+    kernel runs along columns), and a 2-D inverse runs its second pass on
+    the kept rows only.
     """
     if not all(0 <= c < k for c, k in zip(center, kernel.shape)):
         raise ValueError(f"kernel center {center} outside kernel of shape {kernel.shape}")
-    shape = [fast_len(n + max(c, k - 1 - c))
-             for n, k, c in zip(values.shape, kernel.shape, center)]
+    lo, hi = box or ((0, 0), [n - 1 for n in values.shape])
+    part = values[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1]
+    # per axis, the output rows (columns) start..stop that the kernel
+    # reaches from the box, and where they sit in conv(part, mirrored
+    # kernel): out[i] = conv[i - lo + top], top the farthest offset
+    top = [k - 1 - c for k, c in zip(kernel.shape, center)]
+    start = [max(0, a - t) for a, t in zip(lo, top)]
+    stop = [min(n, b + 1 + c) for n, b, c in zip(values.shape, hi, center)]
+    keep = [slice(s - a + t, e - a + t) for s, e, a, t in zip(start, stop, lo, top)]
+    axes = [a for a in (0, 1) if kernel.shape[a] > 1] or [1]
+    shape = [fast_len(max(keep[a].stop, part.shape[a] + kernel.shape[a] - 1 - keep[a].start))
+             for a in axes]
     # correlating with the kernel is convolving with its mirror image
-    spec = rfftn(values, shape, (0, 1)) * rfftn(kernel[::-1, ::-1], shape, (0, 1))
-    full = irfftn(spec, shape, (0, 1))
-    i0, j0 = (k - 1 - c for k, c in zip(kernel.shape, center))
-    return full[i0:i0 + values.shape[0], j0:j0 + values.shape[1]]
+    spec = _rfft2(part, shape, axes) * _rfft2(kernel[::-1, ::-1], shape, axes)
+    if len(axes) == 2:  # invert axis 0 first, then only the rows kept
+        spec = ifft(spec, shape[0], 0)[keep[0]]
+        keep[0] = slice(None)
+    out = np.zeros(values.shape)
+    out[start[0]:stop[0], start[1]:stop[1]] = irfft(spec, shape[-1], axes[-1])[tuple(keep)]
+    return out
 
 
 def partial_x(values, h):

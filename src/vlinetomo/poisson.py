@@ -1,8 +1,8 @@
 """Elliptic solvers: Dirichlet problem on the r1 disc (one fast-Poisson
 solve on a box around the disc, by real-FFT sine transforms, minus the
 harmonic function with the same trace on the r1 circle) and free-space
-recovery of a compactly supported function from its Laplacian (FFT
-convolution over the rhs support).
+recovery of a compactly supported function from its Laplacian (the
+beams' FFT correlation, ``operators.correlate``, over the rhs support).
 """
 
 from __future__ import annotations
@@ -147,10 +147,10 @@ def solve_free_space(rhs: ScalarField) -> PoissonResult:
 
     The quadrature is the midpoint rule per source cell with the exact
     log integral on the singular self-cell; the discrete sum is a
-    (non-circular) linear convolution, with the kernel built only at the
-    offsets from the grid to the bounding box of the rhs's nonzero
-    samples, the only ones the sum reaches.  The rhs must be compact in
-    the r1 disc.
+    (non-circular) linear convolution, taken by ``correlate`` over the
+    bounding box of the rhs's nonzero samples, with the kernel built only
+    at the offsets from the grid to that box, the only ones the sum
+    reaches.  The rhs must be compact in the r1 disc.
     """
     if not rhs.is_compact():
         raise ConfigError("free-space recovery needs an rhs compact in the r1 disc")
@@ -162,5 +162,6 @@ def solve_free_space(rhs: ScalarField) -> PoissonResult:
     # offsets from every grid sample to the support's bounding box
     k = log_kernel(grid.h, np.arange(rows[0] - (grid.nx - 1), rows[-1] + 1),
                    np.arange(cols[0] - (grid.ny - 1), cols[-1] + 1))
-    out = correlate(v, k, (grid.nx - 1 - rows[0], grid.ny - 1 - cols[0]))
+    out = correlate(v, k, (grid.nx - 1 - rows[0], grid.ny - 1 - cols[0]),
+                    ((rows[0], cols[0]), (rows[-1], cols[-1])))
     return PoissonResult(ScalarField(grid, out), 0, 0.0)

@@ -219,9 +219,9 @@ def test_invert_signed_converges_on_finer_forward_data():
 def test_invert_signed_cost_bounded_near_straight(monkeypatch):
     # one beam FFT along u - v whatever the opening: its padded shape stays
     # within (2 nx)^2 and does not grow as the opening nears pi
-    from vlinetomo import beam, grid_for_vline
+    from vlinetomo import beam, grid_for_vline, operators
     nx = 48
-    beam_field, rfft2 = beam.beam_field, beam._rfft2
+    beam_field, rfft2 = beam.beam_field, operators._rfft2
     shapes = {}
     for angle in (np.pi / 2, 3.1, 3.14):
         geom = VLineGeometry(direction(0.0), direction(angle))
@@ -238,7 +238,7 @@ def test_invert_signed_cost_bounded_near_straight(monkeypatch):
             return rfft2(x, shape, axes)
 
         monkeypatch.setattr(beam, "beam_field", counting)
-        monkeypatch.setattr(beam, "_rfft2", recording)
+        monkeypatch.setattr(operators, "_rfft2", recording)
         rec = invert_signed(ts, geom)
         monkeypatch.undo()
         assert np.all(np.isfinite(rec.values))
@@ -246,6 +246,30 @@ def test_invert_signed_cost_bounded_near_straight(monkeypatch):
         (shapes[angle],) = ffts
     assert all(max(shape) <= 2 * nx for shape in shapes.values())
     assert shapes[3.14] == shapes[3.1]
+
+
+def test_beam_fft_periods_on_the_oblique_pair(monkeypatch):
+    # the periods the README quotes at nx = 128, u@0.35/v@2.1, for the
+    # 92 x 92 box of the r1 disc and each cut kernel: a change to the box,
+    # the tap cut or the period rule that moves them fails here rather
+    # than showing only as a timing
+    from vlinetomo import grid_for_vline, make_phantom, operators
+    geom = VLineGeometry(direction(0.35), direction(2.1))
+    grid = grid_for_vline(128, 1.0, geom)
+    h = ScalarField(grid, make_phantom("mixed", grid).field.f1)
+    rfft2 = operators._rfft2
+    for d, kernel, period in ((geom.u, (110, 42), (216, 135)),
+                              (geom.v, (66, 110), (160, 216))):
+        calls = []
+
+        def recording(x, shape, axes):
+            calls.append((x.shape, tuple(shape)))
+            return rfft2(x, shape, axes)
+
+        monkeypatch.setattr(operators, "_rfft2", recording)
+        beam_field(h, d)
+        monkeypatch.undo()
+        assert calls == [((92, 92), period), (kernel, period)]
 
 
 @pytest.mark.parametrize("r2", [1.05, 1.5, 3.0])

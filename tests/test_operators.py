@@ -10,6 +10,27 @@ from oracles import (curl, directional_derivative, divergence, gradient,
                      helmholtz_decompose)
 
 
+# the whole array, a box strictly inside it, one on its first row and last
+# column, and one row: the random samples outside a box must not reach
+# the output
+BOXES = (None, ((2, 3), (4, 6)), ((0, 4), (3, 8)), ((5, 1), (5, 7)))
+
+
+def _check_correlate(values, kernel, center):
+    for box in BOXES:
+        (r0, c0), (r1, c1) = box or ((0, 0), (values.shape[0] - 1, values.shape[1] - 1))
+        ref = np.zeros_like(values)
+        for i in range(values.shape[0]):
+            for j in range(values.shape[1]):
+                for a in range(kernel.shape[0]):
+                    for b in range(kernel.shape[1]):
+                        p, q = i + a - center[0], j + b - center[1]
+                        if r0 <= p <= r1 and c0 <= q <= c1:
+                            ref[i, j] += kernel[a, b] * values[p, q]
+        out = correlate(values, kernel, center, box)
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("kshape, center", [
     ((5, 13), (0, 0)), ((5, 13), (4, 12)), ((5, 13), (2, 6)),
     ((5, 13), (1, 10)), ((17, 3), (3, 1)), ((30, 30), (2, 25)),
@@ -20,16 +41,7 @@ def test_correlate_matches_direct_sum(kshape, center):
     # array: each pads its FFT differently
     rng = np.random.default_rng(7)
     values, kernel = rng.standard_normal((7, 9)), rng.standard_normal(kshape)
-    ref = np.zeros_like(values)
-    for i in range(values.shape[0]):
-        for j in range(values.shape[1]):
-            for a in range(kshape[0]):
-                for b in range(kshape[1]):
-                    p, q = i + a - center[0], j + b - center[1]
-                    if 0 <= p < values.shape[0] and 0 <= q < values.shape[1]:
-                        ref[i, j] += kernel[a, b] * values[p, q]
-    out = correlate(values, kernel, center)
-    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+    _check_correlate(values, kernel, center)
 
 
 @pytest.mark.parametrize("kshape, center", [
@@ -39,16 +51,7 @@ def test_correlate_one_axis_kernels_match_direct_sum(kshape, center):
     # a kernel with one tap along an axis, or one tap in all
     rng = np.random.default_rng(8)
     values, kernel = rng.standard_normal((7, 9)), rng.standard_normal(kshape)
-    ref = np.zeros_like(values)
-    for a in range(kshape[0]):
-        for b in range(kshape[1]):
-            for i in range(values.shape[0]):
-                for j in range(values.shape[1]):
-                    p, q = i + a - center[0], j + b - center[1]
-                    if 0 <= p < values.shape[0] and 0 <= q < values.shape[1]:
-                        ref[i, j] += kernel[a, b] * values[p, q]
-    out = correlate(values, kernel, center)
-    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+    _check_correlate(values, kernel, center)
 
 
 def test_fast_len_matches_scipy():
