@@ -50,7 +50,6 @@ import time
 import tracemalloc
 
 import numpy as np
-import scipy
 
 import vlinetomo as vt
 from vlinetomo import radon, star
@@ -180,6 +179,16 @@ def forward_rows(nx, row):
         geometry="oblique")
 
 
+def _scipy_version():
+    """scipy's version when it imports, else None: neither the library nor
+    this sweep needs scipy."""
+    try:
+        import scipy
+    except ImportError:
+        return None
+    return scipy.__version__
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--nx", type=int, nargs="+", default=[128, 256, 512])
@@ -204,7 +213,7 @@ def main(argv=None):
     doc["runs"][args.label] = {
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version(), "numpy": np.__version__,
-                 "scipy": scipy.__version__},
+                 "scipy": _scipy_version()},
         "repeats": REPEATS,
         "stages": rows,
     }

@@ -111,7 +111,6 @@ def ray_sum(terms, moment=False) -> np.ndarray:
 def signed_vline(h: ScalarField, geom: VLineGeometry,
                  workers=1) -> ScalarField:
     """T_s h = X_u h - X_v h sampled at every grid vertex."""
-    geom.check_grid(h.grid)
     vals = ray_sum(((h, geom.u, 1.0), (h, geom.v, -1.0)))
     return ScalarField(h.grid, vals)
 

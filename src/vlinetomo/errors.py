@@ -18,8 +18,8 @@ class ConfigError(VlineError):
 
 
 class GeometryError(VlineError):
-    """Degenerate or non-invertible ray geometry, or a grid too small for
-    the strip ring that the star inversion reads."""
+    """Degenerate or non-invertible ray geometry, or a grid whose r2 or
+    square is too small for the strips that the star inversion reads."""
 
 
 class FileFormatError(VlineError):

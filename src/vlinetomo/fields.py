@@ -174,6 +174,10 @@ class VectorField:
         """Samplewise (f1, f2) -> (-f2, f1)."""
         return VectorField(self.grid, -self.f2, self.f1)
 
+    def rotated(self):
+        """R f = (f2, -f1) = -perp(f), so that (R f).d = f.perp(d)."""
+        return VectorField(self.grid, self.f2, -self.f1)
+
     def dot(self, d):
         """Inner product with a constant 2-vector, as a ScalarField."""
         return ScalarField(self.grid, d[0] * self.f1 + d[1] * self.f2)
@@ -189,9 +193,13 @@ class VectorField:
 
 
 class RayGeometry:
-    """Support analysis shared by every fan of unit ray directions shot
-    from each vertex (the V-line pair, the star); subclasses expose the
-    directions as the tuple ``rays``."""
+    """A weighted fan of unit ray directions shot from each vertex (the
+    V-line pair, the star); subclasses expose the directions as the tuple
+    ``rays`` and their weights as ``weights``."""
+
+    def terms(self, f):
+        """The ``ray_sum`` terms (f.g_i, g_i, c_i) of sum_i c_i X_{g_i}(f.g_i)."""
+        return [(f.dot(g), g, c) for g, c in zip(self.rays, self.weights)]
 
     def required_r2(self, r1):
         """Smallest r2 so a vertex outside the r2 disc shoots at most one
@@ -215,10 +223,11 @@ class RayGeometry:
 
 @dataclass(frozen=True)
 class VLineGeometry(RayGeometry):
-    """The fixed ray-direction pair (u, v) shared by all V-lines."""
+    """The ray pair (u, v) of every V-line: the star (u, v; -1, +1)."""
 
     u: np.ndarray
     v: np.ndarray
+    weights = (-1.0, 1.0)  # a class constant, not a field
 
     def __post_init__(self):
         object.__setattr__(self, "u", unit_vector(self.u))

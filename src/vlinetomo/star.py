@@ -4,8 +4,10 @@ The star transform sends a vector field f to the 2-vector-valued datum
 
     S f(x) = sum_i c_i X_{gamma_i} [ f . gamma_i ; f . gamma_i^perp ](x)
 
-over m fixed unit ray directions gamma_i with nonzero weights c_i.  The
-inversion rests on the Radon-domain identity Q(psi) d/ds R(S f) = R f,
+over m fixed unit ray directions gamma_i with nonzero weights c_i: one
+``ray_sum(sg.terms(.))`` of f and one of R f = (f2, -f1), as
+f . gamma^perp = (R f) . gamma; the V-line is the star (u, v; -1, +1).
+The inversion rests on the Radon-domain identity Q(psi) d/ds R(S f) = R f,
 where gamma(psi) = -sum_i c_i gamma_i / (psi . gamma_i) and
 Q(psi) = [gamma(psi); gamma(psi)^perp]^{-1}.  A star transform is
 invertible exactly when it is not symmetric (rays pairing as
@@ -28,7 +30,7 @@ from numpy.polynomial import polynomial as npoly
 from .beam import ray_sum
 from .errors import ConfigError, GeometryError
 from .fields import (RayGeometry, VectorField, direction, grid_for_vline,
-                     perp, unit_vector)
+                     unit_vector)
 from .radon import (FULL_TURN, Sinogram, fbp_inverse, radon_transform_field,
                     sinogram_dds)
 
@@ -83,12 +85,9 @@ grid_for_star = grid_for_vline
 
 def forward_star(f: VectorField, sg: StarGeometry, workers=1) -> VectorField:
     """S f sampled at every grid vertex: its longitudinal part as f1 and
-    its transverse part as f2."""
-    sg.check_grid(f.grid)
-    weighted = tuple(zip(sg.gammas, sg.weights))
-    long_part = ray_sum([(f.dot(g), g, c) for g, c in weighted])
-    trans_part = ray_sum([(f.dot(perp(g)), g, c) for g, c in weighted])
-    return VectorField(f.grid, long_part, trans_part)
+    its transverse part, the same sum of R f (f.perp(g) = (R f).g), as f2."""
+    return VectorField(f.grid, ray_sum(sg.terms(f)),
+                       ray_sum(sg.terms(f.rotated())))
 
 
 def gamma_of_psi(sg: StarGeometry, psi):
@@ -284,12 +283,14 @@ def invert_star(sf: VectorField, sg: StarGeometry, n_angles=360,
     The Radon transform of the star data uses the full angular circle, one
     offset per grid column, and includes the analytic strip-tail
     contributions; guard-banded singular angles are interpolated over
-    before the Ram-Lak backprojection.  Grids whose square does not hold
-    the strip ring r2 + 2h clear of its edges raise GeometryError (the
-    chord-disc check of ``radon_transform_field``, before any chord work).
-    A symmetric star, and a guard_deg or n_angles that leaves fewer than
-    16 unguarded angles, raise before any work.
+    before the Ram-Lak backprojection.  The strip model needs the strips
+    beyond r2 disjoint: an r2 below ``sg.required_r2``, a symmetric star,
+    and a guard_deg or n_angles that leaves fewer than 16 unguarded angles
+    raise before any work; a square that does not hold the strip ring
+    r2 + 2h clear of its edges raises GeometryError (the chord-disc check
+    of ``radon_transform_field``) before any chord work.
     """
+    sg.check_grid(sf.grid)
     # the angles 2 pi k / n_angles of the sinogram radon_transform_field makes
     _unguarded(np.arange(n_angles) * (FULL_TURN / max(n_angles, 1)), sg,
                guard_deg)

@@ -6,8 +6,9 @@ Forward operators (vertex-sampled over the grid covering the r2 disc):
     T f = -X_u(f.perp u) + X_v(f.perp v)   (transverse)
     I f, J f: the same with t-weighted first-moment beam integrals.
 
-Every transverse operation is its longitudinal twin applied to the rotated
-field R f = (f2, -f1) = -perp(f), since (R f).d = f.perp(d):
+The V-line is the two-ray star (u, v; -1, +1): each forward is one
+``ray_sum(geom.terms(.))``, the transverse twins of the rotated field
+R f = (f2, -f1) = -perp(f) (``VectorField.rotated``), as (R f).d = f.perp(d):
 
     T f = L(R f),    J f = I(R f),    div f = -curl(R f).
 
@@ -20,7 +21,8 @@ D_u D_v moved inside the integral: D_u D_v of the component's signed
 V-line data is built from D_u D_v I f and the plain beams of the recovered
 curl, is supported in the r1 disc, and is integrated along u - v
 (``beam.integrate_w``), after a one-cell Gaussian mollifier
-(``_mollify``).  TJ is LI applied to R f.
+(``_mollify``).  TJ is LI applied to R f.  No pipeline reads data beyond
+the r1 disc and its two-cell stencil, so any grid holding the r2 disc works.
 """
 
 from __future__ import annotations
@@ -35,36 +37,24 @@ from .operators import (bilinear, laplacians_from_div_curl, mixed_partial,
 from .poisson import solve_dirichlet_disc
 
 
-def _rotated(f: VectorField) -> VectorField:
-    """R f = (f2, -f1)."""
-    return VectorField(f.grid, f.f2, -f.f1)
-
-
-def _forward(f: VectorField, geom: VLineGeometry, moment) -> ScalarField:
-    geom.check_grid(f.grid)
-    du, dv = geom.u, geom.v
-    vals = ray_sum(((f.dot(du), du, -1.0), (f.dot(dv), dv, 1.0)), moment=moment)
-    return ScalarField(f.grid, vals)
-
-
 def forward_L(f, geom, workers=1):
     """Longitudinal transform: -X_u(f.u) + X_v(f.v)."""
-    return _forward(f, geom, moment=False)
+    return ScalarField(f.grid, ray_sum(geom.terms(f)))
 
 
 def forward_T(f, geom, workers=1):
     """Transverse transform: -X_u(f.u^perp) + X_v(f.v^perp) = L(R f)."""
-    return _forward(_rotated(f), geom, moment=False)
+    return ScalarField(f.grid, ray_sum(geom.terms(f.rotated())))
 
 
 def forward_I(f, geom, workers=1):
     """First-moment longitudinal transform."""
-    return _forward(f, geom, moment=True)
+    return ScalarField(f.grid, ray_sum(geom.terms(f), moment=True))
 
 
 def forward_J(f, geom, workers=1):
     """First-moment transverse transform: I(R f)."""
-    return _forward(_rotated(f), geom, moment=True)
+    return ScalarField(f.grid, ray_sum(geom.terms(f.rotated()), moment=True))
 
 
 def mixed_derivative(tf: ScalarField, geom: VLineGeometry) -> np.ndarray:
@@ -148,8 +138,7 @@ def _moment_pipeline(i_f: ScalarField, c: ScalarField,
     The differences that form g_k amplify the grid-scale quadrature noise
     of the data, so g_k is mollified with a one-cell Gaussian before the
     integral; the mollifier bias is O(h^2), the same order as the stencils
-    themselves.  Nothing beyond the r1 disc is read, so every grid whose
-    square holds the r2 disc is accepted.
+    themselves.
     """
     grid = i_f.grid
     h = grid.h

@@ -403,6 +403,22 @@ def test_invert_star_tight_grid_exit_code(tmp_path, capsys):
     assert "chord disc" in capsys.readouterr().err
 
 
+def test_star_forward_accepts_and_inversion_rejects_r2_below_bound(tmp_path):
+    # rays 0 and 0.9 rad apart need r2 >= 2.30; the phantom's r2 is sqrt(2)
+    ph = _phantom(tmp_path, nx=48)
+    star = _star_file(tmp_path, StarGeometry(
+        tuple(direction(a) for a in (0.0, 0.9, 3.5)), (1.0, 1.0, 1.0)))
+    fs = tmp_path / "fs"
+    assert main(["forward", "--transform", "star", "--field",
+                 str(ph / "field.vlt"), "--star-geometry", star,
+                 "--out-dir", str(fs)]) == 0
+    bad = tmp_path / "bad"
+    assert main(["invert", "--pipeline", "star", "--sf",
+                 str(fs / "transform.vlt"), "--star-geometry", star,
+                 "--out-dir", str(bad)]) == 3
+    assert not any(bad.iterdir())
+
+
 def test_config_equals_spelling(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("kind=solenoidal\nnx=32\nr2=2.0\n")

@@ -400,6 +400,26 @@ def test_invert_star_rejects_nonpositive_guard_before_radon(monkeypatch):
         invert_star(sf, sg, guard_deg=0.0)
 
 
+def test_invert_star_rejects_r2_below_the_strip_bound_before_radon(monkeypatch):
+    # rays 0 and 0.9 rad apart need r2 >= 1 / sin(0.45) = 2.30 for disjoint
+    # strips; the forward reads no strip and accepts the r2 = 1.5 grid, but
+    # the inversion, whose strip model needs them disjoint, raises first
+    import vlinetomo.star as star_module
+    from vlinetomo import Grid2D
+
+    def no_radon(*args, **kwargs):
+        raise AssertionError("the Radon transform ran before the bound check")
+
+    sg = StarGeometry(tuple(direction(a) for a in (0.0, 0.9, 3.5)),
+                      (1.0, 1.0, 1.0))
+    grid = Grid2D.centered(64, 1.0, 1.5)
+    sf = forward_star(make_phantom("mixed", grid).field, sg)
+    assert sf.max_norm() > 0.0
+    monkeypatch.setattr(star_module, "radon_transform_field", no_radon)
+    with pytest.raises(GeometryError, match="requirement 2.29903"):
+        invert_star(sf, sg)
+
+
 @pytest.mark.parametrize("kwargs", [{"n_angles": 8}, {"guard_deg": 60.0}])
 def test_invert_star_rejects_too_few_unguarded_angles_before_radon(
         monkeypatch, kwargs):

@@ -365,3 +365,25 @@ def test_rhombus_outside_grid(grid, geom):
     with pytest.raises(GeometryError):
         rhombus_check(ScalarField(grid, np.zeros((grid.nx, grid.ny))),
                       (grid.r2 + 10, 0.0), 4 * grid.h, geom)
+
+
+def test_vline_pipelines_accept_a_grid_below_the_strip_bound(geom):
+    # no V-line pipeline reads strip data, so r2 = 1.2 below the axis
+    # pair's bound sqrt(2) is accepted; the tight square has the finer
+    # step, so every error is below the r2 = 1.5 grid's (LT 3.3 / 3.9%,
+    # potential 0.94% and stream 1.1%, against 5.0 / 6.0%, 1.5% and 1.7%)
+    errors = []
+    for r2 in (1.2, 1.5):
+        grid = Grid2D.centered(64, 1.0, r2)
+        ph = make_phantom("mixed", grid)
+        mask = grid.disc_mask(grid.r1)
+        lf, tf = forward_L(ph.field, geom), forward_T(ph.field, geom)
+        rec = recover_field_LT(lf, tf, geom)
+        pot = recover_potential(tf, geom).values
+        stream = recover_stream(lf, geom).values
+        errors.append(np.array([rel_l2(rec.f1, ph.field.f1, mask),
+                                rel_l2(rec.f2, ph.field.f2, mask),
+                                rel_l2(pot, ph.potential.values, mask),
+                                rel_l2(stream, ph.stream.values, mask)]))
+    assert geom.required_r2(1.0) > 1.2
+    assert np.all(errors[0] < errors[1]), errors
