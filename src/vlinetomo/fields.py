@@ -1,4 +1,5 @@
-"""Uniform Cartesian grids and sampled scalar / vector fields.
+"""Uniform Cartesian grids, sampled scalar / vector fields, and the one ray
+geometry, ``StarGeometry``, whose two-ray case is ``VLineGeometry``.
 
 The computational domain is a square that contains the closed disc of
 radius ``r2``; the unknown fields live in the smaller open disc of radius
@@ -19,6 +20,8 @@ SUPPORT_RTOL = 1e-12
 
 # minimum |det2(v, u)| for a usable direction pair
 MIN_DET = 1e-8
+# rays closer than this coincide; also star.classify's pairing tolerance
+PAIR_TOL = 1e-10
 
 
 def perp(x):
@@ -192,14 +195,40 @@ class VectorField:
         )
 
 
-class RayGeometry:
-    """A weighted fan of unit ray directions shot from each vertex (the
-    V-line pair, the star); subclasses expose the directions as the tuple
-    ``rays`` and their weights as ``weights``."""
+@dataclass(frozen=True)
+class StarGeometry:
+    """Ray directions gamma_1..gamma_m and nonzero weights c_1..c_m."""
+
+    gammas: tuple
+    weights: tuple
+
+    def __post_init__(self):
+        gammas = tuple(unit_vector(g) for g in self.gammas)
+        weights = tuple(float(c) for c in self.weights)
+        if len(gammas) != len(weights):
+            raise ConfigError("need one weight per ray direction")
+        if len(gammas) < 2:
+            raise ConfigError("a star needs at least 2 rays")
+        if not all(np.isfinite(c) and c != 0.0 for c in weights):
+            raise ConfigError("star weights must be finite and nonzero")
+        for i in range(len(gammas)):
+            for j in range(i + 1, len(gammas)):
+                if np.hypot(*(gammas[i] - gammas[j])) < PAIR_TOL:
+                    raise ConfigError(f"ray directions {i} and {j} coincide")
+        object.__setattr__(self, "gammas", gammas)
+        object.__setattr__(self, "weights", weights)
+
+    @property
+    def m(self):
+        return len(self.gammas)
+
+    @property
+    def rays(self):
+        return self.gammas
 
     def terms(self, f):
         """The ``ray_sum`` terms (f.g_i, g_i, c_i) of sum_i c_i X_{g_i}(f.g_i)."""
-        return [(f.dot(g), g, c) for g, c in zip(self.rays, self.weights)]
+        return [(f.dot(g), g, c) for g, c in zip(self.gammas, self.weights)]
 
     def required_r2(self, r1):
         """Smallest r2 so a vertex outside the r2 disc shoots at most one
@@ -221,19 +250,22 @@ class RayGeometry:
             )
 
 
-@dataclass(frozen=True)
-class VLineGeometry(RayGeometry):
+class VLineGeometry(StarGeometry):
     """The ray pair (u, v) of every V-line: the star (u, v; -1, +1)."""
 
-    u: np.ndarray
-    v: np.ndarray
-    weights = (-1.0, 1.0)  # a class constant, not a field
-
-    def __post_init__(self):
-        object.__setattr__(self, "u", unit_vector(self.u))
-        object.__setattr__(self, "v", unit_vector(self.v))
-        if abs(det2(self.v, self.u)) < MIN_DET:
+    def __init__(self, u, v):
+        u, v = unit_vector(u), unit_vector(v)
+        if abs(det2(v, u)) < MIN_DET:
             raise GeometryError("u and v must be linearly independent")
+        super().__init__((u, v), (-1.0, 1.0))
+
+    @property
+    def u(self):
+        return self.gammas[0]
+
+    @property
+    def v(self):
+        return self.gammas[1]
 
     @property
     def det(self):
@@ -250,12 +282,8 @@ class VLineGeometry(RayGeometry):
         d = self.v - self.u
         return float(np.hypot(d[0], d[1]))
 
-    @property
-    def rays(self):
-        return (self.u, self.v)
-
 
 def grid_for_vline(nx, r1, geom):
     """Centered grid sized so the support analysis of ``geom`` holds; serves
-    any RayGeometry (``grid_for_star`` is the same function)."""
+    any StarGeometry (``grid_for_star`` is the same function)."""
     return Grid2D.centered(nx, r1, geom.required_r2(r1))

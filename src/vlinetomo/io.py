@@ -7,7 +7,8 @@ ncomp x nx x ny f64 values, row-major, component-major.
 VLS1 (sinograms): magic ``VLS1``, u32 n_angles, u32 n_offsets, u32 ncomp,
 f64 ds, f64 angle0, f64 dangle, then values row-major per component.
 
-Plus key=value geometry text files and PGM/PPM renderers.
+Plus key=value text files of the ``fields`` geometries, and PGM/PPM
+renderers.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import warnings
 import numpy as np
 
 from .errors import FileFormatError
-from .fields import Grid2D, ScalarField, VectorField, VLineGeometry
+from .fields import (Grid2D, ScalarField, StarGeometry, VectorField,
+                     VLineGeometry)
 from .radon import Sinogram
-from .star import StarGeometry
 
 VLT1_MAGIC = b"VLT1"
 VLS1_MAGIC = b"VLS1"

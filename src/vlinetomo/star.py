@@ -6,7 +6,8 @@ The star transform sends a vector field f to the 2-vector-valued datum
 
 over m fixed unit ray directions gamma_i with nonzero weights c_i: one
 ``ray_sum(sg.terms(.))`` of f and one of R f = (f2, -f1), as
-f . gamma^perp = (R f) . gamma; the V-line is the star (u, v; -1, +1).
+f . gamma^perp = (R f) . gamma; the V-line is the star (u, v; -1, +1),
+so every function here takes a ``VLineGeometry`` too.
 The inversion rests on the Radon-domain identity Q(psi) d/ds R(S f) = R f,
 where gamma(psi) = -sum_i c_i gamma_i / (psi . gamma_i) and
 Q(psi) = [gamma(psi); gamma(psi)^perp]^{-1}.  A star transform is
@@ -29,8 +30,8 @@ from numpy.polynomial import polynomial as npoly
 
 from .beam import ray_sum
 from .errors import ConfigError, GeometryError
-from .fields import (RayGeometry, VectorField, direction, grid_for_vline,
-                     unit_vector)
+from .fields import (PAIR_TOL, StarGeometry, VectorField, direction,
+                     grid_for_vline)
 from .radon import (FULL_TURN, Sinogram, fbp_inverse, radon_transform_field,
                     sinogram_dds)
 
@@ -40,43 +41,9 @@ Z1_TOL = 1e-9
 Z2_TOL = 1e-9
 # a root w of C(w) is type 2 when |C(w/|w|)| / sum_k |C_k| is below this
 Z2_BACKWARD_TOL = 1e-12
-# angular tolerance for the symmetric-pairing test
-PAIR_TOL = 1e-10
 # roots of the Z2 polynomial in w closer than this are one multiple root,
 # which eigenvalues split by about eps^(1/k) for multiplicity k
 Z2_MERGE_TOL = 1e-4
-
-
-@dataclass(frozen=True)
-class StarGeometry(RayGeometry):
-    """Ray directions gamma_1..gamma_m and nonzero weights c_1..c_m."""
-
-    gammas: tuple
-    weights: tuple
-
-    def __post_init__(self):
-        gammas = tuple(unit_vector(g) for g in self.gammas)
-        weights = tuple(float(c) for c in self.weights)
-        if len(gammas) != len(weights):
-            raise ConfigError("need one weight per ray direction")
-        if len(gammas) < 2:
-            raise ConfigError("a star needs at least 2 rays")
-        if not all(np.isfinite(c) and c != 0.0 for c in weights):
-            raise ConfigError("star weights must be finite and nonzero")
-        for i in range(len(gammas)):
-            for j in range(i + 1, len(gammas)):
-                if np.hypot(*(gammas[i] - gammas[j])) < PAIR_TOL:
-                    raise ConfigError(f"ray directions {i} and {j} coincide")
-        object.__setattr__(self, "gammas", gammas)
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def m(self):
-        return len(self.gammas)
-
-    @property
-    def rays(self):
-        return self.gammas
 
 
 # Centered grid sized so the star support analysis holds.
