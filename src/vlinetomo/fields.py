@@ -195,6 +195,25 @@ class VectorField:
         )
 
 
+def strip_bound(dirs, r1):
+    """Smallest r2 so a vertex outside the r2 disc shoots at most one of
+    the rays ``dirs`` through the r1 disc: r1 / min over ray pairs of
+    sin(theta/2), and r1 for fewer than two rays."""
+    c = max([-1.0] + [float(np.dot(a, b))
+                      for i, a in enumerate(dirs) for b in dirs[i + 1:]])
+    smin = np.sqrt((1.0 - min(c, 1.0)) / 2.0)
+    return r1 / smin if smin > 0.0 else np.inf
+
+
+def check_strip_bound(grid, dirs, what):
+    """Raise GeometryError, naming ``what``, when grid.r2 is below
+    ``strip_bound(dirs, grid.r1)``: beyond r2 the strips would overlap."""
+    bound = strip_bound(dirs, grid.r1)
+    if grid.r2 < bound - 1e-9:
+        raise GeometryError(f"grid r2 = {grid.r2:.6g} is below the {what} "
+                            f"requirement {bound:.6g}")
+
+
 @dataclass(frozen=True)
 class StarGeometry:
     """Ray directions gamma_1..gamma_m and nonzero weights c_1..c_m."""
@@ -231,23 +250,11 @@ class StarGeometry:
         return [(f.dot(g), g, c) for g, c in zip(self.gammas, self.weights)]
 
     def required_r2(self, r1):
-        """Smallest r2 so a vertex outside the r2 disc shoots at most one
-        ray through the r1 disc: r1 / min over ray pairs of sin(theta/2)."""
-        smin = 1.0
-        for i in range(len(self.rays)):
-            for j in range(i + 1, len(self.rays)):
-                c = float(np.clip(np.dot(self.rays[i], self.rays[j]),
-                                  -1.0, 1.0))
-                smin = min(smin, np.sqrt((1.0 - c) / 2.0))
-        return r1 / smin
+        """``strip_bound`` of the rays."""
+        return strip_bound(self.gammas, r1)
 
     def check_grid(self, grid):
-        if grid.r2 < self.required_r2(grid.r1) - 1e-9:
-            raise GeometryError(
-                f"grid r2 = {grid.r2:.6g} is below the "
-                f"{type(self).__name__} requirement "
-                f"{self.required_r2(grid.r1):.6g}"
-            )
+        check_strip_bound(grid, self.gammas, type(self).__name__)
 
 
 class VLineGeometry(StarGeometry):

@@ -14,10 +14,11 @@ Q(psi) = [gamma(psi); gamma(psi)^perp]^{-1}.  A star transform is
 invertible exactly when it is not symmetric (rays pairing as
 gamma_i = -gamma_j with c_i = -c_j); the matrix Q blows up only at the
 singular directions Z1 (some psi . gamma_i = 0) and Z2 (gamma(psi) = 0),
-which are removable and are bridged by angular interpolation here.  Both
-sets come in closed form: Z1 from the ray angles, Z2 as the unit-circle
-roots of P written as one polynomial of degree m-1 in w = e^{2 i theta}
-(``_p_of_w``), found as companion-matrix eigenvalues.
+which are removable and are bridged by angular interpolation over
+symmetric guard bands here.  Both sets come in closed form: Z1 from the
+ray angles, Z2 as the unit-circle roots of P written as one polynomial
+of degree m-1 in w = e^{2 i theta} (``_p_of_w``), found as
+companion-matrix eigenvalues.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ Z1_TOL = 1e-9
 Z2_TOL = 1e-9
 # a root w of C(w) is type 2 when |C(w/|w|)| / sum_k |C_k| is below this
 Z2_BACKWARD_TOL = 1e-12
+# slack on the guard band's edge, so an angle exactly guard_deg from a
+# singular direction survives whatever its rounding, on either side
+GUARD_TIE_TOL = 1e-9
 # roots of the Z2 polynomial in w closer than this are one multiple root,
 # which eigenvalues split by about eps^(1/k) for multiplicity k
 Z2_MERGE_TOL = 1e-4
@@ -197,9 +201,10 @@ def _interpolate_guarded(rows, valid):
 
 
 def _unguarded(angles, sg, guard_deg):
-    """Mask of the ``angles`` at least guard_deg from every singular
-    direction of ``sg``.  Raises ConfigError when guard_deg is not positive
-    or fewer than 16 angles survive, GeometryError when sg is symmetric."""
+    """Mask of the ``angles`` at least guard_deg (less GUARD_TIE_TOL) from
+    every singular direction of ``sg``.  Raises ConfigError when guard_deg
+    is not positive or fewer than 16 angles survive, GeometryError when sg
+    is symmetric."""
     if not guard_deg > 0:
         raise ConfigError(f"guard_deg must be positive, got {guard_deg!r}")
     sing = singular_directions(sg)
@@ -207,7 +212,7 @@ def _unguarded(angles, sg, guard_deg):
         raise GeometryError("symmetric star transform is not invertible")
     bad = np.concatenate([sing.z1, sing.z2])
     valid = (_angular_distance(angles[:, None], bad[None, :]).min(axis=1)
-             >= np.deg2rad(guard_deg))
+             >= np.deg2rad(guard_deg) - GUARD_TIE_TOL)
     if int(valid.sum()) < 16:
         raise ConfigError(f"{int(valid.sum())} of {len(angles)} angles survive "
                           f"the singular guard bands, fewer than 16")

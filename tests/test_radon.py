@@ -324,6 +324,38 @@ def test_radon_transform_field_memory_is_bounded_by_its_output():
         assert peak <= 3.0 * sg.values.nbytes
 
 
+def test_radon_transform_field_memory_does_not_outgrow_the_sinogram():
+    # the strip profiles take 16 samples per grid column, so their
+    # temporaries grow like nx, as the sinogram does (3.06x at nx = 256;
+    # 3.73x with nx * nx/8 samples)
+    import tracemalloc
+    sg = StarGeometry(tuple(direction(a) for a in
+                            (0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0)),
+                      (1.0, 1.0, 1.0))
+    grid = grid_for_star(256, 1.0, sg)
+    sf = forward_star(make_phantom("mixed", grid).field, sg)
+    tracemalloc.start()
+    try:
+        sino = radon_transform_field(sf, sg.gammas, 360, grid.nx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.3 * sino.values.nbytes
+
+
+def test_radon_transform_field_rejects_r2_below_the_strip_bound():
+    # rays 0 and 0.9 rad apart need r2 >= 1 / sin(0.45) = 2.30 for disjoint
+    # strips beyond r2; one direction, or none, needs only r2 >= r1
+    sg = StarGeometry(tuple(direction(a) for a in (0.0, 0.9, 3.5)),
+                      (1.0, 1.0, 1.0))
+    grid = Grid2D.centered(64, 1.0, 1.5)
+    sf = forward_star(make_phantom("mixed", grid).field, sg)
+    with pytest.raises(GeometryError, match="requirement 2.29903"):
+        radon_transform_field(sf, sg.gammas, 32, 32)
+    for dirs in (sg.gammas[:1], ()):
+        assert radon_transform_field(sf, dirs, 32, 32).values.shape == (2, 32, 32)
+
+
 def test_radon_transform_field_rejects_grid_without_strip_ring():
     # the grid square reaches half a cell beyond r2, short of the strip
     # ring r2 + 2h that the chords read

@@ -101,15 +101,11 @@ STARS = {"3-ray": ((0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0), (1.0, 1.0, 1.0))
          "3-ray-z2": ((0.1, 1.2, 2.0), (1.0, -2.0, 1.0))}
 
 # The 3-ray star's type-1 singular directions lie on whole degrees, so
-# some of the 360 angles lie exactly guard_deg = 2 degrees from one, and
-# star._unguarded's ">=" keeps or drops each by rounding: its band about
-# 30 degrees is rows 28..31, not 28..32 or 29..31.  A mirror moves the band
-# to rows 29..32, so the inversion moves by up to 4e-4 of its max.
-GUARD_TIE = pytest.mark.xfail(strict=True, reason="guard band ties rounded "
-                              "one-sidedly in star._unguarded")
-STAR_CASES = [pytest.param(star, action, id=f"{star}-{action}", marks=(
-    GUARD_TIE if star == "3-ray" and ACTIONS[action][2] < 0 else ()))
-    for star in STARS for action in ACTIONS]
+# some of the 360 angles lie exactly guard_deg = 2 degrees from one;
+# star._unguarded keeps such ties on both sides of a band (GUARD_TIE_TOL),
+# so a mirror maps the band onto itself.
+STAR_CASES = [pytest.param(star, action, id=f"{star}-{action}")
+              for star in STARS for action in ACTIONS]
 
 
 def _stars(name, action):
