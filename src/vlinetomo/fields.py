@@ -9,7 +9,7 @@ radius ``r2``; the unknown fields live in the smaller open disc of radius
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -119,6 +119,26 @@ class Grid2D:
             object.__setattr__(self, "_rr", rr)
         return rr
 
+    def disc_box(self):
+        """(rows, cols, rr): the slices of the rows and columns that hold the
+        r1 disc, each grown by 2 samples within the grid, and ``rr()`` on
+        that box only, as one read-only array computed on the first call.
+        The box holds the disc and the two-cell reach of the D_u D_v
+        stencil around it, so the inversions read nothing else."""
+        box = self.__dict__.get("_disc_box")
+        if box is None:
+            def grown(c, other):  # the lines holding a disc sample, and 2 more
+                i = np.flatnonzero(np.hypot(c, np.abs(other).min()) <= self.r1)
+                return slice(max(int(i[0]) - 2, 0), min(int(i[-1]) + 3, c.size))
+
+            xs, ys = self.xs(), self.ys()
+            rows, cols = grown(xs, ys), grown(ys, xs)
+            rr = np.hypot(xs[rows][:, None], ys[cols][None, :])
+            rr.flags.writeable = False
+            box = (rows, cols, rr)
+            object.__setattr__(self, "_disc_box", box)
+        return box
+
     def disc_mask(self, radius):
         return self.rr() <= radius
 
@@ -132,24 +152,45 @@ class Grid2D:
 
 
 def _check_values(grid, values):
-    """Validated read-only copy of samples shaped (nx, ny)."""
-    values = np.array(values, dtype=float)
+    """``values`` as read-only float samples shaped (nx, ny): the array
+    itself when it is one already, else a converted copy."""
+    values = np.asarray(values, dtype=float)
     shape = (grid.nx, grid.ny)
     if values.shape != shape:
         raise ConfigError(f"field shape {values.shape} does not match {shape}")
-    if not np.all(np.isfinite(values)):
+    # min and max are NaN if any sample is, and need no array of flags
+    if not (np.isfinite(values.min()) and np.isfinite(values.max())):
         raise ConfigError("field contains non-finite samples")
     values.flags.writeable = False
     return values
 
 
-@dataclass(frozen=True)
-class ScalarField:
-    grid: Grid2D
-    values: np.ndarray
+class _Samples:
+    """The checks shared by ScalarField and VectorField, whose fields after
+    ``grid`` are (nx, ny) sample arrays: the constructor keeps validated
+    read-only copies of them."""
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _check_values(self.grid, self.values))
+        for f in fields(self)[1:]:
+            object.__setattr__(self, f.name, _check_values(
+                self.grid, np.array(getattr(self, f.name), dtype=float)))
+
+    @classmethod
+    def _adopt(cls, grid, *arrays):
+        """The constructor without its copies, for float arrays the library
+        has just built and writes no more (never views of a writable base):
+        the same checks, and the arrays themselves become read-only."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "grid", grid)
+        for f, values in zip(fields(cls)[1:], arrays, strict=True):
+            object.__setattr__(obj, f.name, _check_values(grid, values))
+        return obj
+
+
+@dataclass(frozen=True)
+class ScalarField(_Samples):
+    grid: Grid2D
+    values: np.ndarray
 
     def max_norm(self):
         return float(np.max(np.abs(self.values)))
@@ -164,14 +205,10 @@ class ScalarField:
 
 
 @dataclass(frozen=True)
-class VectorField:
+class VectorField(_Samples):
     grid: Grid2D
     f1: np.ndarray
     f2: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "f1", _check_values(self.grid, self.f1))
-        object.__setattr__(self, "f2", _check_values(self.grid, self.f2))
 
     def perp(self):
         """Samplewise (f1, f2) -> (-f2, f1)."""
@@ -214,9 +251,13 @@ def check_strip_bound(grid, dirs, what):
                             f"requirement {bound:.6g}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StarGeometry:
-    """Ray directions gamma_1..gamma_m and nonzero weights c_1..c_m."""
+    """Ray directions gamma_1..gamma_m and nonzero weights c_1..c_m.
+
+    Two geometries of the same class are equal when their directions and
+    weights are equal as floats, and hash by those floats, so either class
+    can key a dict."""
 
     gammas: tuple
     weights: tuple
@@ -236,6 +277,15 @@ class StarGeometry:
                     raise ConfigError(f"ray directions {i} and {j} coincide")
         object.__setattr__(self, "gammas", gammas)
         object.__setattr__(self, "weights", weights)
+
+    def _key(self):
+        return tuple(map(tuple, self.gammas)), self.weights
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def m(self):

@@ -13,6 +13,7 @@ renderers.
 
 from __future__ import annotations
 
+import os
 import struct
 import warnings
 
@@ -51,32 +52,37 @@ def write_vlt1(path, obj):
                              grid.r1, grid.r2))
         fh.write(struct.pack("<I", len(comps)))
         for c in comps:
-            fh.write(np.ascontiguousarray(c, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(c, dtype="<f8").data)
 
 
 def _read_binary(path, magic, fmt, shape):
     """Read a VLT1 or VLS1 file whose header is struct ``fmt``: return the
     header fields after the magic, and the f64 samples shaped
-    ``shape(fields)`` as a read-only view of the file's bytes.  An
-    unreadable file, a wrong magic, a short header and a size other than
-    the header announces raise FileFormatError."""
+    ``shape(fields)`` = (ncomp, rows, cols) as one new array per
+    component, each read straight from the file.  An unreadable file, a
+    wrong magic, a short header and a size other than the header announces
+    raise FileFormatError."""
+    name, head = magic.decode(), struct.calcsize(fmt)
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            header = fh.read(head)
+            if header[:4] != magic:
+                raise FileFormatError(f"{path}: not a {name} file")
+            if len(header) < head:
+                raise FileFormatError(f"{path}: truncated {name} header")
+            fields = struct.unpack(fmt, header)[1:]
+            ncomp, *dims = shape(fields)
+            size = os.fstat(fh.fileno()).st_size
+            need = head + 8 * ncomp * dims[0] * dims[1]
+            if size != need:
+                raise FileFormatError(f"{path}: expected {need} bytes, got {size}")
+            comps = [np.empty(dims, dtype="<f8") for _ in range(ncomp)]
+            for c in comps:
+                if fh.readinto(c.data) != c.nbytes:
+                    raise FileFormatError(f"{path}: truncated {name} samples")
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    name = magic.decode()
-    if data[:4] != magic:
-        raise FileFormatError(f"{path}: not a {name} file")
-    header = struct.calcsize(fmt)
-    if len(data) < header:
-        raise FileFormatError(f"{path}: truncated {name} header")
-    fields = struct.unpack_from(fmt, data)[1:]
-    dims = shape(fields)
-    need = header + 8 * dims[0] * dims[1] * dims[2]
-    if len(data) != need:
-        raise FileFormatError(f"{path}: expected {need} bytes, got {len(data)}")
-    return fields, np.frombuffer(data, "<f8", offset=header).reshape(dims)
+    return fields, comps
 
 
 def read_vlt1(path):
@@ -87,16 +93,13 @@ def read_vlt1(path):
             raise FileFormatError(f"{path}: ncomp must be 1 or 2, got {ncomp}")
         return ncomp, nx, ny
 
-    (nx, ny, h, ox, oy, r1, r2, ncomp), raw = _read_binary(
+    (nx, ny, h, ox, oy, r1, r2, ncomp), comps = _read_binary(
         path, VLT1_MAGIC, "<4sII5dI", shape)
-    # copied while the file's bytes are held, like the hash in cli._save,
-    # so the heap does not shrink between the commands of a CLI chain
-    comps = raw.astype(float)
     try:
         grid = Grid2D(nx=nx, ny=ny, h=h, origin=(ox, oy), r1=r1, r2=r2)
     except Exception as exc:
         raise FileFormatError(f"{path}: bad grid header: {exc}") from exc
-    return _field(grid, comps)
+    return (ScalarField if ncomp == 1 else VectorField)._adopt(grid, *comps)
 
 
 def write_vls1(path, sg: Sinogram):
@@ -104,14 +107,14 @@ def write_vls1(path, sg: Sinogram):
         fh.write(VLS1_MAGIC)
         fh.write(struct.pack("<III", sg.n_angles, sg.n_offsets, sg.ncomp))
         fh.write(struct.pack("<3d", sg.ds, sg.angle0, sg.dangle))
-        fh.write(np.ascontiguousarray(sg.values, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(sg.values, dtype="<f8").data)
 
 
 def read_vls1(path) -> Sinogram:
-    (n_angles, n_offsets, ncomp, ds, angle0, dangle), values = _read_binary(
+    (n_angles, n_offsets, ncomp, ds, angle0, dangle), comps = _read_binary(
         path, VLS1_MAGIC, "<4sIII3d", lambda f: (f[2], f[0], f[1]))
     try:
-        return Sinogram(values, angle0, dangle, ds)
+        return Sinogram._adopt(np.stack(comps), angle0, dangle, ds)
     except Exception as exc:
         raise FileFormatError(f"{path}: bad sinogram header: {exc}") from exc
 

@@ -17,6 +17,19 @@ from .fields import Grid2D, ScalarField
 
 def bilinear(grid: Grid2D, values: np.ndarray, px, py):
     """Bilinear interpolation of grid samples; zero outside the grid square."""
+    ny, flat = values.shape[1], values.reshape(-1)
+
+    def corners(ic, jc):
+        k = ic * ny + jc  # flat index of corner (i, j)
+        return (flat.take(k + o) for o in (0, ny, 1, ny + 1))
+
+    return _bilinear(grid, px, py, corners)
+
+
+def _bilinear(grid, px, py, corners):
+    """``bilinear`` with the samples read by ``corners(ic, jc)``: the values
+    at the cell corners (ic, jc), (ic + 1, jc), (ic, jc + 1) and
+    (ic + 1, jc + 1), each shaped (..., len(px))."""
     gx = (np.asarray(px, dtype=float) - grid.origin[0]) / grid.h
     gy = (np.asarray(py, dtype=float) - grid.origin[1]) / grid.h
     inside = (gx >= 0) & (gx <= grid.nx - 1) & (gy >= 0) & (gy <= grid.ny - 1)
@@ -24,9 +37,7 @@ def bilinear(grid: Grid2D, values: np.ndarray, px, py):
     jc = np.clip(np.floor(gy).astype(np.int64), 0, grid.ny - 2)
     fx = gx - ic
     fy = gy - jc
-    ny, flat = values.shape[1], values.reshape(-1)
-    k = ic * ny + jc  # flat index of corner (i, j)
-    v00, v10, v01, v11 = (flat.take(k + o) for o in (0, ny, 1, ny + 1))
+    v00, v10, v01, v11 = corners(ic, jc)
     out = (
         (1.0 - fx) * (1.0 - fy) * v00
         + fx * (1.0 - fy) * v10
@@ -36,11 +47,12 @@ def bilinear(grid: Grid2D, values: np.ndarray, px, py):
     return np.where(inside, out, 0.0)
 
 
-def fast_len(n):
-    """The least 5-smooth integer >= n (a length numpy's FFT runs fast)."""
+def fast_len(n, primes=(2, 3, 5)):
+    """The least integer >= n with no prime factor but ``primes`` (by
+    default 5-smooth, a length numpy's FFT runs fast)."""
     while True:
         k = n
-        for p in (2, 3, 5):
+        for p in primes:
             while k % p == 0:
                 k //= p
         if k == 1:
@@ -122,6 +134,10 @@ def laplacians_from_div_curl(d: ScalarField, c: ScalarField):
     if not d.grid.same_layout(c.grid):
         raise ConfigError("div and curl fields must share a grid")
     g = d.grid
-    lap1 = partial_x(d.values, g.h) - partial_y(c.values, g.h)
-    lap2 = partial_y(d.values, g.h) + partial_x(c.values, g.h)
-    return ScalarField(g, lap1), ScalarField(g, lap2)
+    laps = _laplacians(d.values, c.values, g.h)
+    return tuple(ScalarField._adopt(g, lap) for lap in laps)
+
+
+def _laplacians(d, c, h):
+    """``laplacians_from_div_curl`` of the div and curl samples d and c."""
+    return partial_x(d, h) - partial_y(c, h), partial_y(d, h) + partial_x(c, h)

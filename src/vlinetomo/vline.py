@@ -32,8 +32,8 @@ import numpy as np
 from .beam import beam_field, integrate_w, ray_sum
 from .errors import ConfigError, GeometryError
 from .fields import ScalarField, VectorField, VLineGeometry
-from .operators import (bilinear, laplacians_from_div_curl, mixed_partial,
-                        partial_x, partial_y)
+from .operators import (_laplacians, bilinear, mixed_partial, partial_x,
+                        partial_y)
 from .poisson import solve_dirichlet_disc
 
 
@@ -63,10 +63,16 @@ def mixed_derivative(tf: ScalarField, geom: VLineGeometry) -> np.ndarray:
 
 
 def _duv_disc(data: ScalarField, geom: VLineGeometry, sign) -> ScalarField:
-    """sign * D_u D_v data / det(v, u), masked to the r1 disc."""
+    """sign * D_u D_v data / det(v, u), masked to the r1 disc; the stencil
+    runs on ``Grid2D.disc_box`` only, which holds its two-cell reach, so
+    the disc samples are those of the whole grid's."""
     grid = data.grid
-    vals = sign * mixed_derivative(data, geom) / geom.det
-    return ScalarField(grid, np.where(grid.disc_mask(grid.r1), vals, 0.0))
+    rows, cols, rr = grid.disc_box()
+    vals = (sign * mixed_partial(data.values[rows, cols], geom.u, geom.v, grid.h)
+            / geom.det)
+    out = np.zeros((grid.nx, grid.ny))
+    out[rows, cols] = np.where(rr <= grid.r1, vals, 0.0)
+    return ScalarField._adopt(grid, out)
 
 
 def recover_curl(lf: ScalarField, geom: VLineGeometry) -> ScalarField:
@@ -86,14 +92,20 @@ def recover_field_LT(lf: ScalarField, tf: ScalarField,
     div f and curl f give the componentwise Laplacians
     (Lap f1, Lap f2) = (d1 div - d2 curl, d2 div + d1 curl).  f is
     supported in the r1 disc, so each component vanishes on the r1 circle
-    and is the solution of that Dirichlet problem on the disc
-    (``solve_dirichlet_disc``); the output is 0 wherever rr >= r1.
+    and is the solution of that Dirichlet problem on the disc (one
+    ``solve_dirichlet_disc`` of both); the output is 0 wherever rr >= r1.
     """
     if not lf.grid.same_layout(tf.grid):
         raise ConfigError("L f and T f must share a grid")
-    laps = laplacians_from_div_curl(recover_div(tf, geom), recover_curl(lf, geom))
-    return VectorField(lf.grid, *(solve_dirichlet_disc(lap).field.values
-                                  for lap in laps))
+    grid = lf.grid
+    rows, cols, _ = grid.disc_box()
+    # the Laplacians on the disc's box, which holds their one-cell reach
+    laps = [np.zeros((grid.nx, grid.ny)) for _ in range(2)]
+    for lap, box in zip(laps, _laplacians(recover_div(tf, geom).values[rows, cols],
+                                          recover_curl(lf, geom).values[rows, cols],
+                                          grid.h)):
+        lap[rows, cols] = box
+    return solve_dirichlet_disc(VectorField._adopt(grid, *laps)).field
 
 
 def recover_potential(tf: ScalarField, geom: VLineGeometry) -> ScalarField:

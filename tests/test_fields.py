@@ -175,3 +175,43 @@ def test_same_layout_compares_radii_and_relative_spacing():
     tiny = Grid2D(16, 16, 1e-10, (-8e-10, -8e-10), 1e-10, 2e-10)
     assert not tiny.same_layout(Grid2D(16, 16, 2e-10, (-8e-10, -8e-10),
                                        1e-10, 2e-10))
+
+
+def test_geometries_compare_and_hash_by_value():
+    u, v = direction(0.35), direction(2.1)
+    geom = VLineGeometry(u, v)
+    same = VLineGeometry(u.tolist(), tuple(v))
+    star = StarGeometry((u, v, direction(4.0)), (1.0, -2.0, 0.5))
+    same_star = StarGeometry((u.copy(), v.copy(), direction(4.0)), (1, -2, 0.5))
+    assert geom == same and hash(geom) == hash(same)
+    assert star == same_star and hash(star) == hash(same_star)
+    assert geom != VLineGeometry(v, u)
+    assert geom != VLineGeometry(u, direction(2.1 + 1e-15))
+    assert star != StarGeometry((u, v, direction(4.0)), (1.0, -2.0, 0.25))
+    # a V-line is the star (u, v; -1, +1), but the classes stay distinct
+    assert geom != StarGeometry((u, v), (-1.0, 1.0))
+    table = {geom: "vline", star: "star"}
+    assert table[same] == "vline" and table[same_star] == "star"
+    assert len({geom, same, star, same_star}) == 2
+
+
+def test_grid_disc_box_is_rr_on_the_disc_and_two_samples_around_it():
+    for grid in (Grid2D(40, 48, 0.1, (-1.95, -2.3), 1.0, 1.9),
+                 Grid2D(64, 64, 2.002 / 63, (-1.001, -1.001), 1.0, 1.001)):
+        rows, cols, rr = grid.disc_box()
+        assert grid.disc_box()[2] is rr and not rr.flags.writeable
+        assert np.array_equal(rr, grid.rr()[rows, cols])
+        ix, iy = np.nonzero(grid.disc_mask(grid.r1))
+        assert (rows.start, rows.stop) == (max(ix.min() - 2, 0), min(ix.max() + 3, grid.nx))
+        assert (cols.start, cols.stop) == (max(iy.min() - 2, 0), min(iy.max() + 3, grid.ny))
+
+
+def test_adopted_fields_keep_the_checks_without_a_copy(small_grid):
+    a, b = (np.zeros((small_grid.nx, small_grid.ny)) for _ in range(2))
+    sf, vf = ScalarField._adopt(small_grid, a), VectorField._adopt(small_grid, a, b)
+    assert sf.values is a and vf.f1 is a and vf.f2 is b
+    assert not a.flags.writeable and not b.flags.writeable
+    with pytest.raises(ConfigError, match="non-finite"):
+        ScalarField._adopt(small_grid, np.full((small_grid.nx, small_grid.ny), np.inf))
+    with pytest.raises(ConfigError, match="shape"):
+        VectorField._adopt(small_grid, a, np.zeros((3, 3)))

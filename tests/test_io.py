@@ -3,8 +3,8 @@ import struct
 import numpy as np
 import pytest
 
-from vlinetomo import (FileFormatError, ScalarField, Sinogram, StarGeometry,
-                       VectorField, VLineGeometry)
+from vlinetomo import (ConfigError, FileFormatError, ScalarField, Sinogram,
+                       StarGeometry, VectorField, VLineGeometry)
 from vlinetomo.io import (read_star_geometry, read_vline_geometry, read_vls1,
                           read_vlt1, write_pgm, write_ppm_direction,
                           write_star_geometry, write_vline_geometry,
@@ -238,3 +238,36 @@ def test_vls1_rejects_non_finite_angle0(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(FileFormatError, match="angle0"):
         read_vls1(path)
+
+
+@pytest.mark.parametrize("ncomp", [1, 2])
+def test_vlt1_read_holds_one_copy_of_the_samples(tmp_path, ncomp):
+    # each component is read straight into its own array: the read peaks
+    # at the samples' bytes plus the header, not at a copy of the file
+    import tracemalloc
+    from vlinetomo import Grid2D
+    grid = Grid2D.centered(256, 1.0, 1.5)
+    rng = np.random.default_rng(6)
+    comps = rng.standard_normal((ncomp, grid.nx, grid.ny))
+    field = ScalarField(grid, comps[0]) if ncomp == 1 else VectorField(grid, *comps)
+    path = tmp_path / "f.vlt"
+    write_vlt1(path, field)
+    tracemalloc.start()
+    try:
+        back = read_vlt1(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * comps.nbytes
+    for a, b in zip(comps, [back.values] if ncomp == 1 else [back.f1, back.f2]):
+        assert np.array_equal(a, b) and not b.flags.writeable
+
+
+def test_vlt1_read_rejects_non_finite_samples(tmp_path, scalar):
+    path = tmp_path / "f.vlt"
+    write_vlt1(path, scalar)
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<d", data, 56 + 8 * 100, float("nan"))
+    path.write_bytes(bytes(data))
+    with pytest.raises(ConfigError, match="non-finite"):
+        read_vlt1(path)

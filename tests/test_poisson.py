@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from vlinetomo import (ConfigError, Grid2D, ScalarField,
+from vlinetomo import (ConfigError, Grid2D, ScalarField, VectorField,
                        grid_for_vline, make_phantom, poisson,
                        solve_dirichlet_disc, solve_free_space)
 from vlinetomo.operators import correlate, laplacians_from_div_curl
@@ -198,3 +198,43 @@ def test_solvers_are_linear(grid):
         vc = solver(combo).field.values
         scale = np.abs(vc).max()
         assert np.abs(vc - (2.0 * va - 3.0 * vb)).max() <= 1e-7 * scale
+
+
+@pytest.mark.parametrize("make_grid", [
+    lambda geom: grid_for_vline(96, 1.0, geom),
+    lambda geom: grid_for_vline(97, 1.0, geom),
+    lambda geom: TIGHT_GRID,
+], ids=["nx96", "nx97", "tight"])
+def test_dirichlet_vector_rhs_is_two_scalar_solves(make_grid, geom):
+    # one batched solve of both components, bit for bit the scalar solves,
+    # reporting the larger residual; a zero component stays exactly zero
+    grid = make_grid(geom)
+    ph = make_phantom("mixed", grid)
+    both = solve_dirichlet_disc(VectorField(grid, ph.div.values, ph.curl.values))
+    one, two = solve_dirichlet_disc(ph.div), solve_dirichlet_disc(ph.curl)
+    assert np.array_equal(both.field.f1, one.field.values)
+    assert np.array_equal(both.field.f2, two.field.values)
+    assert both.residual == max(one.residual, two.residual)
+    half = solve_dirichlet_disc(VectorField(grid, np.zeros((grid.nx, grid.ny)),
+                                            ph.curl.values))
+    assert np.all(half.field.f1 == 0.0)
+    assert np.array_equal(half.field.f2, two.field.values)
+    assert half.residual == two.residual
+
+
+def _seven_smooth(k):
+    for p in (2, 3, 5, 7):
+        while k % p == 0:
+            k //= p
+    return k == 1
+
+
+def test_dst_box_is_least_seven_smooth_with_even_growth():
+    # per axis n = span + 3; m is the least m >= n with m + 1 7-smooth and
+    # m - n even, grown by (m - n) / 2 at each end
+    for n in range(16, 601):
+        lo, shape = poisson._dst_box(np.array([5, n + 2]), np.array([0, n - 3]))
+        m = shape[0]
+        assert m >= n and (m - n) % 2 == 0 and _seven_smooth(m + 1)
+        assert not any(_seven_smooth(k + 1) for k in range(n, m, 2))
+        assert shape == (m, m) and lo == (4 - (m - n) // 2, -1 - (m - n) // 2)

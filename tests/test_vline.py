@@ -8,7 +8,7 @@ from vlinetomo import (ConfigError, GeometryError, Grid2D, ScalarField,
                        make_phantom, recover_curl, recover_div,
                        recover_field_LI, recover_field_LT, recover_field_TJ,
                        recover_potential, recover_stream, rhombus_check,
-                       signed_vline, solve_free_space)
+                       signed_vline, solve_dirichlet_disc, solve_free_space)
 from vlinetomo.operators import bilinear
 from vlinetomo.phantoms import bump_scalar
 from vlinetomo.vline import _mollify, mixed_derivative
@@ -387,3 +387,45 @@ def test_vline_pipelines_accept_a_grid_below_the_strip_bound(geom):
                                 rel_l2(stream, ph.stream.values, mask)]))
     assert geom.required_r2(1.0) > 1.2
     assert np.all(errors[0] < errors[1]), errors
+
+
+@pytest.mark.parametrize("make_grid", [
+    lambda geom: grid_for_vline(96, 1.0, geom),
+    lambda geom: Grid2D(64, 64, 2.002 / 63, (-1.001, -1.001), 1.0, 1.001),
+], ids=["nx96", "tight"])
+@pytest.mark.parametrize("angles", [(0.0, np.pi / 2), (0.35, 2.1)],
+                         ids=["axis", "oblique"])
+def test_disc_box_pipelines_match_the_full_grid(make_grid, angles):
+    # curl and div run the stencil on Grid2D.disc_box only, and LT takes
+    # its Laplacians there: bit for bit the full-grid route, also where
+    # the box meets the grid's edge
+    geom = VLineGeometry(*(direction(a) for a in angles))
+    g = make_grid(geom)
+    f = make_phantom("mixed", g).field
+    lf, tf = forward_L(f, geom), forward_T(f, geom)
+    mask = g.disc_mask(g.r1)
+    curl = np.where(mask, mixed_derivative(lf, geom) / geom.det, 0.0)
+    div = np.where(mask, -mixed_derivative(tf, geom) / geom.det, 0.0)
+    assert np.array_equal(recover_curl(lf, geom).values, curl)
+    assert np.array_equal(recover_div(tf, geom).values, div)
+    laps = laplacians_from_div_curl(ScalarField(g, div), ScalarField(g, curl))
+    rec = recover_field_LT(lf, tf, geom)
+    for got, lap in zip((rec.f1, rec.f2), laps):
+        assert np.array_equal(got, solve_dirichlet_disc(lap).field.values)
+
+
+def test_recover_field_LT_peak_memory(geom):
+    # one batched disc solve on the 174-sample box, with no grid-sized
+    # window; the two solves on a 224 box before it peaked at 6.99 MB
+    # (tracemalloc), 13.3 grid arrays
+    import tracemalloc
+    g = Grid2D.centered(256, 1.0, 1.5)
+    f = make_phantom("mixed", g).field
+    lf, tf = forward_L(f, geom), forward_T(f, geom)
+    tracemalloc.start()
+    try:
+        recover_field_LT(lf, tf, geom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11.5 * 8 * g.nx * g.ny
