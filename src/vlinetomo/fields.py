@@ -124,11 +124,14 @@ class Grid2D:
         r1 disc, each grown by 2 samples within the grid, and ``rr()`` on
         that box only, as one read-only array computed on the first call.
         The box holds the disc and the two-cell reach of the D_u D_v
-        stencil around it, so the inversions read nothing else."""
+        stencil around it, so the inversions read nothing else.  A grid with
+        no sample in the disc has an empty box."""
         box = self.__dict__.get("_disc_box")
         if box is None:
             def grown(c, other):  # the lines holding a disc sample, and 2 more
                 i = np.flatnonzero(np.hypot(c, np.abs(other).min()) <= self.r1)
+                if i.size == 0:
+                    return slice(0, 0)
                 return slice(max(int(i[0]) - 2, 0), min(int(i[-1]) + 3, c.size))
 
             xs, ys = self.xs(), self.ys()

@@ -58,10 +58,10 @@ def write_vlt1(path, obj):
 def _read_binary(path, magic, fmt, shape):
     """Read a VLT1 or VLS1 file whose header is struct ``fmt``: return the
     header fields after the magic, and the f64 samples shaped
-    ``shape(fields)`` = (ncomp, rows, cols) as one new array per
-    component, each read straight from the file.  An unreadable file, a
-    wrong magic, a short header and a size other than the header announces
-    raise FileFormatError."""
+    ``shape(fields)`` = (ncomp, rows, cols) as one new array, read
+    straight from the file.  An unreadable file, a wrong magic, a short
+    header and a size other than the header announces raise
+    FileFormatError."""
     name, head = magic.decode(), struct.calcsize(fmt)
     try:
         with open(path, "rb") as fh:
@@ -76,13 +76,12 @@ def _read_binary(path, magic, fmt, shape):
             need = head + 8 * ncomp * dims[0] * dims[1]
             if size != need:
                 raise FileFormatError(f"{path}: expected {need} bytes, got {size}")
-            comps = [np.empty(dims, dtype="<f8") for _ in range(ncomp)]
-            for c in comps:
-                if fh.readinto(c.data) != c.nbytes:
-                    raise FileFormatError(f"{path}: truncated {name} samples")
+            samples = np.empty((ncomp, *dims), dtype="<f8")
+            if fh.readinto(samples.data) != samples.nbytes:
+                raise FileFormatError(f"{path}: truncated {name} samples")
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    return fields, comps
+    return fields, samples
 
 
 def read_vlt1(path):
@@ -93,13 +92,14 @@ def read_vlt1(path):
             raise FileFormatError(f"{path}: ncomp must be 1 or 2, got {ncomp}")
         return ncomp, nx, ny
 
-    (nx, ny, h, ox, oy, r1, r2, ncomp), comps = _read_binary(
+    (nx, ny, h, ox, oy, r1, r2, ncomp), samples = _read_binary(
         path, VLT1_MAGIC, "<4sII5dI", shape)
+    samples.flags.writeable = False  # the fields adopt its rows
     try:
         grid = Grid2D(nx=nx, ny=ny, h=h, origin=(ox, oy), r1=r1, r2=r2)
     except Exception as exc:
         raise FileFormatError(f"{path}: bad grid header: {exc}") from exc
-    return (ScalarField if ncomp == 1 else VectorField)._adopt(grid, *comps)
+    return (ScalarField if ncomp == 1 else VectorField)._adopt(grid, *samples)
 
 
 def write_vls1(path, sg: Sinogram):
@@ -111,10 +111,10 @@ def write_vls1(path, sg: Sinogram):
 
 
 def read_vls1(path) -> Sinogram:
-    (n_angles, n_offsets, ncomp, ds, angle0, dangle), comps = _read_binary(
+    (n_angles, n_offsets, ncomp, ds, angle0, dangle), samples = _read_binary(
         path, VLS1_MAGIC, "<4sIII3d", lambda f: (f[2], f[0], f[1]))
     try:
-        return Sinogram._adopt(np.stack(comps), angle0, dangle, ds)
+        return Sinogram._adopt(samples, angle0, dangle, ds)
     except Exception as exc:
         raise FileFormatError(f"{path}: bad sinogram header: {exc}") from exc
 

@@ -68,10 +68,11 @@ def _duv_disc(data: ScalarField, geom: VLineGeometry, sign) -> ScalarField:
     the disc samples are those of the whole grid's."""
     grid = data.grid
     rows, cols, rr = grid.disc_box()
-    vals = (sign * mixed_partial(data.values[rows, cols], geom.u, geom.v, grid.h)
-            / geom.det)
     out = np.zeros((grid.nx, grid.ny))
-    out[rows, cols] = np.where(rr <= grid.r1, vals, 0.0)
+    if rr.size:  # else no sample is in the disc
+        vals = (sign * mixed_partial(data.values[rows, cols], geom.u, geom.v, grid.h)
+                / geom.det)
+        out[rows, cols] = np.where(rr <= grid.r1, vals, 0.0)
     return ScalarField._adopt(grid, out)
 
 
@@ -98,13 +99,14 @@ def recover_field_LT(lf: ScalarField, tf: ScalarField,
     if not lf.grid.same_layout(tf.grid):
         raise ConfigError("L f and T f must share a grid")
     grid = lf.grid
-    rows, cols, _ = grid.disc_box()
+    rows, cols, rr = grid.disc_box()
     # the Laplacians on the disc's box, which holds their one-cell reach
     laps = [np.zeros((grid.nx, grid.ny)) for _ in range(2)]
-    for lap, box in zip(laps, _laplacians(recover_div(tf, geom).values[rows, cols],
-                                          recover_curl(lf, geom).values[rows, cols],
-                                          grid.h)):
-        lap[rows, cols] = box
+    if rr.size:  # else solve_dirichlet_disc rejects the grid
+        for lap, box in zip(laps, _laplacians(recover_div(tf, geom).values[rows, cols],
+                                              recover_curl(lf, geom).values[rows, cols],
+                                              grid.h)):
+            lap[rows, cols] = box
     return solve_dirichlet_disc(VectorField._adopt(grid, *laps)).field
 
 

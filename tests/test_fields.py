@@ -206,6 +206,24 @@ def test_grid_disc_box_is_rr_on_the_disc_and_two_samples_around_it():
         assert (cols.start, cols.stop) == (max(iy.min() - 2, 0), min(iy.max() + 3, grid.ny))
 
 
+def test_grid_without_disc_samples_has_an_empty_disc_box():
+    # no sample lies within r1 = 0.5 of the centre, which sits between
+    # four samples a unit apart: curl and div are zero, and the Dirichlet
+    # solves name the empty disc
+    from vlinetomo import recover_curl, recover_div, recover_field_LT, solve_dirichlet_disc
+    grid = Grid2D(16, 16, 1.0, (-7.5, -7.5), 0.5, 1.0)
+    rows, cols, rr = grid.disc_box()
+    assert rr.shape == (0, 0) and rows.start == rows.stop and cols.start == cols.stop
+    data = ScalarField(grid, np.ones((16, 16)))
+    geom = VLineGeometry(direction(0.0), direction(np.pi / 2))
+    assert not recover_curl(data, geom).values.any()
+    assert not recover_div(data, geom).values.any()
+    for solve in (lambda: solve_dirichlet_disc(data),
+                  lambda: recover_field_LT(data, data, geom)):
+        with pytest.raises(ConfigError, match="no grid samples inside"):
+            solve()
+
+
 def test_adopted_fields_keep_the_checks_without_a_copy(small_grid):
     a, b = (np.zeros((small_grid.nx, small_grid.ny)) for _ in range(2))
     sf, vf = ScalarField._adopt(small_grid, a), VectorField._adopt(small_grid, a, b)

@@ -242,8 +242,8 @@ def test_vls1_rejects_non_finite_angle0(tmp_path):
 
 @pytest.mark.parametrize("ncomp", [1, 2])
 def test_vlt1_read_holds_one_copy_of_the_samples(tmp_path, ncomp):
-    # each component is read straight into its own array: the read peaks
-    # at the samples' bytes plus the header, not at a copy of the file
+    # the samples are read straight into one array whose rows the field
+    # adopts: the read peaks at their bytes plus the header, not at a copy
     import tracemalloc
     from vlinetomo import Grid2D
     grid = Grid2D.centered(256, 1.0, 1.5)
@@ -261,6 +261,25 @@ def test_vlt1_read_holds_one_copy_of_the_samples(tmp_path, ncomp):
     assert peak <= 1.1 * comps.nbytes
     for a, b in zip(comps, [back.values] if ncomp == 1 else [back.f1, back.f2]):
         assert np.array_equal(a, b) and not b.flags.writeable
+
+
+@pytest.mark.parametrize("ncomp", [1, 2])
+def test_vls1_read_holds_one_copy_of_the_samples(tmp_path, ncomp):
+    # the sinogram adopts the one array the samples are read into; its
+    # finiteness check adds an eighth of their bytes in flags
+    import tracemalloc
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal((ncomp, 360, 301))
+    path = tmp_path / "s.vls"
+    write_vls1(path, Sinogram(values, 0.0, np.pi / 360, 0.01))
+    tracemalloc.start()
+    try:
+        back = read_vls1(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * values.nbytes
+    assert np.array_equal(back.values, values) and not back.values.flags.writeable
 
 
 def test_vlt1_read_rejects_non_finite_samples(tmp_path, scalar):

@@ -6,7 +6,7 @@ from scipy.sparse.linalg import spsolve
 from vlinetomo import (ConfigError, Grid2D, ScalarField, VectorField,
                        grid_for_vline, make_phantom, poisson,
                        solve_dirichlet_disc, solve_free_space)
-from vlinetomo.operators import correlate, laplacians_from_div_curl
+from vlinetomo.operators import bilinear, correlate, laplacians_from_div_curl
 from vlinetomo.phantoms import bump_scalar
 
 from conftest import rel_l2
@@ -35,6 +35,14 @@ def dirichlet_lu(rhs):
 # cell beyond the disc and grown to a 5-smooth size, passes the grid's edge
 TIGHT_GRID = Grid2D(nx=64, ny=64, h=2.002 / 63, origin=(-1.001, -1.001),
                     r1=1.0, r2=1.001)
+
+
+# the r1 circle crosses cells whose corners lie past the DST box: at
+# theta = 0 on a grid line x = r1 with no sample inside the disc, and a box
+# with no growth (n = m = 97); and a grid whose first disc row is preceded
+# by a row within the disc's x-range that holds no disc sample
+EDGE_GRIDS = [Grid2D(257, 257, 1.0 / 64, (-2.0, -2.0), 0.75, 1.5),
+              Grid2D(40, 40, 1.0 / 16, (-1.234375, -1.21875), 0.36, 0.41)]
 
 
 @pytest.mark.parametrize("make_grid", [
@@ -204,7 +212,9 @@ def test_solvers_are_linear(grid):
     lambda geom: grid_for_vline(96, 1.0, geom),
     lambda geom: grid_for_vline(97, 1.0, geom),
     lambda geom: TIGHT_GRID,
-], ids=["nx96", "nx97", "tight"])
+    lambda geom: EDGE_GRIDS[0],
+    lambda geom: EDGE_GRIDS[1],
+], ids=["nx96", "nx97", "tight", "box-high", "box-low"])
 def test_dirichlet_vector_rhs_is_two_scalar_solves(make_grid, geom):
     # one batched solve of both components, bit for bit the scalar solves,
     # reporting the larger residual; a zero component stays exactly zero
@@ -238,3 +248,20 @@ def test_dst_box_is_least_seven_smooth_with_even_growth():
         assert m >= n and (m - n) % 2 == 0 and _seven_smooth(m + 1)
         assert not any(_seven_smooth(k + 1) for k in range(n, m, 2))
         assert shape == (m, m) and lo == (4 - (m - n) // 2, -1 - (m - n) // 2)
+
+
+@pytest.mark.parametrize("grid", EDGE_GRIDS, ids=["box-high", "box-low"])
+def test_circle_trace_reads_zero_past_the_box(grid):
+    # the trace is bilinear interpolation on the grid of the boxes written
+    # into zeros, bit for bit
+    lo, shape = poisson._dst_box(*np.nonzero(grid.rr() < grid.r1))
+    v_box = np.random.default_rng(8).standard_normal((2, *shape))
+    theta = 2.0 * np.pi * np.arange(1024) / 1024
+    trace = poisson._circle_trace(grid, v_box, lo, 1024)
+    for t, v in zip(trace, v_box):
+        window = np.zeros((grid.nx, grid.ny))
+        win = tuple(slice(max(l, 0), min(l + n, size))
+                    for l, n, size in zip(lo, shape, window.shape))
+        window[win] = v[tuple(slice(w.start - l, w.stop - l) for w, l in zip(win, lo))]
+        assert np.array_equal(t, bilinear(grid, window, grid.r1 * np.cos(theta),
+                                          grid.r1 * np.sin(theta)))
