@@ -3,13 +3,19 @@ next to its reconstruction error.
 
 Stages, on the mixed phantom (r1 = 1) at each requested nx:
 
+  make_phantom           the mixed phantom itself; also   none
+                         its tracemalloc peak over one
+                         untimed call, as a multiple of
+                         its six outputs' bytes
   solve_dirichlet_disc   Lap V = div f on the r1 disc     error of V
   recover_potential      T f -> div f -> V                error of V
   solve_free_space       both components of f from their  error of f
                          masked analytic Laplacians by
                          free-space convolution
   recover_field_LT       (L f, T f) -> f, one row per     error of f
-                         LT_GEOMETRIES entry              per component
+                         LT_GEOMETRIES entry, with its    per component
+                         peak as a multiple of its
+                         output's bytes
   radon_transform_field  the Radon stage of invert_star   error of f
                          on the 3-ray equiangular star,   (invert_star's)
                          360 angles; also its tracemalloc
@@ -27,7 +33,8 @@ grid_for_vline, except the recover_field_LT rows, whose "geometry" names
 their LT_GEOMETRIES entry.  Each time
 is the best of REPEATS calls on inputs built outside the timed region;
 the error is the relative L2 error over the r1 disc against the phantom's
-analytic field (the larger of the two components for f).  Dirichlet rows
+analytic field (the larger of the two components for f), and null for
+the phantom itself.  Dirichlet rows
 also carry the solver's residual (the share of the boundary trace the
 harmonic correction drops).
 
@@ -77,16 +84,27 @@ def best_of(fn, *args):
     return out, best
 
 
+def result_bytes(out):
+    """Bytes of the sample arrays of a field, a sinogram or a phantom."""
+    if isinstance(out, vt.Phantom):
+        return sum(result_bytes(part) for part in (out.field, out.div, out.curl,
+                                                   out.potential, out.stream)
+                   if part is not None)
+    if isinstance(out, vt.VectorField):
+        return out.f1.nbytes + out.f2.nbytes
+    return out.values.nbytes
+
+
 def peak_over_output(fn, *args):
-    """tracemalloc's peak over one call of ``fn``, as a multiple of the
-    bytes of the values of its result."""
+    """tracemalloc's peak over one call of ``fn``, as a multiple of
+    ``result_bytes`` of its result."""
     tracemalloc.start()
     try:
         out = fn(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / out.values.nbytes
+    return peak / result_bytes(out)
 
 
 def rel_l2s(recon, oracle, mask):
@@ -109,11 +127,11 @@ def lt_rows(nx, row):
                 else vt.Grid2D.centered(nx, R1, r2))
         ph = vt.make_phantom("mixed", grid)
         f = [ph.field.f1, ph.field.f2]
-        rec, t = best_of(vt.recover_field_LT, vt.forward_L(ph.field, geom),
-                         vt.forward_T(ph.field, geom), geom)
+        args = (vt.forward_L(ph.field, geom), vt.forward_T(ph.field, geom), geom)
+        rec, t = best_of(vt.recover_field_LT, *args)
         errs = rel_l2s([rec.f1, rec.f2], f, grid.disc_mask(grid.r1))
         row("recover_field_LT", t, max(errs), geometry=name, rel_l2_f1=errs[0],
-            rel_l2_f2=errs[1])
+            rel_l2_f2=errs[1], peak_over_output=peak_over_output(vt.recover_field_LT, *args))
 
 
 def sweep_nx(nx):
@@ -125,7 +143,9 @@ def sweep_nx(nx):
     geom = vt.VLineGeometry(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     grid = vt.grid_for_vline(nx, R1, geom)
     disc = grid.disc_mask(grid.r1)
-    ph = vt.make_phantom("mixed", grid)
+    ph, t = best_of(vt.make_phantom, "mixed", grid)
+    row("make_phantom", t, None,
+        peak_over_output=peak_over_output(vt.make_phantom, "mixed", grid))
     f = [ph.field.f1, ph.field.f2]
 
     res, t = best_of(vt.solve_dirichlet_disc, ph.div)
@@ -203,8 +223,9 @@ def main(argv=None):
         done = sweep_nx(nx)
         rows += done
         for r in done:
+            err = "-" if r["rel_l2"] is None else f"{r['rel_l2']:.4e}"
             print(f"{r['stage']:22s} nx={nx:4d}  {r['best_s']:8.4f} s  "
-                  f"rel_l2 {r['rel_l2']:.4e}  {r.get('geometry', '')}")
+                  f"rel_l2 {err}  {r.get('geometry', '')}")
 
     doc = {"bench": "bench/poisson_sweep.py", "runs": {}}
     if os.path.exists(args.out):

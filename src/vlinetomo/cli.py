@@ -233,8 +233,14 @@ def cmd_invert(args):
         raise ConfigError(f"pipeline {pipeline!r} is missing an input file")
     data = [_read(path, ncomp, f"pipeline {pipeline!r}")
             for path, (_, ncomp) in zip(paths, inputs)]
+    # inputs on the first one's layout move onto its grid, samples uncopied,
+    # so they share its cached disc box; the pipeline rejects any other
+    grid = data[0].grid
+    data = [type(d)._adopt(grid, *_components(d))
+            if d.grid is not grid and grid.same_layout(d.grid) else d
+            for d in data]
     # checked before the reconstruction (on the inputs' grid) and any write
-    oracle = None if args.oracle is None else _oracle(args, n_out, data[0].grid)
+    oracle = None if args.oracle is None else _oracle(args, n_out, grid)
     if pipeline == "star":
         result = fn(*data, _geometry(args, "--star-geometry", read_star_geometry),
                     n_angles=args.angles, guard_deg=args.guard_deg)

@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import ConfigError, FileFormatError
 from .fields import (Grid2D, ScalarField, StarGeometry, VectorField,
                      VLineGeometry)
 from .radon import Sinogram
@@ -99,7 +99,10 @@ def read_vlt1(path):
         grid = Grid2D(nx=nx, ny=ny, h=h, origin=(ox, oy), r1=r1, r2=r2)
     except Exception as exc:
         raise FileFormatError(f"{path}: bad grid header: {exc}") from exc
-    return (ScalarField if ncomp == 1 else VectorField)._adopt(grid, *samples)
+    try:
+        return (ScalarField if ncomp == 1 else VectorField)._adopt(grid, *samples)
+    except ConfigError as exc:  # a NaN or an infinity among the samples
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def write_vls1(path, sg: Sinogram):

@@ -31,8 +31,12 @@ class Phantom:
 def bump_scalar(grid: Grid2D, center=(0.0, 0.0), scale=1.0, amplitude=1.0) -> ScalarField:
     """Scalar bump amplitude * (1 - rho^2)^3, rho = |x - center| / scale."""
     _check_support(grid, center, scale)
-    q = _q(grid, center, scale)
-    return ScalarField(grid, amplitude * _profile(q))
+    d1 = (grid.xs() - center[0]) ** 2
+    d2 = (grid.ys() - center[1]) ** 2
+    rows, cols = _lines(d1 / scale**2), _lines(d2 / scale**2)
+    out = np.zeros((grid.nx, grid.ny))
+    out[rows, cols] += amplitude * _omq((d1[rows, None] + d2[None, cols]) / scale**2) ** 3
+    return ScalarField._adopt(grid, out)
 
 
 def make_phantom(kind, grid: Grid2D, center=None, scale=None, amplitude=1.0,
@@ -44,26 +48,40 @@ def make_phantom(kind, grid: Grid2D, center=None, scale=None, amplitude=1.0,
     mixed:      sum of both, the second bump at (center2, scale2)
 
     Defaults: a centered full-size bump for the pure kinds, two offset
-    bumps for the mixed kind, all sized from grid.r1.
+    bumps for the mixed kind, all sized from grid.r1.  Each bump is
+    evaluated on its support's bounding box only and added into the
+    outputs, which hold +0.0 elsewhere.  The outputs are the rows of one
+    array, which stays allocated while any of them is referenced.
     """
     r1 = grid.r1
     if kind in ("potential", "solenoidal"):
         center = (0.0, 0.0) if center is None else center
         scale = r1 if scale is None else scale
-        return _gradient_phantom(grid, center, scale, amplitude,
-                                 perp=(kind == "solenoidal"))
-    if kind == "mixed":
+        bumps = [(center, scale, amplitude, kind == "solenoidal")]
+    elif kind == "mixed":
         center = (-0.25 * r1, -0.15 * r1) if center is None else center
         scale = 0.55 * r1 if scale is None else scale
         center2 = (0.2 * r1, 0.25 * r1) if center2 is None else center2
         scale2 = 0.5 * r1 if scale2 is None else scale2
         amplitude2 = amplitude if amplitude2 is None else amplitude2
-        a = _gradient_phantom(grid, center, scale, amplitude, perp=False)
-        b = _gradient_phantom(grid, center2, scale2, amplitude2, perp=True)
-        f = VectorField(grid, a.field.f1 + b.field.f1, a.field.f2 + b.field.f2)
-        return Phantom(field=f, div=a.div, curl=b.curl,
-                       potential=a.potential, stream=b.stream, kind="mixed")
-    raise ConfigError(f"unknown phantom kind {kind!r}")
+        bumps = [(center, scale, amplitude, False),
+                 (center2, scale2, amplitude2, True)]
+    else:
+        raise ConfigError(f"unknown phantom kind {kind!r}")
+    for c, s, _, _ in bumps:
+        _check_support(grid, c, s)
+    # one zeroed block: f1, f2, div, curl and each bump's profile V or W
+    out = np.zeros((4 + len(bumps), grid.nx, grid.ny))
+    f1, f2, div, curl, *profiles = out
+    for (c, s, a, perp), profile in zip(bumps, profiles):
+        _add_bump(grid, c, s, a, perp, f1, f2, curl if perp else div, profile)
+    out.flags.writeable = False  # the fields adopt its rows
+    # the potential V is the gradient bump's profile, the stream W the perp one's
+    by_perp = {perp: profile for (*_, perp), profile in zip(bumps, profiles)}
+    scalar = lambda v: None if v is None else ScalarField._adopt(grid, v)
+    return Phantom(field=VectorField._adopt(grid, f1, f2), div=scalar(div),
+                   curl=scalar(curl), potential=scalar(by_perp.get(False)),
+                   stream=scalar(by_perp.get(True)), kind=kind)
 
 
 def random_phantom(kind, grid: Grid2D, rng) -> Phantom:
@@ -84,13 +102,17 @@ def random_phantom(kind, grid: Grid2D, rng) -> Phantom:
     return make_phantom(kind, grid, center, scale, amp)
 
 
-def _profile(q):
-    return np.where(q < 1.0, (1.0 - np.minimum(q, 1.0)) ** 3, 0.0)
+def _lines(t):
+    """The slice from the first to the last line whose share ``t`` of q is
+    below 1: q is at least that share, so the bump's support (q < 1) lies
+    on these lines."""
+    i = np.flatnonzero(t < 1.0)
+    return slice(int(i[0]), int(i[-1]) + 1) if i.size else slice(0, 0)
 
 
-def _q(grid, center, scale):
-    xx, yy = grid.mesh()
-    return ((xx - center[0]) ** 2 + (yy - center[1]) ** 2) / scale**2
+def _omq(q):
+    """1 - q on the support q < 1, and 0 off it."""
+    return np.where(q < 1.0, 1.0 - q, 0.0)
 
 
 def _check_support(grid, center, scale):
@@ -100,26 +122,23 @@ def _check_support(grid, center, scale):
         raise ConfigError("phantom support leaks outside the r1 disc")
 
 
-def _gradient_phantom(grid, center, scale, amplitude, perp):
-    _check_support(grid, center, scale)
-    xx, yy = grid.mesh()
-    y1 = (xx - center[0]) / scale
-    y2 = (yy - center[1]) / scale
+def _add_bump(grid, center, scale, amplitude, perp, f1, f2, lap, profile):
+    """Add the bump V = amplitude * (1 - q)^3 on its support's bounding box:
+    grad V (perp(grad V) if ``perp``) into (f1, f2), Lap V into ``lap`` and
+    V into ``profile``."""
+    t1 = (grid.xs() - center[0]) / scale
+    t2 = (grid.ys() - center[1]) / scale
+    box = _lines(t1**2), _lines(t2**2)
+    y1, y2 = t1[box[0], None], t2[None, box[1]]
     q = y1**2 + y2**2
-    inside = q < 1.0
-    omq = np.where(inside, 1.0 - q, 0.0)
+    omq = _omq(q)
     # grad of (1 - q)^3: -6 (1 - q)^2 y / scale
-    g1 = -6.0 * amplitude * omq**2 * y1 / scale
-    g2 = -6.0 * amplitude * omq**2 * y2 / scale
-    # Laplacian: 12 (1 - q)(3 q - 1) / scale^2
-    lap = 12.0 * amplitude * omq * (3.0 * q - 1.0) / scale**2
-    lap = np.where(inside, lap, 0.0)
-    pot = ScalarField(grid, amplitude * _profile(q))
-    zero = ScalarField(grid, np.zeros_like(lap))
+    w = -6.0 * amplitude * omq**2
+    g1, g2 = w * y1 / scale, w * y2 / scale
     if perp:
-        f = VectorField(grid, -g2, g1)
-        return Phantom(field=f, div=zero, curl=ScalarField(grid, lap),
-                       potential=None, stream=pot, kind="solenoidal")
-    f = VectorField(grid, g1, g2)
-    return Phantom(field=f, div=ScalarField(grid, lap), curl=zero,
-                   potential=pot, stream=None, kind="potential")
+        g1, g2 = -g2, g1
+    f1[box] += g1
+    f2[box] += g2
+    # Laplacian: 12 (1 - q)(3 q - 1) / scale^2
+    lap[box] += 12.0 * amplitude * omq * (3.0 * q - 1.0) / scale**2
+    profile[box] += amplitude * omq**3

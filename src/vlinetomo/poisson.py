@@ -129,15 +129,18 @@ def solve_dirichlet_disc(rhs: ScalarField | VectorField) -> PoissonResult:
     r = np.zeros((len(comps),) + shape)
     for box, c in zip(r, comps):
         box[at][mask] = -c[tight][mask] * grid.h * grid.h
-    outs = [np.zeros((grid.nx, grid.ny)) for _ in comps]
     if not r.any():
-        return PoissonResult(type(rhs)._adopt(grid, *outs), 0, 0.0)
+        return PoissonResult(type(rhs)._adopt(
+            grid, *(np.zeros((grid.nx, grid.ny)) for _ in comps)), 0, 0.0)
     v_box = _box_solve(r)
 
     m = 1 << max(0, int(np.ceil(np.log2(4.0 * np.pi * grid.r1 / grid.h))))
     trace = _circle_trace(grid, v_box, lo, m)
-    ghat = np.fft.rfft(trace, axis=-1) / m
     vd = v_box[(slice(None),) + at][:, mask]  # V_box on the disc samples
+    # the box arrays, and below the harmonic's, go as soon as they are used,
+    # so the grid-sized outputs are allocated beside none of them
+    del r, v_box
+    ghat = np.fft.rfft(trace, axis=-1) / m
     k = m // 32
     c = ghat[:, :k + 1] * 2.0
     c[:, 0] = ghat[:, 0]
@@ -154,6 +157,8 @@ def solve_dirichlet_disc(rhs: ScalarField | VectorField) -> PoissonResult:
         harm *= z
         harm += ck[:, None]
     vd -= harm.real
+    del z, harm
+    outs = [np.zeros((grid.nx, grid.ny)) for _ in comps]
     for out, v in zip(outs, vd):
         out[tight][mask] = v
     res = max(float(np.linalg.norm(g[kc + 1:]) / np.linalg.norm(g)) if g.any() else 0.0

@@ -62,17 +62,23 @@ def mixed_derivative(tf: ScalarField, geom: VLineGeometry) -> np.ndarray:
     return mixed_partial(tf.values, geom.u, geom.v, tf.grid.h)
 
 
+def _duv_box(data: ScalarField, geom: VLineGeometry, sign) -> np.ndarray:
+    """sign * D_u D_v data / det(v, u) on ``Grid2D.disc_box``, 0 off the r1
+    disc; the box holds the stencil's two-cell reach, so the disc samples
+    are those of the whole grid's."""
+    grid = data.grid
+    rows, cols, rr = grid.disc_box()
+    vals = sign * mixed_partial(data.values[rows, cols], geom.u, geom.v, grid.h) / geom.det
+    return np.where(rr <= grid.r1, vals, 0.0)
+
+
 def _duv_disc(data: ScalarField, geom: VLineGeometry, sign) -> ScalarField:
-    """sign * D_u D_v data / det(v, u), masked to the r1 disc; the stencil
-    runs on ``Grid2D.disc_box`` only, which holds its two-cell reach, so
-    the disc samples are those of the whole grid's."""
+    """``_duv_box`` written into a grid of zeros."""
     grid = data.grid
     rows, cols, rr = grid.disc_box()
     out = np.zeros((grid.nx, grid.ny))
     if rr.size:  # else no sample is in the disc
-        vals = (sign * mixed_partial(data.values[rows, cols], geom.u, geom.v, grid.h)
-                / geom.det)
-        out[rows, cols] = np.where(rr <= grid.r1, vals, 0.0)
+        out[rows, cols] = _duv_box(data, geom, sign)
     return ScalarField._adopt(grid, out)
 
 
@@ -103,9 +109,8 @@ def recover_field_LT(lf: ScalarField, tf: ScalarField,
     # the Laplacians on the disc's box, which holds their one-cell reach
     laps = [np.zeros((grid.nx, grid.ny)) for _ in range(2)]
     if rr.size:  # else solve_dirichlet_disc rejects the grid
-        for lap, box in zip(laps, _laplacians(recover_div(tf, geom).values[rows, cols],
-                                              recover_curl(lf, geom).values[rows, cols],
-                                              grid.h)):
+        for lap, box in zip(laps, _laplacians(_duv_box(tf, geom, -1.0),
+                                              _duv_box(lf, geom, 1.0), grid.h)):
             lap[rows, cols] = box
     return solve_dirichlet_disc(VectorField._adopt(grid, *laps)).field
 

@@ -11,6 +11,9 @@ None of these is called by library code, the CLI or the benchmark:
   phantoms and pipelines are checked with.
 - ``symmetric_by_coefficients`` is a second symmetry test for stars,
   checked against ``star.classify``.
+- ``full_grid_phantom`` and ``full_grid_bump`` evaluate the phantom
+  formulas at every grid sample; ``phantoms`` evaluates them on each
+  bump's support box only, with the same arithmetic.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from vlinetomo.beam import _ray_lattice, _supported
 from vlinetomo.errors import ConfigError
 from vlinetomo.fields import ScalarField, VectorField, unit_vector
 from vlinetomo.operators import bilinear, partial_x, partial_y
+from vlinetomo.phantoms import Phantom
 from vlinetomo.poisson import solve_dirichlet_disc
 from vlinetomo.star import StarGeometry, _p_of_w
 
@@ -129,3 +133,58 @@ def symmetric_by_coefficients(sg: StarGeometry):
     """True when P(psi) is the zero polynomial (coefficient-norm test)."""
     scale = max(abs(c) for c in sg.weights) * sg.m
     return float(np.max(np.abs(_p_of_w(sg)))) <= 1e-10 * scale
+
+
+def _full_grid_profile(q):
+    return np.where(q < 1.0, (1.0 - np.minimum(q, 1.0)) ** 3, 0.0)
+
+
+def full_grid_bump(grid, center=(0.0, 0.0), scale=1.0, amplitude=1.0):
+    """``phantoms.bump_scalar``'s values, evaluated at every sample."""
+    xx, yy = grid.mesh()
+    q = ((xx - center[0]) ** 2 + (yy - center[1]) ** 2) / scale**2
+    return amplitude * _full_grid_profile(q)
+
+
+def _full_grid_gradient_phantom(grid, center, scale, amplitude, perp):
+    xx, yy = grid.mesh()
+    y1 = (xx - center[0]) / scale
+    y2 = (yy - center[1]) / scale
+    q = y1**2 + y2**2
+    inside = q < 1.0
+    omq = np.where(inside, 1.0 - q, 0.0)
+    g1 = -6.0 * amplitude * omq**2 * y1 / scale
+    g2 = -6.0 * amplitude * omq**2 * y2 / scale
+    lap = 12.0 * amplitude * omq * (3.0 * q - 1.0) / scale**2
+    lap = np.where(inside, lap, 0.0)
+    pot = ScalarField(grid, amplitude * _full_grid_profile(q))
+    zero = ScalarField(grid, np.zeros_like(lap))
+    if perp:
+        f = VectorField(grid, -g2, g1)
+        return Phantom(field=f, div=zero, curl=ScalarField(grid, lap),
+                       potential=None, stream=pot, kind="solenoidal")
+    f = VectorField(grid, g1, g2)
+    return Phantom(field=f, div=ScalarField(grid, lap), curl=zero,
+                   potential=pot, stream=None, kind="potential")
+
+
+def full_grid_phantom(kind, grid, center=None, scale=None, amplitude=1.0,
+                      center2=None, scale2=None, amplitude2=None):
+    """``phantoms.make_phantom`` with every bump evaluated at every sample
+    and the mixed field summed from its two parts (no support check)."""
+    r1 = grid.r1
+    if kind in ("potential", "solenoidal"):
+        center = (0.0, 0.0) if center is None else center
+        scale = r1 if scale is None else scale
+        return _full_grid_gradient_phantom(grid, center, scale, amplitude,
+                                           perp=(kind == "solenoidal"))
+    center = (-0.25 * r1, -0.15 * r1) if center is None else center
+    scale = 0.55 * r1 if scale is None else scale
+    center2 = (0.2 * r1, 0.25 * r1) if center2 is None else center2
+    scale2 = 0.5 * r1 if scale2 is None else scale2
+    amplitude2 = amplitude if amplitude2 is None else amplitude2
+    a = _full_grid_gradient_phantom(grid, center, scale, amplitude, perp=False)
+    b = _full_grid_gradient_phantom(grid, center2, scale2, amplitude2, perp=True)
+    f = VectorField(grid, a.field.f1 + b.field.f1, a.field.f2 + b.field.f2)
+    return Phantom(field=f, div=a.div, curl=b.curl, potential=a.potential,
+                   stream=b.stream, kind="mixed")

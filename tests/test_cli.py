@@ -612,6 +612,62 @@ def test_non_finite_grid_header_exits_4_naming_the_file(
     assert str(path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_samples_exit_4_naming_the_file(tmp_path, geom_file, capsys,
+                                                   bad):
+    # a NaN or an infinity among the samples makes the file malformed
+    path = tmp_path / "bad.vlt"
+    samples = np.zeros(32 * 32)
+    samples[100] = bad
+    path.write_bytes(struct.pack("<4sII5dI", b"VLT1", 32, 32, 1 / 16, -1.0,
+                                 -1.0, 0.5, 0.9, 1) + samples.tobytes())
+    out = tmp_path / "x"
+    assert main(["invert", "--pipeline", "curl", "--lf", str(path),
+                 "--geometry", geom_file, "--out-dir", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert str(path) in err and "non-finite" in err
+    assert list(out.iterdir()) == []
+
+
+def test_invert_inputs_share_the_first_inputs_grid(tmp_path, geom_file,
+                                                   monkeypatch):
+    # the L and T files are read onto one grid, whose disc box is built
+    # once; the reconstruction and its report are those of inputs read
+    # onto a grid each
+    import vlinetomo.cli as cli
+    from vlinetomo.io import read_vline_geometry, write_vlt1
+    from vlinetomo.vline import recover_field_LT
+    ph = _phantom(tmp_path, nx=48, kind="mixed")
+    inputs = {}
+    for t in "LT":
+        assert main(["forward", "--transform", t, "--field", str(ph / "field.vlt"),
+                     "--geometry", geom_file, "--out-dir", str(tmp_path / t)]) == 0
+        inputs[t] = str(tmp_path / t / "transform.vlt")
+    grids = []
+
+    def spy(lf, tf, geom):
+        grids.append((lf.grid, tf.grid))
+        return recover_field_LT(lf, tf, geom)
+
+    monkeypatch.setattr(cli, "recover_field_LT", spy)
+    rec = tmp_path / "rec"
+    assert main(["invert", "--pipeline", "lt", "--lf", inputs["L"], "--tf",
+                 inputs["T"], "--geometry", geom_file, "--oracle",
+                 str(ph / "field.vlt"), "--out-dir", str(rec)]) == 0
+    [(lf_grid, tf_grid)] = grids
+    assert lf_grid is tf_grid
+    lf, tf = read_vlt1(inputs["L"]), read_vlt1(inputs["T"])
+    assert lf.grid is not tf.grid
+    write_vlt1(tmp_path / "own.vlt", recover_field_LT(
+        lf, tf, read_vline_geometry(geom_file)))
+    assert ((rec / "reconstruction.vlt").read_bytes()
+            == (tmp_path / "own.vlt").read_bytes())
+    assert main(["report", "--field", str(tmp_path / "own.vlt"), "--oracle",
+                 str(ph / "field.vlt"), "--out-dir", str(tmp_path / "rep")]) == 0
+    assert ((rec / "report.txt").read_bytes()
+            == (tmp_path / "rep" / "report.txt").read_bytes())
+
+
 REPORT = ["report", "--field", "FIELD"]
 INVERT = ["invert", "--pipeline", "curl", "--lf", "DIV", "--geometry", "GEOM"]
 

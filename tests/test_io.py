@@ -3,8 +3,8 @@ import struct
 import numpy as np
 import pytest
 
-from vlinetomo import (ConfigError, FileFormatError, ScalarField, Sinogram,
-                       StarGeometry, VectorField, VLineGeometry)
+from vlinetomo import (FileFormatError, ScalarField, Sinogram, StarGeometry,
+                       VectorField, VLineGeometry)
 from vlinetomo.io import (read_star_geometry, read_vline_geometry, read_vls1,
                           read_vlt1, write_pgm, write_ppm_direction,
                           write_star_geometry, write_vline_geometry,
@@ -288,5 +288,5 @@ def test_vlt1_read_rejects_non_finite_samples(tmp_path, scalar):
     data = bytearray(path.read_bytes())
     struct.pack_into("<d", data, 56 + 8 * 100, float("nan"))
     path.write_bytes(bytes(data))
-    with pytest.raises(ConfigError, match="non-finite"):
+    with pytest.raises(FileFormatError, match="non-finite"):
         read_vlt1(path)
