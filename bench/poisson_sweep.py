@@ -24,7 +24,10 @@ Stages, on the mixed phantom (r1 = 1) at each requested nx:
   star_fbp               its FBP stage                    error of f
   invert_star            the whole star inversion         error of f
   forward_vline          forward_L, _T, _I and _J at      LI's error of f
-                         u@0.35/v@2.1
+                         u@0.35/v@2.1; also forward_L's
+                         tracemalloc peak over one
+                         untimed call, as a multiple of
+                         its output's bytes
   forward_star           the 3-ray star's forward_star    error of f
                                                           (invert_star's)
 
@@ -186,7 +189,7 @@ def sweep_nx(nx):
 
 def forward_rows(nx, row):
     """The forward_vline row: L, T, I and J at u@0.35/v@2.1, with the LI
-    error beside them."""
+    error and forward_L's peak beside them."""
     a, b, _ = LT_GEOMETRIES["oblique"]
     geom = vt.VLineGeometry(vt.direction(a), vt.direction(b))
     grid = vt.grid_for_vline(nx, R1, geom)
@@ -196,7 +199,7 @@ def forward_rows(nx, row):
     rec = vt.recover_field_LI(lf, i_f, geom)
     row("forward_vline", t, rel_l2([rec.f1, rec.f2], [ph.field.f1, ph.field.f2],
                                    grid.disc_mask(grid.r1)),
-        geometry="oblique")
+        geometry="oblique", peak_over_output=peak_over_output(vt.forward_L, ph.field, geom))
 
 
 def _scipy_version():

@@ -5,9 +5,9 @@ transform of a scalar function and its closed-form inversion.
 
 Every beam integral uses one quadrature: the midpoint rule on the arc-length
 lattice t_k = (k + 1/2) h/2, k = 0, 1, ..., started at the vertex and shared
-by all vertices, with the field sampled bilinearly.  Because the lattice is
-shared, the beam over the whole grid is a correlation of the field with a
-fixed sparse kernel, which ``beam_field`` evaluates with one FFT
+by all vertices, with the field sampled bilinearly.  The lattice is shared,
+so the beam over the whole grid is a correlation of the field's samples on
+``Grid2D.disc_box`` with a fixed sparse kernel: one FFT in ``beam_field``
 (``operators.correlate``).  The step h/2 is set in ``_ray_lattice`` alone.
 
 The inversion applies the paper's formula with D_u D_v moved inside the
@@ -38,23 +38,13 @@ def _ray_lattice(grid, reach):
     return step, (np.arange(n) + 0.5) * step
 
 
-def _supported(h: ScalarField):
-    """The samples of h with those outside the r1 disc set to zero.
-
-    The transforms act on fields supported in the r1 disc, so samples
-    beyond it never enter a beam.  Every grid edge vertex lies outside the
-    r2 disc, hence outside r1, so the result vanishes on the grid edge.
-    """
-    return np.where(h.grid.disc_mask(h.grid.r1), h.values, 0.0)
-
-
-def _beam_taps(grid, d, moment, lo, hi):
+def _beam_taps(grid, d, moment, rows, cols):
     """Cell offsets (da, db) and weights w of X_d (X^1_d with ``moment``):
-    out[i, j] = sum w * values[i + da, j + db], for values zero outside
-    rows lo[0]..hi[0] and columns lo[1]..hi[1].  The sample x_ij + t_k d
-    sits at grid coordinates (i + t_k d1/h, j + t_k d2/h), so its offset
-    and bilinear weights depend on k alone: 4 taps per sample, each
-    weighted by step (step t_k for the moment)."""
+    out[i, j] = sum w * values[i + da, j + db], for values zero outside the
+    box of slices (rows, cols).  The sample x_ij + t_k d sits at grid
+    coordinates (i + t_k d1/h, j + t_k d2/h), so its offset and bilinear
+    weights depend on k alone: 4 taps per sample, each weighted by step
+    (step t_k for the moment)."""
     step, t = _ray_lattice(grid, grid.h * np.hypot(grid.nx - 1, grid.ny - 1))
     gx = t * d[0] / grid.h
     gy = t * d[1] / grid.h
@@ -66,11 +56,11 @@ def _beam_taps(grid, d, moment, lo, hi):
     db = np.concatenate([b, b, b + 1, b + 1])
     w = np.concatenate([(1.0 - fx) * (1.0 - fy), fx * (1.0 - fy),
                         (1.0 - fx) * fy, fx * fy]) * np.tile(wt, 4)
-    # only taps that reach the support from some vertex are kept, and zero
+    # only taps that reach the box from some vertex are kept, and zero
     # taps (an axis-aligned ray's second row or column) are left out
     keep = w != 0.0
-    for off, n, first, last in zip((da, db), (grid.nx, grid.ny), lo, hi):
-        keep &= (off > first - n) & (off <= last)
+    for off, n, box in zip((da, db), (grid.nx, grid.ny), (rows, cols)):
+        keep &= (off > box.start - n) & (off < box.stop)
     return (da[keep], db[keep]), w[keep]
 
 
@@ -78,19 +68,21 @@ def beam_field(h: ScalarField, d, moment=False, workers=1) -> np.ndarray:
     """Beam integrals at every grid vertex, as an (nx, ny) array.
 
     The midpoint rule on the ``_ray_lattice`` samples x + t_k d: h's
-    samples in the r1 disc correlated (``operators.correlate``) with the
-    taps of ``_beam_taps`` that reach the box of rows and columns lo..hi
-    holding the disc, read in that box only.  ``workers`` is kept for
-    callers of the public function and has no effect.
+    samples in the r1 disc, read on ``Grid2D.disc_box`` only, correlated
+    (``operators.correlate``) with the taps of ``_beam_taps`` that reach
+    that box.  A grid with no sample in the disc gives zeros.  ``workers``
+    is kept for callers of the public function and has no effect.
     """
     grid = h.grid
-    disc = grid.disc_mask(grid.r1)
-    lo, hi = zip(*(np.flatnonzero(disc.any(1 - a))[[0, -1]] for a in (0, 1)))
-    offsets, w = _beam_taps(grid, unit_vector(d), moment, lo, hi)
+    rows, cols, rr = grid.disc_box()
+    if rr.size == 0:
+        return np.zeros((grid.nx, grid.ny))
+    offsets, w = _beam_taps(grid, unit_vector(d), moment, rows, cols)
     center = [-o.min() for o in offsets]
     kernel = np.zeros([o.max() + c + 1 for o, c in zip(offsets, center)])
     np.add.at(kernel, tuple(o + c for o, c in zip(offsets, center)), w)
-    return correlate(_supported(h), kernel, center, (lo, hi))
+    part = np.where(rr <= grid.r1, h.values[rows, cols], 0.0)
+    return correlate(part, (rows.start, cols.start), (grid.nx, grid.ny), kernel, center)
 
 
 def ray_sum(terms, moment=False) -> np.ndarray:
@@ -202,11 +194,16 @@ def integrate_w(g: ScalarField, geom: VLineGeometry) -> ScalarField:
     """h = -(1/|v - u|) X_e g with e = (u - v)/|u - v|, masked to the r1
     disc, for g = D_u D_v T_s h = D_{u-v} h (supported in the r1 disc).
 
-    One ``beam_field`` FFT, which reads g inside the r1 disc only.
+    One ``beam_field`` FFT, which reads g inside the r1 disc only; its
+    output is scaled and masked on ``Grid2D.disc_box`` and zeroed beyond.
     """
     grid = g.grid
-    vals = beam_field(g, -geom.w) / -geom.norm_vu
-    return ScalarField(grid, np.where(grid.disc_mask(grid.r1), vals, 0.0))
+    rows, cols, rr = grid.disc_box()
+    vals = beam_field(g, -geom.w)
+    box = np.where(rr <= grid.r1, vals[rows, cols] / -geom.norm_vu, 0.0)
+    vals[...] = 0.0
+    vals[rows, cols] = box
+    return ScalarField._adopt(grid, vals)
 
 
 def invert_signed(ts: ScalarField, geom: VLineGeometry,

@@ -113,10 +113,10 @@ def _save(args, name, obj, writer=None):
     commands of an in-process chain, which would page-fault it back."""
     path = os.path.join(args.out_dir, name)
     (writer or write_vlt1)(path, obj)
-    digest = hashlib.sha256()
+    digest, buf = hashlib.sha256(), memoryview(bytearray(1 << 16))
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+        while n := fh.readinto(buf):
+            digest.update(buf[:n])
     return path, digest.hexdigest()
 
 
@@ -167,7 +167,7 @@ def _error_report(args, field, oracle):
     comps = [c[rows, cols] for c in _components(field)]
     ocomps = [c[rows, cols] for c in _components(oracle)]
     norms = (("l1", lambda a: np.sum(np.abs(a))), ("l2", np.linalg.norm),
-             ("linf", lambda a: np.max(np.abs(a))))
+             ("linf", lambda a: np.max(np.abs(a), initial=0.0)))
     lines = []
     for k, (rec, ora) in enumerate(zip(comps, ocomps)):
         diff, ref = (rec - ora)[mask], ora[mask]

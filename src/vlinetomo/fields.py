@@ -3,8 +3,8 @@ geometry, ``StarGeometry``, whose two-ray case is ``VLineGeometry``.
 
 The computational domain is a square that contains the closed disc of
 radius ``r2``; the unknown fields live in the smaller open disc of radius
-``r1``.  Sample ``(i, j)`` of a field sits at
-``(origin_x + i*h, origin_y + j*h)``, so arrays are indexed ``[ix, iy]``.
+``r1``, whose rows and columns ``Grid2D.disc_box`` gives.  Sample ``(i, j)``
+sits at ``(origin_x + i*h, origin_y + j*h)``; arrays are indexed ``[ix, iy]``.
 """
 
 from __future__ import annotations
@@ -50,6 +50,12 @@ def unit_vector(d):
 def direction(angle):
     """Unit vector at the given angle (radians)."""
     return np.array([np.cos(angle), np.sin(angle)])
+
+
+def lines(mask):
+    """The slice from the first to the last True of a 1-D mask (empty for none)."""
+    i = np.flatnonzero(mask)
+    return slice(int(i[0]), int(i[-1]) + 1) if i.size else slice(0, 0)
 
 
 @dataclass(frozen=True)
@@ -120,22 +126,15 @@ class Grid2D:
         return rr
 
     def disc_box(self):
-        """(rows, cols, rr): the slices of the rows and columns that hold the
-        r1 disc, each grown by 2 samples within the grid, and ``rr()`` on
-        that box only, as one read-only array computed on the first call.
-        The box holds the disc and the two-cell reach of the D_u D_v
-        stencil around it, so the inversions read nothing else.  A grid with
-        no sample in the disc has an empty box."""
+        """(rows, cols, rr): the slices of the rows and columns that hold a
+        sample of the r1 disc, and ``rr()`` on that box only, as one
+        read-only array computed on the first call.  Every output path finds
+        the disc here; a grid with no sample in the disc has an empty box."""
         box = self.__dict__.get("_disc_box")
         if box is None:
-            def grown(c, other):  # the lines holding a disc sample, and 2 more
-                i = np.flatnonzero(np.hypot(c, np.abs(other).min()) <= self.r1)
-                if i.size == 0:
-                    return slice(0, 0)
-                return slice(max(int(i[0]) - 2, 0), min(int(i[-1]) + 3, c.size))
-
             xs, ys = self.xs(), self.ys()
-            rows, cols = grown(xs, ys), grown(ys, xs)
+            rows = lines(np.hypot(xs, np.abs(ys).min()) <= self.r1)
+            cols = lines(np.hypot(ys, np.abs(xs).min()) <= self.r1)
             rr = np.hypot(xs[rows][:, None], ys[cols][None, :])
             rr.flags.writeable = False
             box = (rows, cols, rr)
@@ -229,10 +228,7 @@ class VectorField(_Samples):
         return float(np.max(np.hypot(self.f1, self.f2)))
 
     def is_compact(self):
-        return (
-            ScalarField(self.grid, self.f1).is_compact()
-            and ScalarField(self.grid, self.f2).is_compact()
-        )
+        return all(ScalarField(self.grid, c).is_compact() for c in (self.f1, self.f2))
 
 
 def strip_bound(dirs, r1):

@@ -67,12 +67,12 @@ def _rfft2(x, shape, axes):
     return fft(spec, shape[0], axes[0]) if len(axes) == 2 else spec
 
 
-def correlate(values, kernel, center, box=None):
+def correlate(part, corner, shape, kernel, center):
     """out[i, j] = sum_{a, b} kernel[a, b] * values[i + a - ca, j + b - cb]
-    at every sample of ``values``, which counts as zero beyond the array
-    and outside ``box`` = ((first row, first col), (last row, last col)),
-    the whole array by default; ``center`` = (ca, cb) is the kernel index
-    of the zero offset and must lie inside the kernel.
+    at every sample of an array ``values`` of ``shape`` that is zero but for
+    the box ``part`` (inside it), whose first sample is values[corner];
+    ``center`` = (ca, cb) is the kernel index of the zero offset and must
+    lie inside the kernel.
 
     Evaluated as one zero-padded FFT product of the box with the mirrored
     kernel, O(N^2 log N).  Only the output rows and columns the kernel
@@ -84,25 +84,23 @@ def correlate(values, kernel, center, box=None):
     """
     if not all(0 <= c < k for c, k in zip(center, kernel.shape)):
         raise ValueError(f"kernel center {center} outside kernel of shape {kernel.shape}")
-    lo, hi = box or ((0, 0), [n - 1 for n in values.shape])
-    part = values[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1]
     # per axis, the output rows (columns) start..stop that the kernel
     # reaches from the box, and where they sit in conv(part, mirrored
-    # kernel): out[i] = conv[i - lo + top], top the farthest offset
+    # kernel): out[i] = conv[i - corner + top], top the farthest offset
     top = [k - 1 - c for k, c in zip(kernel.shape, center)]
-    start = [max(0, a - t) for a, t in zip(lo, top)]
-    stop = [min(n, b + 1 + c) for n, b, c in zip(values.shape, hi, center)]
-    keep = [slice(s - a + t, e - a + t) for s, e, a, t in zip(start, stop, lo, top)]
+    start = [max(0, a - t) for a, t in zip(corner, top)]
+    stop = [min(n, a + m + c) for n, a, m, c in zip(shape, corner, part.shape, center)]
+    keep = [slice(s - a + t, e - a + t) for s, e, a, t in zip(start, stop, corner, top)]
     axes = [a for a in (0, 1) if kernel.shape[a] > 1] or [1]
-    shape = [fast_len(max(keep[a].stop, part.shape[a] + kernel.shape[a] - 1 - keep[a].start))
-             for a in axes]
+    fft_shape = [fast_len(max(keep[a].stop, part.shape[a] + kernel.shape[a] - 1 - keep[a].start))
+                 for a in axes]
     # correlating with the kernel is convolving with its mirror image
-    spec = _rfft2(part, shape, axes) * _rfft2(kernel[::-1, ::-1], shape, axes)
+    spec = _rfft2(part, fft_shape, axes) * _rfft2(kernel[::-1, ::-1], fft_shape, axes)
     if len(axes) == 2:  # invert axis 0 first, then only the rows kept
-        spec = ifft(spec, shape[0], 0)[keep[0]]
+        spec = ifft(spec, fft_shape[0], 0)[keep[0]]
         keep[0] = slice(None)
-    out = np.zeros(values.shape)
-    out[start[0]:stop[0], start[1]:stop[1]] = irfft(spec, shape[-1], axes[-1])[tuple(keep)]
+    out = np.zeros(shape)
+    out[start[0]:stop[0], start[1]:stop[1]] = irfft(spec, fft_shape[-1], axes[-1])[tuple(keep)]
     return out
 
 

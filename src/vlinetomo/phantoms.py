@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .fields import Grid2D, ScalarField, VectorField
+from .fields import Grid2D, ScalarField, VectorField, lines
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ def bump_scalar(grid: Grid2D, center=(0.0, 0.0), scale=1.0, amplitude=1.0) -> Sc
     _check_support(grid, center, scale)
     d1 = (grid.xs() - center[0]) ** 2
     d2 = (grid.ys() - center[1]) ** 2
-    rows, cols = _lines(d1 / scale**2), _lines(d2 / scale**2)
+    rows, cols = lines(d1 / scale**2 < 1.0), lines(d2 / scale**2 < 1.0)
     out = np.zeros((grid.nx, grid.ny))
     out[rows, cols] += amplitude * _omq((d1[rows, None] + d2[None, cols]) / scale**2) ** 3
     return ScalarField._adopt(grid, out)
@@ -102,14 +102,6 @@ def random_phantom(kind, grid: Grid2D, rng) -> Phantom:
     return make_phantom(kind, grid, center, scale, amp)
 
 
-def _lines(t):
-    """The slice from the first to the last line whose share ``t`` of q is
-    below 1: q is at least that share, so the bump's support (q < 1) lies
-    on these lines."""
-    i = np.flatnonzero(t < 1.0)
-    return slice(int(i[0]), int(i[-1]) + 1) if i.size else slice(0, 0)
-
-
 def _omq(q):
     """1 - q on the support q < 1, and 0 off it."""
     return np.where(q < 1.0, 1.0 - q, 0.0)
@@ -128,7 +120,8 @@ def _add_bump(grid, center, scale, amplitude, perp, f1, f2, lap, profile):
     V into ``profile``."""
     t1 = (grid.xs() - center[0]) / scale
     t2 = (grid.ys() - center[1]) / scale
-    box = _lines(t1**2), _lines(t2**2)
+    # q is at least each share t^2, so the support (q < 1) lies on these lines
+    box = lines(t1**2 < 1.0), lines(t2**2 < 1.0)
     y1, y2 = t1[box[0], None], t2[None, box[1]]
     q = y1**2 + y2**2
     omq = _omq(q)

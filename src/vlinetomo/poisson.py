@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .fields import ScalarField, VectorField
+from .fields import ScalarField, VectorField, lines
 from .operators import _bilinear, correlate, fast_len
 
 
@@ -200,12 +200,12 @@ def solve_free_space(rhs: ScalarField) -> PoissonResult:
         raise ConfigError("free-space recovery needs an rhs compact in the r1 disc")
     grid = rhs.grid
     v = rhs.values
-    rows, cols = np.flatnonzero(v.any(axis=1)), np.flatnonzero(v.any(axis=0))
-    if rows.size == 0:
+    rows, cols = lines(v.any(axis=1)), lines(v.any(axis=0))
+    if rows.start == rows.stop:
         return PoissonResult(ScalarField(grid, np.zeros_like(v)), 0, 0.0)
     # offsets from every grid sample to the support's bounding box
-    k = log_kernel(grid.h, np.arange(rows[0] - (grid.nx - 1), rows[-1] + 1),
-                   np.arange(cols[0] - (grid.ny - 1), cols[-1] + 1))
-    out = correlate(v, k, (grid.nx - 1 - rows[0], grid.ny - 1 - cols[0]),
-                    ((rows[0], cols[0]), (rows[-1], cols[-1])))
+    k = log_kernel(grid.h, np.arange(rows.start - (grid.nx - 1), rows.stop),
+                   np.arange(cols.start - (grid.ny - 1), cols.stop))
+    out = correlate(v[rows, cols], (rows.start, cols.start), v.shape, k,
+                    (grid.nx - 1 - rows.start, grid.ny - 1 - cols.start))
     return PoissonResult(ScalarField._adopt(grid, out), 0, 0.0)

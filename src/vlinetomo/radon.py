@@ -320,7 +320,8 @@ def fbp_inverse(sg: Sinogram, grid: Grid2D) -> ScalarField | VectorField:
     it adds to row k reversed (the offset lattice is symmetric and the
     ramp filter commutes with the reversal), and only the half circle is
     filtered and backprojected.  Lattices short of 2 pi must span <= pi.
-    Only the r1 disc is backprojected; the output is 0 beyond it.
+    Only the disc samples of ``Grid2D.disc_box`` are backprojected; the
+    output is 0 beyond them.
     """
     if sg.n_angles < 16:
         raise ConfigError("filtered backprojection needs at least 16 angles")
@@ -330,15 +331,18 @@ def fbp_inverse(sg: Sinogram, grid: Grid2D) -> ScalarField | VectorField:
     if sg.full_range and sg.n_angles % 2 == 0:
         m = sg.n_angles // 2
         values, angles = values[:, :m] + values[:, m:, ::-1], angles[:m]
-    rows = _ramp_filter(values, sg.ds)
-    packed = rows[0] + 1j * rows[1] if sg.ncomp == 2 else rows[0]
+    filtered = _ramp_filter(values, sg.ds)
+    packed = filtered[0] + 1j * filtered[1] if sg.ncomp == 2 else filtered[0]
     offsets = sg.offsets()
-    disc = grid.disc_mask(grid.r1)
-    xx, yy = (c[disc] for c in grid.mesh())
-    out = np.zeros(disc.shape, dtype=packed.dtype)
-    out[disc] = sum(np.interp(xx * np.cos(a) + yy * np.sin(a), offsets, row,
-                              left=0.0, right=0.0)
-                    for a, row in zip(angles, packed)) * (
+    rows, cols, rr = grid.disc_box()
+    disc = rr <= grid.r1
+    xx, yy = (np.broadcast_to(c, rr.shape)[disc]
+              for c in (grid.xs()[rows, None], grid.ys()[None, cols]))
+    vals = sum(np.interp(xx * np.cos(a) + yy * np.sin(a), offsets, row,
+                         left=0.0, right=0.0)
+               for a, row in zip(angles, packed)) * (
         sg.dangle * (0.5 if sg.full_range else 1.0))
+    out = np.zeros((grid.nx, grid.ny), dtype=packed.dtype)
+    out[rows, cols][disc] = vals
     return (VectorField(grid, out.real, out.imag) if sg.ncomp == 2
             else ScalarField(grid, out))

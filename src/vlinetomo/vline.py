@@ -21,8 +21,8 @@ D_u D_v moved inside the integral: D_u D_v of the component's signed
 V-line data is built from D_u D_v I f and the plain beams of the recovered
 curl, is supported in the r1 disc, and is integrated along u - v
 (``beam.integrate_w``), after a one-cell Gaussian mollifier
-(``_mollify``).  TJ is LI applied to R f.  No pipeline reads data beyond
-the r1 disc and its two-cell stencil, so any grid holding the r2 disc works.
+(``_mollify``).  TJ is LI applied to R f.  No pipeline reads data beyond the
+r1 disc and the stencil's reach (``_duv_box``); grids holding the r2 disc work.
 """
 
 from __future__ import annotations
@@ -64,21 +64,23 @@ def mixed_derivative(tf: ScalarField, geom: VLineGeometry) -> np.ndarray:
 
 def _duv_box(data: ScalarField, geom: VLineGeometry, sign) -> np.ndarray:
     """sign * D_u D_v data / det(v, u) on ``Grid2D.disc_box``, 0 off the r1
-    disc; the box holds the stencil's two-cell reach, so the disc samples
-    are those of the whole grid's."""
+    disc, from the data two samples past the box (the stencil's reach) and
+    clipped at the grid's edge, so the disc samples are the whole grid's."""
     grid = data.grid
     rows, cols, rr = grid.disc_box()
-    vals = sign * mixed_partial(data.values[rows, cols], geom.u, geom.v, grid.h) / geom.det
-    return np.where(rr <= grid.r1, vals, 0.0)
+    grown = [slice(max(s.start - 2, 0), min(s.stop + 2, n))
+             for s, n in zip((rows, cols), (grid.nx, grid.ny))]
+    vals = sign * mixed_partial(data.values[tuple(grown)], geom.u, geom.v, grid.h) / geom.det
+    box = tuple(slice(s.start - g.start, s.stop - g.start) for s, g in zip((rows, cols), grown))
+    return np.where(rr <= grid.r1, vals[box], 0.0)
 
 
 def _duv_disc(data: ScalarField, geom: VLineGeometry, sign) -> ScalarField:
     """``_duv_box`` written into a grid of zeros."""
     grid = data.grid
-    rows, cols, rr = grid.disc_box()
+    rows, cols, _ = grid.disc_box()
     out = np.zeros((grid.nx, grid.ny))
-    if rr.size:  # else no sample is in the disc
-        out[rows, cols] = _duv_box(data, geom, sign)
+    out[rows, cols] = _duv_box(data, geom, sign)
     return ScalarField._adopt(grid, out)
 
 
@@ -105,13 +107,14 @@ def recover_field_LT(lf: ScalarField, tf: ScalarField,
     if not lf.grid.same_layout(tf.grid):
         raise ConfigError("L f and T f must share a grid")
     grid = lf.grid
-    rows, cols, rr = grid.disc_box()
-    # the Laplacians on the disc's box, which holds their one-cell reach
+    rows, cols, _ = grid.disc_box()
+    # the Laplacians on the disc's box, padded by one zero sample for their
+    # one-cell reach (no disc sample lies on the grid's edge)
     laps = [np.zeros((grid.nx, grid.ny)) for _ in range(2)]
-    if rr.size:  # else solve_dirichlet_disc rejects the grid
-        for lap, box in zip(laps, _laplacians(_duv_box(tf, geom, -1.0),
-                                              _duv_box(lf, geom, 1.0), grid.h)):
-            lap[rows, cols] = box
+    pads = (np.pad(_duv_box(data, geom, sign), 1) for data, sign in ((tf, -1.0), (lf, 1.0)))
+    for lap, box in zip(laps, _laplacians(*pads, grid.h)):
+        lap[rows, cols] = box[1:-1, 1:-1]
+    del box  # so that the solve's arrays are not allocated beside it
     return solve_dirichlet_disc(VectorField._adopt(grid, *laps)).field
 
 

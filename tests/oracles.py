@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vlinetomo.beam import _ray_lattice, _supported
+from vlinetomo.beam import _ray_lattice
 from vlinetomo.errors import ConfigError
 from vlinetomo.fields import ScalarField, VectorField, unit_vector
 from vlinetomo.operators import bilinear, partial_x, partial_y
@@ -53,7 +53,7 @@ def beam_values(h: ScalarField, points, d, quad=None, moment=False):
 
     Midpoint rule on the shared lattice: sum_k step * h(x + t_k d) (times
     t_k for the first moment), with h sampled bilinearly from its samples
-    in the r1 disc (``_supported``) and zero off the grid square.  The
+    in the r1 disc (the rest set to zero) and zero off the grid square.  The
     lattice runs from the point until every ray has left the grid, so rays
     missing the support give 0.  At the default step this is the
     quadrature that ``beam_field`` evaluates at all vertices at once.
@@ -72,7 +72,8 @@ def beam_values(h: ScalarField, points, d, quad=None, moment=False):
     t = (np.arange(n) + 0.5) * step
     px = pts[:, 0, None] + t * d[0]
     py = pts[:, 1, None] + t * d[1]
-    vals = bilinear(grid, _supported(h), px, py)
+    supported = np.where(grid.disc_mask(grid.r1), h.values, 0.0)
+    vals = bilinear(grid, supported, px, py)
     if moment:
         vals = vals * t
     return vals.sum(axis=1) * step

@@ -746,3 +746,44 @@ def test_invert_checks_the_oracle_before_the_reconstruction(
                  "--oracle", bad, "--out-dir", str(out)]) == 4
     assert bad in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+def test_grid_without_disc_samples_runs_every_command(tmp_path, geom_file):
+    # no sample lies within r1 = 0.5 of the centre: the forward, the curl
+    # inversion and both error reports exit 0, and every output is zero
+    from vlinetomo.fields import Grid2D, ScalarField, VectorField
+    from vlinetomo.io import write_vlt1
+    grid = Grid2D(16, 16, 1.0, (-7.5, -7.5), 0.5, 1.0)
+    ones = np.ones((16, 16))
+    field, scalar = tmp_path / "field.vlt", tmp_path / "scalar.vlt"
+    write_vlt1(field, VectorField(grid, ones, ones))
+    write_vlt1(scalar, ScalarField(grid, ones))
+    fwd, inv, rep = tmp_path / "fwd", tmp_path / "inv", tmp_path / "rep"
+    assert main(["forward", "--transform", "L", "--field", str(field),
+                 "--geometry", geom_file, "--out-dir", str(fwd)]) == 0
+    assert not read_vlt1(fwd / "transform.vlt").values.any()
+    assert main(["report", "--field", str(field), "--oracle", str(field),
+                 "--out-dir", str(rep)]) == 0
+    assert main(["invert", "--pipeline", "curl", "--lf",
+                 str(fwd / "transform.vlt"), "--geometry", geom_file,
+                 "--oracle", str(scalar), "--out-dir", str(inv)]) == 0
+    assert not read_vlt1(inv / "reconstruction.vlt").values.any()
+    for out in (rep, inv):
+        lines = (out / "report.txt").read_text().splitlines()
+        assert lines and all(line.endswith("=0.000000e+00") for line in lines)
+
+
+def test_phantom_command_peak_memory(tmp_path):
+    # a 256 mixed phantom writes five 0.52 MB files; hashing each through
+    # one 64 KiB buffer keeps the command's peak at its arrays (1 MB reads
+    # peaked at 5.25 MB)
+    import tracemalloc
+    main(["phantom", "--kind", "mixed", "--nx", "32", "--out-dir", str(tmp_path / "warm")])
+    tracemalloc.start()
+    try:
+        assert main(["phantom", "--kind", "mixed", "--nx", "256", "--r2", "1.5",
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.2e6

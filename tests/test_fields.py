@@ -195,29 +195,44 @@ def test_geometries_compare_and_hash_by_value():
     assert len({geom, same, star, same_star}) == 2
 
 
-def test_grid_disc_box_is_rr_on_the_disc_and_two_samples_around_it():
+def test_grid_disc_box_is_rr_on_the_rows_and_columns_of_the_disc():
     for grid in (Grid2D(40, 48, 0.1, (-1.95, -2.3), 1.0, 1.9),
                  Grid2D(64, 64, 2.002 / 63, (-1.001, -1.001), 1.0, 1.001)):
         rows, cols, rr = grid.disc_box()
         assert grid.disc_box()[2] is rr and not rr.flags.writeable
         assert np.array_equal(rr, grid.rr()[rows, cols])
         ix, iy = np.nonzero(grid.disc_mask(grid.r1))
-        assert (rows.start, rows.stop) == (max(ix.min() - 2, 0), min(ix.max() + 3, grid.nx))
-        assert (cols.start, cols.stop) == (max(iy.min() - 2, 0), min(iy.max() + 3, grid.ny))
+        assert (rows.start, rows.stop) == (ix.min(), ix.max() + 1)
+        assert (cols.start, cols.stop) == (iy.min(), iy.max() + 1)
 
 
 def test_grid_without_disc_samples_has_an_empty_disc_box():
     # no sample lies within r1 = 0.5 of the centre, which sits between
-    # four samples a unit apart: curl and div are zero, and the Dirichlet
-    # solves name the empty disc
+    # four samples a unit apart: the beams, every forward, the signed
+    # inversion, curl, div, LI and TJ are zero, and the Dirichlet solves
+    # name the empty disc
+    import vlinetomo as vt
     from vlinetomo import recover_curl, recover_div, recover_field_LT, solve_dirichlet_disc
     grid = Grid2D(16, 16, 1.0, (-7.5, -7.5), 0.5, 1.0)
     rows, cols, rr = grid.disc_box()
     assert rr.shape == (0, 0) and rows.start == rows.stop and cols.start == cols.stop
     data = ScalarField(grid, np.ones((16, 16)))
+    field = VectorField(grid, np.ones((16, 16)), np.ones((16, 16)))
     geom = VLineGeometry(direction(0.0), direction(np.pi / 2))
+    star = StarGeometry(tuple(direction(a) for a in (0.0, 2.1, 4.2)), (1.0, 1.0, 1.0))
     assert not recover_curl(data, geom).values.any()
     assert not recover_div(data, geom).values.any()
+    for moment in (False, True):
+        beam = vt.beam_field(data, direction(0.35), moment=moment)
+        assert beam.shape == (16, 16) and not beam.any()
+    for forward in (vt.forward_L, vt.forward_T, vt.forward_I, vt.forward_J):
+        assert not forward(field, geom).values.any()
+    assert not vt.forward_star(field, star).f1.any()
+    assert not vt.signed_vline(data, geom).values.any()
+    assert not vt.invert_signed(data, geom).values.any()
+    for recover in (vt.recover_field_LI, vt.recover_field_TJ):
+        rec = recover(data, data, geom)
+        assert not rec.f1.any() and not rec.f2.any()
     for solve in (lambda: solve_dirichlet_disc(data),
                   lambda: recover_field_LT(data, data, geom)):
         with pytest.raises(ConfigError, match="no grid samples inside"):

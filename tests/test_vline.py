@@ -429,3 +429,19 @@ def test_recover_field_LT_peak_memory(geom):
     finally:
         tracemalloc.stop()
     assert peak <= 11.5 * 8 * g.nx * g.ny
+
+
+def test_forward_L_peak_memory(geom):
+    # each beam reads its input on the disc box, with no full-grid mask or
+    # masked copy of it; with them the forward peaked at 7.19 grid arrays
+    import tracemalloc
+    g = Grid2D.centered(256, 1.0, 1.5)
+    f = make_phantom("mixed", g).field
+    forward_L(f, geom)
+    tracemalloc.start()
+    try:
+        forward_L(f, geom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.8 * 8 * g.nx * g.ny
