@@ -30,10 +30,15 @@ Stages, on the mixed phantom (r1 = 1) at each requested nx:
                          its output's bytes
   forward_star           the 3-ray star's forward_star    error of f
                                                           (invert_star's)
+  recover_field_LI       (L f, I f) -> f, one row per     error of f
+                         MOMENT_GEOMETRIES entry, with
+                         its peak as a multiple of its
+                         output's bytes
+  recover_field_TJ       (T f, J f) -> f, the same        error of f
 
 V-line stages use the axis-aligned pair u = (1, 0), v = (0, 1) on
-grid_for_vline, except the recover_field_LT rows, whose "geometry" names
-their LT_GEOMETRIES entry.  Each time
+grid_for_vline, except the recover_field_LT, _LI and _TJ rows, whose
+"geometry" names their LT_GEOMETRIES or MOMENT_GEOMETRIES entry.  Each time
 is the best of REPEATS calls on inputs built outside the timed region;
 the error is the relative L2 error over the r1 disc against the phantom's
 analytic field (the larger of the two components for f), and null for
@@ -74,6 +79,8 @@ LT_GEOMETRIES = {
     "oblique": (0.35, 2.1, None),
     "rotated": (0.35, 0.35 + np.pi / 2.0, None),
 }
+# name: (u angle, v angle), each on grid_for_vline
+MOMENT_GEOMETRIES = {"oblique": (0.35, 2.1), "u1.0-v1.9": (1.0, 1.9)}
 REPEATS = 3
 
 
@@ -137,6 +144,22 @@ def lt_rows(nx, row):
             rel_l2_f2=errs[1], peak_over_output=peak_over_output(vt.recover_field_LT, *args))
 
 
+def moment_rows(nx, row):
+    """One recover_field_LI and one recover_field_TJ row per
+    MOMENT_GEOMETRIES entry."""
+    for name, (a, b) in MOMENT_GEOMETRIES.items():
+        geom = vt.VLineGeometry(vt.direction(a), vt.direction(b))
+        grid = vt.grid_for_vline(nx, R1, geom)
+        ph = vt.make_phantom("mixed", grid)
+        f = [ph.field.f1, ph.field.f2]
+        for fn, fwds in ((vt.recover_field_LI, (vt.forward_L, vt.forward_I)),
+                         (vt.recover_field_TJ, (vt.forward_T, vt.forward_J))):
+            args = tuple(fwd(ph.field, geom) for fwd in fwds) + (geom,)
+            rec, t = best_of(fn, *args)
+            row(fn.__name__, t, rel_l2([rec.f1, rec.f2], f, grid.disc_mask(grid.r1)),
+                geometry=name, peak_over_output=peak_over_output(fn, *args))
+
+
 def sweep_nx(nx):
     rows = []
 
@@ -184,6 +207,7 @@ def sweep_nx(nx):
     _, t = best_of(vt.forward_star, sph.field, sg)
     row("forward_star", t, err)
     forward_rows(nx, row)
+    moment_rows(nx, row)
     return rows
 
 

@@ -12,8 +12,8 @@ so the beam over the whole grid is a correlation of the field's samples on
 
 The inversion applies the paper's formula with D_u D_v moved inside the
 integral: the differentiated data D_u D_v T_s h = D_{u-v} h is supported
-in the r1 disc, so it is one ``mixed_partial`` and one ``beam_field`` FFT
-along u - v (``integrate_w``), with no strip extension.
+in the r1 disc, so it is one ``mixed_partial`` on ``operators.disc_window``
+of reach 2 and one ``beam_field`` FFT along u - v (``integrate_w``).
 
 ``sample_with_strips`` samples strip-extended data on the strip model of
 ``radon`` (a test reference) and ``transform_beam_values`` sums it
@@ -26,7 +26,7 @@ import numpy as np
 
 from ._blocks import map_blocks
 from .fields import ScalarField, VLineGeometry, unit_vector
-from .operators import bilinear, correlate, mixed_partial
+from .operators import bilinear, correlate, disc_window, mixed_partial
 from .radon import strip_ring_point
 
 
@@ -213,12 +213,14 @@ def invert_signed(ts: ScalarField, geom: VLineGeometry,
     The paper's formula h(x) = (1/|v - u|) D_u D_v int_0^inf (T_s h)(x + t w)
     dt, w = (v - u)/|v - u|, with D_u D_v moved inside the integral: since
     D_u D_v T_s h = D_{u-v} h is supported in the r1 disc, h is the beam
-    integral of g = D_u D_v T_s h (``mixed_partial``) along u - v
-    (``integrate_w``), and no data beyond the r1 disc, strip extension
-    included, is ever read.  Output is supported in the closed r1 disc.
-    ``workers`` is kept for callers of the public function and has no
-    effect.  Every grid whose square holds the r2 disc is accepted.
+    integral of g = D_u D_v T_s h (``mixed_partial`` on the disc box grown
+    by its reach 2) along u - v (``integrate_w``): no strip extension is
+    read.  Output is supported in the closed r1 disc.  ``workers`` is kept
+    for callers of the public function and has no effect.  Every grid whose
+    square holds the r2 disc is accepted.
     """
     grid = ts.grid
-    g = mixed_partial(ts.values, geom.u, geom.v, grid.h)
-    return integrate_w(ScalarField(grid, g), geom)
+    win = disc_window(grid, 2)
+    g = np.zeros((grid.nx, grid.ny))
+    g[win] = mixed_partial(ts.values[win], geom.u, geom.v, grid.h)
+    return integrate_w(ScalarField._adopt(grid, g), geom)

@@ -3,7 +3,7 @@ curl), bilinear field sampling and FFT correlation with a shift-invariant
 kernel (``correlate``, which every beam and the free-space solve run).
 
 Derivatives use 2nd-order central differences in the interior and
-2nd-order one-sided stencils at grid edges (the np.gradient stencils).
+1st-order one-sided differences at array edges (np.gradient's default).
 """
 
 from __future__ import annotations
@@ -102,6 +102,13 @@ def correlate(part, corner, shape, kernel, center):
     out = np.zeros(shape)
     out[start[0]:stop[0], start[1]:stop[1]] = irfft(spec, fft_shape[-1], axes[-1])[tuple(keep)]
     return out
+
+
+def disc_window(grid: Grid2D, reach):
+    """``grid.disc_box()``'s slices grown by ``reach`` samples, clipped at the
+    grid's edge (numpy clips a stop): a stencil of that reach reads these only."""
+    rows, cols, _ = grid.disc_box()
+    return tuple(slice(max(s.start - reach, 0), s.stop + reach) for s in (rows, cols))
 
 
 def partial_x(values, h):

@@ -108,9 +108,9 @@ def _omq(q):
 
 
 def _check_support(grid, center, scale):
-    if scale <= 0:
+    if not scale > 0:  # each check is "not ok", so a NaN fails it too
         raise ConfigError("phantom scale must be positive")
-    if np.hypot(*center) + scale > grid.r1 + 1e-12:
+    if not np.hypot(*center) + scale <= grid.r1 + 1e-12:
         raise ConfigError("phantom support leaks outside the r1 disc")
 
 

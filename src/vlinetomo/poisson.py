@@ -29,20 +29,20 @@ class PoissonResult:
     residual: float
 
 
-def _dst_box(ix, iy):
+def _dst_box(tight):
     """Corner and shape of the box the Dirichlet solve inverts the 5-point
-    Laplacian on, centred on the sample indices (ix, iy): per axis their
-    span plus one zero row at each end, n, grown to the least m >= n with
-    m + 1 7-smooth (the DST-I runs an FFT of length 2 (m + 1)) and m - n
-    even, half of the growth at each end, so that a centred disc stays
-    centred.  The box may pass the grid's edge."""
+    Laplacian on, centred on the grid box ``tight`` (slices of rows and
+    columns): per axis its span plus one zero row at each end, n, grown to
+    the least m >= n with m + 1 7-smooth (the DST-I runs an FFT of length
+    2 (m + 1)) and m - n even, half of the growth at each end, so that a
+    centred disc stays centred.  The box may pass the grid's edge."""
     lo, shape = [], []
-    for i in (ix, iy):
-        n = int(i.max() - i.min()) + 3
+    for s in tight:
+        n = s.stop - s.start + 2
         m = fast_len(n + 1, (2, 3, 5, 7)) - 1
         while (m - n) % 2:
             m = fast_len(m + 2, (2, 3, 5, 7)) - 1
-        lo.append(int(i.min()) - 1 - (m - n) // 2)
+        lo.append(s.start - 1 - (m - n) // 2)
         shape.append(m)
     return tuple(lo), tuple(shape)
 
@@ -116,15 +116,14 @@ def solve_dirichlet_disc(rhs: ScalarField | VectorField) -> PoissonResult:
     comps = [rhs.values] if isinstance(rhs, ScalarField) else [rhs.f1, rhs.f2]
     rows, cols, rr = grid.disc_box()
     inside = rr < grid.r1
-    ix, iy = np.flatnonzero(inside.any(axis=1)), np.flatnonzero(inside.any(axis=0))
-    if ix.size == 0:
+    sub = lines(inside.any(axis=1)), lines(inside.any(axis=0))
+    if sub[0].start == sub[0].stop:
         raise ConfigError("no grid samples inside the Dirichlet disc")
     # the disc samples' bounding box, on the grid (tight) and in the DST box
     # (at), and the disc samples in it (mask)
-    tight = (slice(rows.start + ix[0], rows.start + ix[-1] + 1),
-             slice(cols.start + iy[0], cols.start + iy[-1] + 1))
-    mask = inside[ix[0]:ix[-1] + 1, iy[0]:iy[-1] + 1]
-    lo, shape = _dst_box(rows.start + ix, cols.start + iy)
+    tight = tuple(slice(b.start + s.start, b.start + s.stop) for b, s in zip((rows, cols), sub))
+    mask = inside[sub]
+    lo, shape = _dst_box(tight)
     at = tuple(slice(t.start - l, t.stop - l) for t, l in zip(tight, lo))
     r = np.zeros((len(comps),) + shape)
     for box, c in zip(r, comps):

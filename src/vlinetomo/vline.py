@@ -21,8 +21,9 @@ D_u D_v moved inside the integral: D_u D_v of the component's signed
 V-line data is built from D_u D_v I f and the plain beams of the recovered
 curl, is supported in the r1 disc, and is integrated along u - v
 (``beam.integrate_w``), after a one-cell Gaussian mollifier
-(``_mollify``).  TJ is LI applied to R f.  No pipeline reads data beyond the
-r1 disc and the stencil's reach (``_duv_box``); grids holding the r2 disc work.
+(``_mollify``).  TJ is LI applied to R f.  Each pipeline reads its data on
+the r1 disc's box grown by its stencils' reach (``operators.disc_window``:
+2 for curl, div and LT, 7 for LI and TJ) only; grids holding the r2 disc work.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import numpy as np
 from .beam import beam_field, integrate_w, ray_sum
 from .errors import ConfigError, GeometryError
 from .fields import ScalarField, VectorField, VLineGeometry
-from .operators import (_laplacians, bilinear, mixed_partial, partial_x,
-                        partial_y)
+from .operators import (_laplacians, bilinear, disc_window, mixed_partial,
+                        partial_x, partial_y)
 from .poisson import solve_dirichlet_disc
 
 
@@ -64,14 +65,13 @@ def mixed_derivative(tf: ScalarField, geom: VLineGeometry) -> np.ndarray:
 
 def _duv_box(data: ScalarField, geom: VLineGeometry, sign) -> np.ndarray:
     """sign * D_u D_v data / det(v, u) on ``Grid2D.disc_box``, 0 off the r1
-    disc, from the data two samples past the box (the stencil's reach) and
-    clipped at the grid's edge, so the disc samples are the whole grid's."""
+    disc, from the data on ``disc_window`` of the stencil's reach 2, so the
+    disc samples are the whole grid's."""
     grid = data.grid
     rows, cols, rr = grid.disc_box()
-    grown = [slice(max(s.start - 2, 0), min(s.stop + 2, n))
-             for s, n in zip((rows, cols), (grid.nx, grid.ny))]
-    vals = sign * mixed_partial(data.values[tuple(grown)], geom.u, geom.v, grid.h) / geom.det
-    box = tuple(slice(s.start - g.start, s.stop - g.start) for s, g in zip((rows, cols), grown))
+    win = disc_window(grid, 2)
+    vals = sign * mixed_partial(data.values[win], geom.u, geom.v, grid.h) / geom.det
+    box = tuple(slice(s.start - w.start, s.stop - w.start) for s, w in zip((rows, cols), win))
     return np.where(rr <= grid.r1, vals[box], 0.0)
 
 
@@ -165,17 +165,21 @@ def _moment_pipeline(i_f: ScalarField, c: ScalarField,
     grid = i_f.grid
     h = grid.h
     u, v = geom.u, geom.v
-    duv = mixed_derivative(i_f, geom)
-    xu = beam_field(c, u)
-    xv = beam_field(c, v)
+    # D_u D_v, d_k and the mollifier reach 2 + 1 + 4 samples
+    win = disc_window(grid, 7)
+    duv = mixed_partial(i_f.values[win], u, v, h)
+    xu = beam_field(c, u)[win]
+    xv = beam_field(c, v)[win]
     dv_xu = v[0] * partial_x(xu, h) + v[1] * partial_y(xu, h)
     du_xv = u[0] * partial_x(xv, h) + u[1] * partial_y(xv, h)
+    del xu, xv  # views that hold the whole-grid beams
     fields = []
     for deriv, cu, cv in ((partial_x(duv, h), -u[1], v[1]),
                           (partial_y(duv, h), u[0], -v[0])):
-        g = _mollify(deriv + cu * dv_xu + cv * du_xv)
-        fields.append(integrate_w(ScalarField(grid, g), geom).values)
-    return VectorField(grid, fields[0], fields[1])
+        g = np.zeros((grid.nx, grid.ny))
+        g[win] = _mollify(deriv + cu * dv_xu + cv * du_xv)
+        fields.append(integrate_w(ScalarField._adopt(grid, g), geom).values)
+    return VectorField._adopt(grid, *fields)
 
 
 def recover_field_LI(lf: ScalarField, i_f: ScalarField,
@@ -205,22 +209,13 @@ def rhombus_check(hfield: ScalarField, x, delta, geom: VLineGeometry) -> float:
     C = h(x) - h(x + delta u) - h(x + delta v) + h(x + delta u + delta v);
     C/delta^2 converges to D_u D_v h as delta -> 0.
     """
-    if delta <= 0:
+    if not delta > 0:  # NaN too
         raise ConfigError("rhombus side must be positive")
     grid = hfield.grid
-    x = np.asarray(x, dtype=float)
-    corners = [x, x + delta * geom.u, x + delta * geom.v,
-               x + delta * (geom.u + geom.v)]
-    x0, y0 = grid.origin
-    x1 = x0 + (grid.nx - 1) * grid.h
-    y1 = y0 + (grid.ny - 1) * grid.h
-    for c in corners:
-        if not (x0 <= c[0] <= x1 and y0 <= c[1] <= y1):
-            raise GeometryError("rhombus vertex falls outside the grid")
-    values = hfield.values
-
-    def at(p):
-        return float(bilinear(grid, values, np.array([p[0]]), np.array([p[1]]))[0])
-
-    c_sum = at(corners[0]) - at(corners[1]) - at(corners[2]) + at(corners[3])
-    return c_sum / delta**2
+    corners = np.asarray(x, dtype=float) + delta * np.array(
+        [(0.0, 0.0), geom.u, geom.v, geom.u + geom.v])
+    far = np.array(grid.origin) + (np.array([grid.nx, grid.ny]) - 1) * grid.h
+    if not np.all((corners >= grid.origin) & (corners <= far)):
+        raise GeometryError("rhombus vertex falls outside the grid")
+    h = bilinear(grid, hfield.values, corners[:, 0], corners[:, 1])
+    return float(h[0] - h[1] - h[2] + h[3]) / delta**2

@@ -14,6 +14,9 @@ None of these is called by library code, the CLI or the benchmark:
 - ``full_grid_phantom`` and ``full_grid_bump`` evaluate the phantom
   formulas at every grid sample; ``phantoms`` evaluates them on each
   bump's support box only, with the same arithmetic.
+- ``full_grid_moment_pipeline`` and ``full_grid_invert_signed`` apply
+  D_u D_v, the derivatives and the mollifier to the whole grid; the
+  library applies them to the disc box grown by their reach only.
 """
 
 from __future__ import annotations
@@ -22,13 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vlinetomo.beam import _ray_lattice
+from vlinetomo.beam import _ray_lattice, beam_field, integrate_w
 from vlinetomo.errors import ConfigError
 from vlinetomo.fields import ScalarField, VectorField, unit_vector
 from vlinetomo.operators import bilinear, partial_x, partial_y
 from vlinetomo.phantoms import Phantom
 from vlinetomo.poisson import solve_dirichlet_disc
 from vlinetomo.star import StarGeometry, _p_of_w
+from vlinetomo.vline import _mollify, mixed_derivative
 
 
 @dataclass(frozen=True)
@@ -189,3 +193,22 @@ def full_grid_phantom(kind, grid, center=None, scale=None, amplitude=1.0,
     f = VectorField(grid, a.field.f1 + b.field.f1, a.field.f2 + b.field.f2)
     return Phantom(field=f, div=a.div, curl=b.curl, potential=a.potential,
                    stream=b.stream, kind="mixed")
+
+
+def full_grid_moment_pipeline(i_f: ScalarField, c: ScalarField, geom):
+    """``vline._moment_pipeline``'s two components, every stencil over the
+    whole grid."""
+    grid, h, u, v = i_f.grid, i_f.grid.h, geom.u, geom.v
+    duv = mixed_derivative(i_f, geom)
+    xu, xv = beam_field(c, u), beam_field(c, v)
+    dv_xu = v[0] * partial_x(xu, h) + v[1] * partial_y(xu, h)
+    du_xv = u[0] * partial_x(xv, h) + u[1] * partial_y(xv, h)
+    return [integrate_w(ScalarField(grid, _mollify(deriv + cu * dv_xu + cv * du_xv)),
+                        geom).values
+            for deriv, cu, cv in ((partial_x(duv, h), -u[1], v[1]),
+                                  (partial_y(duv, h), u[0], -v[0]))]
+
+
+def full_grid_invert_signed(ts: ScalarField, geom):
+    """``beam.invert_signed`` with D_u D_v over the whole grid."""
+    return integrate_w(ScalarField(ts.grid, mixed_derivative(ts, geom)), geom).values

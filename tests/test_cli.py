@@ -40,6 +40,16 @@ def test_phantom_outputs_and_manifest(tmp_path):
     assert field.grid.nx == 64
 
 
+@pytest.mark.parametrize("flag", [["--scale", "nan"], ["--center=nan,0"]],
+                         ids=["scale", "center"])
+def test_phantom_non_finite_support_exits_2(tmp_path, flag):
+    # a NaN scale or center once wrote all-zero fields and oracles, exit 0
+    out = tmp_path / "phantom"
+    assert main(["phantom", "--kind", "potential", "--nx", "32", *flag,
+                 "--out-dir", str(out)]) == 2
+    assert not (out / "field.vlt").exists()
+
+
 def test_forward_and_invert_curl(tmp_path, geom_file):
     ph = _phantom(tmp_path, nx=96)
     fwd = tmp_path / "fwd"

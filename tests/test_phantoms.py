@@ -43,6 +43,24 @@ def test_support_rejection(small_grid):
         make_phantom("potential", small_grid, center=(0.8, 0.0), scale=0.5)
 
 
+@pytest.mark.parametrize("kind,kwargs", [
+    ("potential", {"scale": np.nan}), ("potential", {"center": (np.nan, 0.0)}),
+    ("mixed", {"scale2": np.nan}), ("mixed", {"center2": (0.0, np.nan)})],
+    ids=["scale", "center", "scale2", "center2"])
+def test_non_finite_support_rejection(small_grid, kind, kwargs):
+    # NaN fails scale <= 0 and |center| + scale > r1 alike: without a
+    # ConfigError the bump's box is empty and the phantom is all zeros
+    with pytest.raises(ConfigError):
+        make_phantom(kind, small_grid, **kwargs)
+
+
+@pytest.mark.parametrize("center,scale", [((0.0, 0.0), np.nan), ((np.nan, 0.0), 0.5)],
+                         ids=["scale", "center"])
+def test_bump_scalar_non_finite_support_rejection(small_grid, center, scale):
+    with pytest.raises(ConfigError):
+        bump_scalar(small_grid, center, scale)
+
+
 def test_unknown_kind(small_grid):
     with pytest.raises(ConfigError):
         make_phantom("vortex", small_grid)

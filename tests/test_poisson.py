@@ -6,6 +6,7 @@ from scipy.sparse.linalg import spsolve
 from vlinetomo import (ConfigError, Grid2D, ScalarField, VectorField,
                        grid_for_vline, make_phantom, poisson,
                        solve_dirichlet_disc, solve_free_space)
+from vlinetomo.fields import lines
 from vlinetomo.operators import bilinear, correlate, laplacians_from_div_curl
 from vlinetomo.phantoms import bump_scalar
 
@@ -61,7 +62,7 @@ def test_dirichlet_matches_sparse_lu(make_grid, geom):
         rel_l2(dirichlet_lu(ph.div), ph.potential.values, mask)
     assert np.array_equal(solve_dirichlet_disc(ph.div).field.values, res.field.values)
     if grid is TIGHT_GRID:
-        lo, shape = poisson._dst_box(*np.nonzero(grid.rr() < grid.r1))
+        lo, shape = poisson._dst_box([lines((grid.rr() < grid.r1).any(axis=a)) for a in (1, 0)])
         assert min(lo) < 0 or lo[0] + shape[0] > grid.nx or lo[1] + shape[1] > grid.ny
 
 
@@ -243,7 +244,7 @@ def test_dst_box_is_least_seven_smooth_with_even_growth():
     # per axis n = span + 3; m is the least m >= n with m + 1 7-smooth and
     # m - n even, grown by (m - n) / 2 at each end
     for n in range(16, 601):
-        lo, shape = poisson._dst_box(np.array([5, n + 2]), np.array([0, n - 3]))
+        lo, shape = poisson._dst_box((slice(5, n + 3), slice(0, n - 2)))
         m = shape[0]
         assert m >= n and (m - n) % 2 == 0 and _seven_smooth(m + 1)
         assert not any(_seven_smooth(k + 1) for k in range(n, m, 2))
@@ -254,7 +255,7 @@ def test_dst_box_is_least_seven_smooth_with_even_growth():
 def test_circle_trace_reads_zero_past_the_box(grid):
     # the trace is bilinear interpolation on the grid of the boxes written
     # into zeros, bit for bit
-    lo, shape = poisson._dst_box(*np.nonzero(grid.rr() < grid.r1))
+    lo, shape = poisson._dst_box([lines((grid.rr() < grid.r1).any(axis=a)) for a in (1, 0)])
     v_box = np.random.default_rng(8).standard_normal((2, *shape))
     theta = 2.0 * np.pi * np.arange(1024) / 1024
     trace = poisson._circle_trace(grid, v_box, lo, 1024)

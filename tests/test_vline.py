@@ -14,7 +14,8 @@ from vlinetomo.phantoms import bump_scalar
 from vlinetomo.vline import _mollify, mixed_derivative
 
 from conftest import finer_grid, rel_l2
-from oracles import RayQuadrature, divergent_beam, moment_beam
+from oracles import (RayQuadrature, divergent_beam, full_grid_invert_signed,
+                     full_grid_moment_pipeline, moment_beam)
 
 
 def _zero_field(grid):
@@ -367,6 +368,39 @@ def test_rhombus_outside_grid(grid, geom):
                       (grid.r2 + 10, 0.0), 4 * grid.h, geom)
 
 
+def test_rhombus_nan_side_is_a_config_error(grid, geom):
+    # NaN fails delta <= 0 as it fails delta > 0, so the check is not (delta > 0)
+    with pytest.raises(ConfigError, match="rhombus side"):
+        rhombus_check(ScalarField(grid, np.zeros((grid.nx, grid.ny))),
+                      (0.0, 0.0), float("nan"), geom)
+
+
+WINDOW_CASES = {
+    # the disc box grown by 7 passes this grid's edge and is clipped there
+    "axis-r2-1.0001": ((0.0, np.pi / 2), lambda geom: Grid2D.centered(64, 1.0, 1.0001)),
+    "oblique": ((0.35, 2.1), lambda geom: grid_for_vline(64, 1.0, geom)),
+    "u1.0-v1.9": ((1.0, 1.9), lambda geom: grid_for_vline(64, 1.0, geom)),
+}
+
+
+@pytest.mark.parametrize("angles,make_grid", WINDOW_CASES.values(), ids=WINDOW_CASES)
+def test_stencil_window_matches_the_full_grid(angles, make_grid):
+    # LI, TJ and the signed inversion apply their stencils (reach 7, 7 and 2)
+    # to the disc box grown by that reach only, bit for bit the whole grid's
+    geom = VLineGeometry(*(direction(a) for a in angles))
+    g = make_grid(geom)
+    f = make_phantom("mixed", g).field
+    lf, tf, i_f, jf = (fn(f, geom) for fn in (forward_L, forward_T, forward_I, forward_J))
+    li = recover_field_LI(lf, i_f, geom)
+    assert all(np.array_equal(a, b) for a, b in zip(
+        (li.f1, li.f2), full_grid_moment_pipeline(i_f, recover_curl(lf, geom), geom)))
+    tj = recover_field_TJ(tf, jf, geom)
+    g1, g2 = full_grid_moment_pipeline(jf, recover_curl(tf, geom), geom)
+    assert np.array_equal(tj.f1, 0.0 - g2) and np.array_equal(tj.f2, g1)
+    ts = signed_vline(bump_scalar(g, (0.1, -0.2), 0.6), geom)
+    assert np.array_equal(invert_signed(ts, geom).values, full_grid_invert_signed(ts, geom))
+
+
 def test_vline_pipelines_accept_a_grid_below_the_strip_bound(geom):
     # no V-line pipeline reads strip data, so r2 = 1.2 below the axis
     # pair's bound sqrt(2) is accepted; the tight square has the finer
@@ -429,6 +463,24 @@ def test_recover_field_LT_peak_memory(geom):
     finally:
         tracemalloc.stop()
     assert peak <= 11.5 * 8 * g.nx * g.ny
+
+
+def test_recover_field_LI_peak_memory(oblique_geom):
+    # the stencils run on the disc box grown by their reach 7 and the
+    # whole-grid beams go before the integrals (11.92 grid arrays); over the
+    # whole grid the second call peaked at 16.74 (tracemalloc)
+    import tracemalloc
+    g = grid_for_vline(256, 1.0, oblique_geom)
+    f = make_phantom("mixed", g).field
+    lf, i_f = forward_L(f, oblique_geom), forward_I(f, oblique_geom)
+    recover_field_LI(lf, i_f, oblique_geom)
+    tracemalloc.start()
+    try:
+        recover_field_LI(lf, i_f, oblique_geom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15.0 * 8 * g.nx * g.ny
 
 
 def test_forward_L_peak_memory(geom):
