@@ -35,18 +35,26 @@ Stages, on the mixed phantom (r1 = 1) at each requested nx:
                          its peak as a multiple of its
                          output's bytes
   recover_field_TJ       (T f, J f) -> f, the same        error of f
+  beam_field             one beam of f1 along (1, 0)      none
+                         (suffix sums) and at 0.35 rad
+                         (one FFT), plain and moment, on
+                         the axis pair's grid
 
 V-line stages use the axis-aligned pair u = (1, 0), v = (0, 1) on
 grid_for_vline, except the recover_field_LT, _LI and _TJ rows, whose
-"geometry" names their LT_GEOMETRIES or MOMENT_GEOMETRIES entry.  Each time
-is the best of REPEATS calls on inputs built outside the timed region;
-the error is the relative L2 error over the r1 disc against the phantom's
-analytic field (the larger of the two components for f), and null for
-the phantom itself.  Dirichlet rows
-also carry the solver's residual (the share of the boundary trace the
-harmonic correction drops).
+"geometry" names their LT_GEOMETRIES or MOMENT_GEOMETRIES entry, and the
+beam_field rows, whose "geometry" names the beam's direction.  Each row
+times REPEATS calls on inputs built outside the timed region and reports
+the shortest (best_s) and the median (median_s) wall time and the median
+CPU time (cpu_s, ``time.process_time``): on a shared host the best alone
+moves with the host's load.  The error is the relative L2 error over the
+r1 disc against the phantom's analytic field (the larger of the two
+components for f), and null for the phantom and the beams.  Dirichlet
+rows also carry the solver's residual (the share of the boundary trace
+the harmonic correction drops).
 
-The library is imported from the Python path:
+The BLAS and OpenMP pools run one thread each.  The library is imported
+from the Python path:
 
     PYTHONPATH=src python bench/poisson_sweep.py --label change \\
         --out BENCH_poisson.json
@@ -57,17 +65,24 @@ own.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import platform
-import time
-import tracemalloc
 
-import numpy as np
+# BLAS/OpenMP pools are pinned to one thread before numpy loads, as in
+# perfbench: idle pool threads spinning after a BLAS call would otherwise
+# count in the next stage's CPU time
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-import vlinetomo as vt
-from vlinetomo import radon, star
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import time  # noqa: E402
+import tracemalloc  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+import vlinetomo as vt  # noqa: E402
+from vlinetomo import radon, star  # noqa: E402
 
 R1 = 1.0
 STAR_ANGLES = (0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0)
@@ -81,17 +96,22 @@ LT_GEOMETRIES = {
 }
 # name: (u angle, v angle), each on grid_for_vline
 MOMENT_GEOMETRIES = {"oblique": (0.35, 2.1), "u1.0-v1.9": (1.0, 1.9)}
-REPEATS = 3
+# name: the direction of a beam_field row
+BEAM_DIRECTIONS = {"axis": np.array([1.0, 0.0]), "0.35": vt.direction(0.35)}
+REPEATS = 5
 
 
-def best_of(fn, *args):
-    """(result of the last call, shortest wall time of REPEATS calls)."""
-    best = np.inf
+def timed(fn, *args):
+    """(result of the last call, {best_s, median_s, cpu_s}): the shortest
+    and the median wall time of REPEATS calls, and their median CPU time."""
+    wall, cpu = [], []
     for _ in range(REPEATS):
-        t0 = time.perf_counter()
+        t0, c0 = time.perf_counter(), time.process_time()
         out = fn(*args)
-        best = min(best, time.perf_counter() - t0)
-    return out, best
+        wall.append(time.perf_counter() - t0)
+        cpu.append(time.process_time() - c0)
+    return out, {"best_s": min(wall), "median_s": float(np.median(wall)),
+                 "cpu_s": float(np.median(cpu))}
 
 
 def result_bytes(out):
@@ -138,7 +158,7 @@ def lt_rows(nx, row):
         ph = vt.make_phantom("mixed", grid)
         f = [ph.field.f1, ph.field.f2]
         args = (vt.forward_L(ph.field, geom), vt.forward_T(ph.field, geom), geom)
-        rec, t = best_of(vt.recover_field_LT, *args)
+        rec, t = timed(vt.recover_field_LT, *args)
         errs = rel_l2s([rec.f1, rec.f2], f, grid.disc_mask(grid.r1))
         row("recover_field_LT", t, max(errs), geometry=name, rel_l2_f1=errs[0],
             rel_l2_f2=errs[1], peak_over_output=peak_over_output(vt.recover_field_LT, *args))
@@ -155,7 +175,7 @@ def moment_rows(nx, row):
         for fn, fwds in ((vt.recover_field_LI, (vt.forward_L, vt.forward_I)),
                          (vt.recover_field_TJ, (vt.forward_T, vt.forward_J))):
             args = tuple(fwd(ph.field, geom) for fwd in fwds) + (geom,)
-            rec, t = best_of(fn, *args)
+            rec, t = timed(fn, *args)
             row(fn.__name__, t, rel_l2([rec.f1, rec.f2], f, grid.disc_mask(grid.r1)),
                 geometry=name, peak_over_output=peak_over_output(fn, *args))
 
@@ -163,27 +183,27 @@ def moment_rows(nx, row):
 def sweep_nx(nx):
     rows = []
 
-    def row(stage, out_s, err, **extra):
-        rows.append({"stage": stage, "nx": nx, "best_s": out_s, "rel_l2": err, **extra})
+    def row(stage, times, err, **extra):
+        rows.append({"stage": stage, "nx": nx, **times, "rel_l2": err, **extra})
 
     geom = vt.VLineGeometry(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     grid = vt.grid_for_vline(nx, R1, geom)
     disc = grid.disc_mask(grid.r1)
-    ph, t = best_of(vt.make_phantom, "mixed", grid)
+    ph, t = timed(vt.make_phantom, "mixed", grid)
     row("make_phantom", t, None,
         peak_over_output=peak_over_output(vt.make_phantom, "mixed", grid))
     f = [ph.field.f1, ph.field.f2]
 
-    res, t = best_of(vt.solve_dirichlet_disc, ph.div)
+    res, t = timed(vt.solve_dirichlet_disc, ph.div)
     row("solve_dirichlet_disc", t, rel_l2([res.field.values], [ph.potential.values], disc),
         residual=res.residual)
     tf = vt.forward_T(ph.field, geom)
-    pot, t = best_of(vt.recover_potential, tf, geom)
+    pot, t = timed(vt.recover_potential, tf, geom)
     row("recover_potential", t, rel_l2([pot.values], [ph.potential.values], disc))
 
     rhs = [vt.ScalarField(grid, np.where(disc, lap.values, 0.0))
            for lap in vt.laplacians_from_div_curl(ph.div, ph.curl)]
-    comps, t = best_of(lambda: [vt.solve_free_space(r).field.values for r in rhs])
+    comps, t = timed(lambda: [vt.solve_free_space(r).field.values for r in rhs])
     row("solve_free_space", t, rel_l2(comps, f, disc))
     lt_rows(nx, row)
 
@@ -193,22 +213,33 @@ def sweep_nx(nx):
     sf = vt.forward_star(sph.field, sg)
     sf_oracle, sdisc = [sph.field.f1, sph.field.f2], sgrid.disc_mask(sgrid.r1)
     radon_args = (sf, sg.gammas, N_ANGLES, sgrid.nx, True)
-    sino, t_radon = best_of(radon.radon_transform_field, *radon_args)
+    sino, t_radon = timed(radon.radon_transform_field, *radon_args)
     peak = peak_over_output(radon.radon_transform_field, *radon_args)
     rf = star.apply_q(radon.sinogram_dds(sino), sg)
-    out, t = best_of(radon.fbp_inverse, rf, sgrid)
+    out, t = timed(radon.fbp_inverse, rf, sgrid)
     err = rel_l2([out.f1, out.f2], sf_oracle, sdisc)
     row("radon_transform_field", t_radon, err, n_angles=N_ANGLES,
         peak_over_output=peak)
     row("star_fbp", t, err, n_angles=N_ANGLES)
-    rec, t = best_of(vt.invert_star, sf, sg, N_ANGLES)
+    rec, t = timed(vt.invert_star, sf, sg, N_ANGLES)
     err = rel_l2([rec.f1, rec.f2], sf_oracle, sdisc)
     row("invert_star", t, err, n_angles=N_ANGLES)
-    _, t = best_of(vt.forward_star, sph.field, sg)
+    _, t = timed(vt.forward_star, sph.field, sg)
     row("forward_star", t, err)
     forward_rows(nx, row)
     moment_rows(nx, row)
+    beam_rows(ph, row)
     return rows
+
+
+def beam_rows(ph, row):
+    """One beam_field row per BEAM_DIRECTIONS entry, plain and moment, of the
+    phantom's f1 component."""
+    h = vt.ScalarField(ph.field.grid, ph.field.f1)
+    for name, d in BEAM_DIRECTIONS.items():
+        for moment in (False, True):
+            _, t = timed(vt.beam_field, h, d, moment)
+            row("beam_field", t, None, geometry=name, moment=moment)
 
 
 def forward_rows(nx, row):
@@ -219,7 +250,7 @@ def forward_rows(nx, row):
     grid = vt.grid_for_vline(nx, R1, geom)
     ph = vt.make_phantom("mixed", grid)
     fns = (vt.forward_L, vt.forward_T, vt.forward_I, vt.forward_J)
-    (lf, _, i_f, _), t = best_of(lambda: [fn(ph.field, geom) for fn in fns])
+    (lf, _, i_f, _), t = timed(lambda: [fn(ph.field, geom) for fn in fns])
     rec = vt.recover_field_LI(lf, i_f, geom)
     row("forward_vline", t, rel_l2([rec.f1, rec.f2], [ph.field.f1, ph.field.f2],
                                    grid.disc_mask(grid.r1)),
@@ -251,8 +282,11 @@ def main(argv=None):
         rows += done
         for r in done:
             err = "-" if r["rel_l2"] is None else f"{r['rel_l2']:.4e}"
-            print(f"{r['stage']:22s} nx={nx:4d}  {r['best_s']:8.4f} s  "
-                  f"rel_l2 {err}  {r.get('geometry', '')}")
+            ms = {k: 1e3 * r[k + "_s"] for k in ("best", "median", "cpu")}
+            print(f"{r['stage']:22s} nx={nx:4d}  best {ms['best']:9.3f} ms  "
+                  f"median {ms['median']:9.3f} ms  cpu {ms['cpu']:9.3f} ms  "
+                  f"rel_l2 {err}  {r.get('geometry', '')}"
+                  f"{' moment' if r.get('moment') else ''}")
 
     doc = {"bench": "bench/poisson_sweep.py", "runs": {}}
     if os.path.exists(args.out):

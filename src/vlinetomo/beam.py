@@ -7,8 +7,8 @@ Every beam integral uses one quadrature: the midpoint rule on the arc-length
 lattice t_k = (k + 1/2) h/2, k = 0, 1, ..., started at the vertex and shared
 by all vertices, with the field sampled bilinearly.  The lattice is shared,
 so the beam over the whole grid is a correlation of the field's samples on
-``Grid2D.disc_box`` with a fixed sparse kernel: one FFT in ``beam_field``
-(``operators.correlate``).  The step h/2 is set in ``_ray_lattice`` alone.
+``Grid2D.disc_box`` with a fixed sparse kernel: suffix sums on a grid axis,
+else one FFT (``operators.correlate``).  ``_ray_lattice`` alone sets h/2.
 
 The inversion applies the paper's formula with D_u D_v moved inside the
 integral: the differentiated data D_u D_v T_s h = D_{u-v} h is supported
@@ -56,8 +56,7 @@ def _beam_taps(grid, d, moment, rows, cols):
     db = np.concatenate([b, b, b + 1, b + 1])
     w = np.concatenate([(1.0 - fx) * (1.0 - fy), fx * (1.0 - fy),
                         (1.0 - fx) * fy, fx * fy]) * np.tile(wt, 4)
-    # only taps that reach the box from some vertex are kept, and zero
-    # taps (an axis-aligned ray's second row or column) are left out
+    # only the nonzero taps that reach the box from some vertex are kept
     keep = w != 0.0
     for off, n, box in zip((da, db), (grid.nx, grid.ny), (rows, cols)):
         keep &= (off > box.start - n) & (off < box.stop)
@@ -67,22 +66,55 @@ def _beam_taps(grid, d, moment, rows, cols):
 def beam_field(h: ScalarField, d, moment=False, workers=1) -> np.ndarray:
     """Beam integrals at every grid vertex, as an (nx, ny) array.
 
-    The midpoint rule on the ``_ray_lattice`` samples x + t_k d: h's
-    samples in the r1 disc, read on ``Grid2D.disc_box`` only, correlated
-    (``operators.correlate``) with the taps of ``_beam_taps`` that reach
-    that box.  A grid with no sample in the disc gives zeros.  ``workers``
-    is kept for callers of the public function and has no effect.
+    The midpoint rule on the ``_ray_lattice`` samples x + t_k d of h's
+    samples in the r1 disc, read on ``Grid2D.disc_box`` only: suffix sums
+    when d lies on a grid axis (``_axis_beam``), else one FFT correlation
+    (``operators.correlate``) with the taps of ``_beam_taps`` that reach that
+    box.  A grid with no sample in the disc gives zeros.  ``workers`` is
+    kept for callers of the public function and has no effect.
     """
     grid = h.grid
     rows, cols, rr = grid.disc_box()
     if rr.size == 0:
         return np.zeros((grid.nx, grid.ny))
-    offsets, w = _beam_taps(grid, unit_vector(d), moment, rows, cols)
+    d = unit_vector(d)
+    part = np.where(rr <= grid.r1, h.values[rows, cols], 0.0)
+    if d[0] == 0.0 or d[1] == 0.0:
+        return _axis_beam(grid, part, rows, cols, d, moment)
+    offsets, w = _beam_taps(grid, d, moment, rows, cols)
     center = [-o.min() for o in offsets]
     kernel = np.zeros([o.max() + c + 1 for o, c in zip(offsets, center)])
     np.add.at(kernel, tuple(o + c for o, c in zip(offsets, center)), w)
-    part = np.where(rr <= grid.r1, h.values[rows, cols], 0.0)
     return correlate(part, (rows.start, cols.start), (grid.nx, grid.ny), kernel, center)
+
+
+def _axis_beam(grid, part, rows, cols, d, moment):
+    """``beam_field`` along d = +-e_x or +-e_y of the masked box ``part``.
+
+    Sample k lies (2k + 1)/4 cells down the vertex's grid line, so the taps
+    are h/2 at the vertex and h at every later cell (3h^2/16, then j h^2 for
+    the moment).  With S[i] = sum_{m >= i} part[m] down the ray (the views
+    run it down axis 0), the beam is h S - (h/2) part in the box, h S[start]
+    before it and 0 past it.  The moment's sum_{m > i} (m - i) part[m] is
+    T[i + 1], T[i] = sum_{l >= i} S[l], which does not cancel; at dist cells
+    before the box it is T[start] + (dist - 1) S[start].
+    """
+    out = np.zeros((grid.nx, grid.ny))
+    o, p, line, other = (out, part, rows, cols) if d[1] == 0.0 else (out.T, part.T, cols, rows)
+    if d[0] + d[1] < 0.0:  # -e_x or -e_y: the same sums on flipped views
+        o, p, line = o[::-1], p[::-1], slice(len(o) - line.stop, len(o) - line.start)
+    before, box = o[:line.start, other], o[line, other]
+    s = np.cumsum(p[::-1], axis=0)[::-1]
+    if moment:
+        t = np.cumsum(s[::-1], axis=0)[::-1]
+        box[:-1] = t[1:]
+        box += (3.0 / 16.0) * p
+        before[...] = t[0] + np.arange(line.start - 1, -1, -1)[:, None] * s[0]
+    else:
+        np.subtract(s, 0.5 * p, out=box)
+        before[...] = s[0]
+    o[:line.stop, other] *= grid.h ** 2 if moment else grid.h
+    return out
 
 
 def ray_sum(terms, moment=False) -> np.ndarray:

@@ -197,6 +197,8 @@ def cmd_forward(args):
     if not 0.0 <= args.noise_sigma < np.inf:
         raise ConfigError(f"--noise-sigma must be finite and >= 0, "
                           f"got {args.noise_sigma!r}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     vline = ("--geometry", read_vline_geometry)
     # transform -> (operator, component count of its field, geometry)
     op, ncomp, geometry = {

@@ -1,6 +1,6 @@
 """Grid derivatives (the D_u D_v stencil and the Laplacians from div and
 curl), bilinear field sampling and FFT correlation with a shift-invariant
-kernel (``correlate``, which every beam and the free-space solve run).
+kernel (``correlate``: the free-space solve and every beam off a grid axis).
 
 Derivatives use 2nd-order central differences in the interior and
 1st-order one-sided differences at array edges (np.gradient's default).
@@ -61,10 +61,9 @@ def fast_len(n, primes=(2, 3, 5)):
 
 
 def _rfft2(x, shape, axes):
-    """rfftn(x, shape, axes) for one or two axes, as an rfft along the last
-    axis and an fft along the first (numpy's rfftn takes longer)."""
-    spec = rfft(x, shape[-1], axes[-1])
-    return fft(spec, shape[0], axes[0]) if len(axes) == 2 else spec
+    """rfftn(x, shape, axes) over two axes, as an rfft along the last axis
+    and an fft along the first (numpy's rfftn takes longer)."""
+    return fft(rfft(x, shape[1], axes[1]), shape[0], axes[0])
 
 
 def correlate(part, corner, shape, kernel, center):
@@ -78,9 +77,7 @@ def correlate(part, corner, shape, kernel, center):
     kernel, O(N^2 log N).  Only the output rows and columns the kernel
     reaches from the box are computed (the rest are 0), and per axis the
     period is the least ``fast_len`` that keeps the wrap-around off them.
-    An axis along which the kernel has one tap is not transformed (a 1 x 1
-    kernel runs along columns), and a 2-D inverse runs its second pass on
-    the kept rows only.
+    The inverse runs its second pass on the kept rows only.
     """
     if not all(0 <= c < k for c, k in zip(center, kernel.shape)):
         raise ValueError(f"kernel center {center} outside kernel of shape {kernel.shape}")
@@ -91,16 +88,13 @@ def correlate(part, corner, shape, kernel, center):
     start = [max(0, a - t) for a, t in zip(corner, top)]
     stop = [min(n, a + m + c) for n, a, m, c in zip(shape, corner, part.shape, center)]
     keep = [slice(s - a + t, e - a + t) for s, e, a, t in zip(start, stop, corner, top)]
-    axes = [a for a in (0, 1) if kernel.shape[a] > 1] or [1]
     fft_shape = [fast_len(max(keep[a].stop, part.shape[a] + kernel.shape[a] - 1 - keep[a].start))
-                 for a in axes]
+                 for a in (0, 1)]
     # correlating with the kernel is convolving with its mirror image
-    spec = _rfft2(part, fft_shape, axes) * _rfft2(kernel[::-1, ::-1], fft_shape, axes)
-    if len(axes) == 2:  # invert axis 0 first, then only the rows kept
-        spec = ifft(spec, fft_shape[0], 0)[keep[0]]
-        keep[0] = slice(None)
+    spec = _rfft2(part, fft_shape, (0, 1)) * _rfft2(kernel[::-1, ::-1], fft_shape, (0, 1))
+    spec = ifft(spec, fft_shape[0], 0)[keep[0]]
     out = np.zeros(shape)
-    out[start[0]:stop[0], start[1]:stop[1]] = irfft(spec, fft_shape[-1], axes[-1])[tuple(keep)]
+    out[start[0]:stop[0], start[1]:stop[1]] = irfft(spec, fft_shape[1], 1)[:, keep[1]]
     return out
 
 

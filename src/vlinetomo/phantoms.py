@@ -30,7 +30,7 @@ class Phantom:
 
 def bump_scalar(grid: Grid2D, center=(0.0, 0.0), scale=1.0, amplitude=1.0) -> ScalarField:
     """Scalar bump amplitude * (1 - rho^2)^3, rho = |x - center| / scale."""
-    _check_support(grid, center, scale)
+    _check_support(grid, center, scale, amplitude)
     d1 = (grid.xs() - center[0]) ** 2
     d2 = (grid.ys() - center[1]) ** 2
     rows, cols = lines(d1 / scale**2 < 1.0), lines(d2 / scale**2 < 1.0)
@@ -68,8 +68,8 @@ def make_phantom(kind, grid: Grid2D, center=None, scale=None, amplitude=1.0,
                  (center2, scale2, amplitude2, True)]
     else:
         raise ConfigError(f"unknown phantom kind {kind!r}")
-    for c, s, _, _ in bumps:
-        _check_support(grid, c, s)
+    for (c, s, a, _), name in zip(bumps, ("amplitude", "amplitude2")):
+        _check_support(grid, c, s, a, name)
     # one zeroed block: f1, f2, div, curl and each bump's profile V or W
     out = np.zeros((4 + len(bumps), grid.nx, grid.ny))
     f1, f2, div, curl, *profiles = out
@@ -107,9 +107,11 @@ def _omq(q):
     return np.where(q < 1.0, 1.0 - q, 0.0)
 
 
-def _check_support(grid, center, scale):
+def _check_support(grid, center, scale, amplitude, name="amplitude"):
     if not scale > 0:  # each check is "not ok", so a NaN fails it too
         raise ConfigError("phantom scale must be positive")
+    if not abs(amplitude) < np.inf:
+        raise ConfigError(f"phantom {name} must be finite, got {amplitude!r}")
     if not np.hypot(*center) + scale <= grid.r1 + 1e-12:
         raise ConfigError("phantom support leaks outside the r1 disc")
 

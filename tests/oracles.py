@@ -5,7 +5,8 @@ None of these is called by library code, the CLI or the benchmark:
 - ``beam_values`` (with ``divergent_beam`` and ``moment_beam``) sums beam
   integrals directly, sample by sample, at arbitrary points and at any
   ``RayQuadrature`` step; ``beam.beam_field`` evaluates the same
-  quadrature at every vertex with one FFT.
+  quadrature at every vertex, by suffix sums along a grid axis and by one
+  FFT along every other direction.
 - ``directional_derivative``, ``divergence``, ``curl``, ``gradient`` and
   ``helmholtz_decompose`` are the plain finite-difference calculus the
   phantoms and pipelines are checked with.

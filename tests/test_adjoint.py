@@ -18,6 +18,9 @@ from vlinetomo.beam import ray_sum
 
 ANGLES = (0.0, 0.35, 1.0, np.pi / 2, 2.1, 3.14159,
           1e-3, np.pi / 2 - 1e-3, np.pi + 1e-3, -np.pi / 2 + 1e-3)
+# direction(np.pi / 2) is (6.1e-17, 1), off the grid axis: the exact e_y
+# enters as a vector, so (0, 1) and (0, -1) reach the axis suffix sums
+E_Y = pytest.param(np.array([0.0, 1.0]), id="e_y")
 TOL = 1e-13
 
 
@@ -39,11 +42,11 @@ def grid(request):
 
 
 @pytest.mark.parametrize("moment", [False, True], ids=["plain", "moment"])
-@pytest.mark.parametrize("angle", ANGLES)
+@pytest.mark.parametrize("angle", [*ANGLES, E_Y])
 def test_beam_transpose_is_the_opposite_beam(grid, angle, moment):
     rng = np.random.default_rng(22)
     h, g = (ScalarField(grid, _disc_random(grid, rng)) for _ in range(2))
-    d = direction(angle)
+    d = direction(angle) if np.ndim(angle) == 0 else angle
     xh = beam_field(h, d, moment=moment)
     assert np.abs(xh).max() > 0.0
     assert _gap((xh,), (h.values,), (g.values,), (beam_field(g, -d, moment=moment),)) <= TOL

@@ -50,6 +50,17 @@ def test_phantom_non_finite_support_exits_2(tmp_path, flag):
     assert not (out / "field.vlt").exists()
 
 
+@pytest.mark.parametrize("amplitude", ["inf", "nan"])
+def test_phantom_non_finite_amplitude_exits_2(tmp_path, capsys, amplitude):
+    # inf once warned from the bump arithmetic and both failed late, on the
+    # finished field's non-finite samples
+    out = tmp_path / "phantom"
+    assert main(["phantom", "--kind", "mixed", "--nx", "32", "--amplitude", amplitude,
+                 "--out-dir", str(out)]) == 2
+    assert "amplitude must be finite" in capsys.readouterr().err
+    assert not (out / "field.vlt").exists()
+
+
 def test_forward_and_invert_curl(tmp_path, geom_file):
     ph = _phantom(tmp_path, nx=96)
     fwd = tmp_path / "fwd"
@@ -370,6 +381,22 @@ def test_invalid_noise_sigma_exits_2_before_reading_input(
                "--out-dir", str(out)])
     assert rc == 2
     assert "--noise-sigma" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_negative_seed_exits_2_before_reading_input(tmp_path, geom_file, capsys,
+                                                    monkeypatch):
+    # numpy's default_rng raised a bare ValueError for it: exit 1, traceback
+    import vlinetomo.cli as cli
+    ph = _phantom(tmp_path, nx=48)
+    monkeypatch.setattr(cli, "read_vlt1",
+                        lambda *a, **k: pytest.fail("an input was read"))
+    out = tmp_path / "fwd"
+    rc = main(["forward", "--transform", "L", "--field", str(ph / "field.vlt"),
+               "--geometry", geom_file, "--noise-sigma", "0.1", "--seed", "-1",
+               "--out-dir", str(out)])
+    assert rc == 2
+    assert "--seed" in capsys.readouterr().err
     assert not any(out.iterdir())
 
 

@@ -54,6 +54,17 @@ def test_non_finite_support_rejection(small_grid, kind, kwargs):
         make_phantom(kind, small_grid, **kwargs)
 
 
+@pytest.mark.parametrize("kind,name,value", [
+    ("mixed", "amplitude", np.inf), ("potential", "amplitude", np.nan),
+    ("mixed", "amplitude2", -np.inf), ("mixed", "amplitude2", np.nan)])
+def test_non_finite_amplitude_rejection(small_grid, kind, name, value):
+    # rejected by name before any array work, so no RuntimeWarning either
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        make_phantom(kind, small_grid, **{name: value})
+    with pytest.raises(ConfigError, match="amplitude must be finite"):
+        bump_scalar(small_grid, amplitude=value)
+
+
 @pytest.mark.parametrize("center,scale", [((0.0, 0.0), np.nan), ((np.nan, 0.0), 0.5)],
                          ids=["scale", "center"])
 def test_bump_scalar_non_finite_support_rejection(small_grid, center, scale):
